@@ -20,9 +20,10 @@ Design properties, in the order they matter:
   corruption is detected, skipped and counted, never silently served;
 * **append-only** — writers only ever add whole blocks; a killed
   writer costs at most its in-flight block (truncated on next open);
-* **indexed** — per-shard indexes map content-hash keys to blocks and
-  keep spec keys sorted for prefix range queries
-  (``scenario=permutation/fabric=*``);
+* **indexed** — per-shard indexes map content-hash keys to a block and
+  the record's ordinal inside it (a keyed read decodes the block once
+  and parses only the record asked for) and keep spec keys sorted for
+  prefix range queries (``scenario=permutation/fabric=*``);
 * **compressed, batched, parallel** — records batch into zlib/bz2
   blocks (5x+ smaller than the legacy layout) that decompress
   independently across a process pool on scans;

@@ -40,7 +40,6 @@ from typing import (
 
 from repro.store.format import (
     CODEC_NAMES,
-    CODEC_ZLIB,
     FORMAT_VERSION,
     StoreFormatError,
 )
@@ -110,6 +109,11 @@ class RecordStore:
         level: int = DEFAULT_LEVEL,
         flush_records: int = DEFAULT_FLUSH_RECORDS,
     ) -> None:
+        if codec not in CODEC_NAMES:
+            raise ValueError(
+                f"unknown codec {codec!r}; choose from "
+                f"{', '.join(sorted(CODEC_NAMES))}"
+            )
         if root is None:
             root = os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
         self.root = Path(root)
@@ -117,7 +121,7 @@ class RecordStore:
         self.misses = 0
         self.level = level
         self.flush_records = max(1, flush_records)
-        self.codec = CODEC_NAMES.get(codec, CODEC_ZLIB)
+        self.codec = CODEC_NAMES[codec]
         self.meta: Dict[str, Any] = {}
         self._shards: Dict[int, Shard] = {}
         self._pending: Dict[int, List[Tuple[str, str, bytes]]] = {}

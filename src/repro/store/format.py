@@ -58,6 +58,9 @@ _REC_HEAD = struct.Struct("<II")  # rec_len, crc32
 _SHARD_HEAD = struct.Struct("<HI")  # format_version, meta_len
 
 BLOCK_HEADER_SIZE = len(BLOCK_MAGIC) + _BLOCK_HEAD.size
+#: Magic + format version + metadata length: enough of a shard file to
+#: know how long its whole preamble is (:func:`shard_header_size`).
+SHARD_HEADER_FIXED_SIZE = len(SHARD_MAGIC) + _SHARD_HEAD.size
 
 
 class StoreFormatError(Exception):
@@ -217,6 +220,20 @@ def encode_shard_header(meta: Dict[str, Any]) -> bytes:
         + blob
         + struct.pack("<I", zlib.crc32(blob))
     )
+
+
+def shard_header_size(prefix: bytes) -> int:
+    """Length of the whole shard preamble, read off its fixed part.
+
+    Lets a reader fetch the header without reading the shard.  A prefix
+    too short to say (or one that is not a shard at all) answers
+    :data:`SHARD_HEADER_FIXED_SIZE`; :func:`read_shard_header` then
+    rejects those bytes with the proper error.
+    """
+    if len(prefix) < SHARD_HEADER_FIXED_SIZE:
+        return SHARD_HEADER_FIXED_SIZE
+    _, meta_len = _SHARD_HEAD.unpack_from(prefix, len(SHARD_MAGIC))
+    return SHARD_HEADER_FIXED_SIZE + int(meta_len) + 4
 
 
 def read_shard_header(buf: bytes) -> Tuple[Dict[str, Any], int]:

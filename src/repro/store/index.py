@@ -18,8 +18,11 @@ Trust flows one way: from shard bytes to index, never back.
 
 Two views are maintained in memory:
 
-* ``key -> (block_offset, block_length)`` — latest record wins, which
-  is how an append-only store overwrites;
+* ``key -> (block_offset, block_length, ordinal)`` — latest record
+  wins, which is how an append-only store overwrites.  ``ordinal`` is
+  the record's position inside its block, which the sidecar gives for
+  free (a line lists the block's pairs in block order), so a keyed
+  read can pick its record without parsing the neighbours;
 * a sorted list of ``(spec_key, key)`` pairs for prefix range queries
   (``scenario=permutation/fabric=...``) via binary search.
 """
@@ -31,7 +34,8 @@ import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-BlockSpan = Tuple[int, int]  # (offset, length)
+#: (block offset, block length, ordinal of the record inside the block)
+Location = Tuple[int, int, int]
 Pairs = List[Tuple[str, str]]  # [(key, spec_key), ...]
 
 
@@ -40,8 +44,9 @@ class ShardIndex:
 
     def __init__(self, sidecar: Path) -> None:
         self.sidecar = sidecar
-        #: key -> (block_offset, block_length); latest append wins.
-        self.by_key: Dict[str, BlockSpan] = {}
+        #: key -> (block_offset, block_length, ordinal); latest append
+        #: wins, and inside one block the last occurrence.
+        self.by_key: Dict[str, Location] = {}
         #: sorted (spec_key, key) pairs for prefix range scans; a key
         #: re-put under the same spec_key stays listed once.
         self._ordered: List[Tuple[str, str]] = []
@@ -119,13 +124,14 @@ class ShardIndex:
         self, offset: int, end: int, pairs: Pairs, sort_each: bool = True
     ) -> None:
         self.blocks.append((offset, end))
-        for key, spec_key in pairs:
+        length = end - offset
+        for ordinal, (key, spec_key) in enumerate(pairs):
             if key not in self.by_key:
                 if sort_each:
                     bisect.insort(self._ordered, (spec_key, key))
                 else:
                     self._ordered.append((spec_key, key))
-            self.by_key[key] = (offset, end - offset)
+            self.by_key[key] = (offset, length, ordinal)
 
     def add_block(self, offset: int, end: int, pairs: Pairs) -> None:
         """Register a freshly appended (or tail-scanned) block."""
@@ -134,7 +140,7 @@ class ShardIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[BlockSpan]:
+    def get(self, key: str) -> Optional[Location]:
         return self.by_key.get(key)
 
     def prefix_pairs(self, prefix: str) -> Iterator[Tuple[str, str]]:

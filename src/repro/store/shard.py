@@ -15,6 +15,13 @@ every checksum, and recovery is positional —
 * the index sidecar is a cache: stale or missing entries trigger a
   tail rescan of the shard bytes, never the other way around.
 
+Keyed reads cost one decode per *block* and one parse per *record
+returned*: the index names the record's ordinal inside its block, the
+picked payload's own key is checked against the key asked for (the
+sidecar is never trusted to say whose record it is), and the shard
+remembers the last block it decoded, which is all a put-order resume
+or a block-grouped query needs.
+
 Single-writer, multi-reader: appends happen from one process (the
 sweep parent); concurrent readers see a consistent prefix.
 """
@@ -24,11 +31,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.store.format import (
     BlockCorruptError,
     CODEC_ZLIB,
+    SHARD_HEADER_FIXED_SIZE,
     StoreFormatError,
     TruncatedBlockError,
     encode_block,
@@ -36,6 +44,7 @@ from repro.store.format import (
     find_block,
     read_block,
     read_shard_header,
+    shard_header_size,
 )
 from repro.store.index import ShardIndex
 
@@ -43,6 +52,12 @@ from repro.store.index import ShardIndex
 Record = Tuple[str, str, bytes]
 
 ExtractFn = Callable[[bytes], Tuple[str, str]]
+
+#: The last decoded block of a shard is kept for the next read only if
+#: its payloads total at most this many bytes (a default block of 128
+#: plain cells is ~150 kB; blocks of telemetry-laden cells can reach
+#: hundreds of MB and must not stay resident once per shard).
+MEMO_MAX_BYTES = 8 * 1024 * 1024
 
 
 def default_extract(payload: bytes) -> Tuple[str, str]:
@@ -69,9 +84,13 @@ class Shard:
         self.level = level
         self.extract = extract
         self.index = ShardIndex(self.index_path)
-        #: Blocks rejected by CRC/framing checks, over this handle's
-        #: lifetime (open-time tail scan + later reads).
-        self.corrupt_blocks = 0
+        #: Offsets of the blocks rejected by CRC/framing checks over
+        #: this handle's lifetime (open-time tail scan + later reads).
+        self._corrupt_offsets: Set[int] = set()
+        #: (offset, payloads) of the last block decoded by a keyed
+        #: read.  Blocks never change once appended, so the memo needs
+        #: no invalidation.
+        self._memo: Optional[Tuple[int, List[bytes]]] = None
         self.header_meta: Dict[str, Any] = {}
         #: End of the last structurally valid block; appends truncate
         #: any torn bytes beyond it first.
@@ -100,43 +119,57 @@ class Shard:
         self.index.load(len(header), self._first_block)
 
     def _open_existing(self) -> None:
-        buf = self.path.read_bytes()
-        self.header_meta, self._first_block = read_shard_header(buf)
-        size = len(buf)
-        resume = self.index.load(size, self._first_block)
-        self._valid_end = resume
-        if resume < size:
-            self._scan_tail(buf, resume)
+        # Only the preamble is read: the sidecar says where every block
+        # is, and the tail is fetched just when it covers less than the
+        # file holds.
+        with self.path.open("rb") as fh:
+            head = fh.read(SHARD_HEADER_FIXED_SIZE)
+            head += fh.read(shard_header_size(head) - len(head))
+            self.header_meta, self._first_block = read_shard_header(head)
+            size = os.fstat(fh.fileno()).st_size
+            resume = self.index.load(size, self._first_block)
+            self._valid_end = resume
+            if resume < size:
+                fh.seek(resume)
+                self._scan_tail(fh.read(), resume)
 
-    def _scan_tail(self, buf: bytes, offset: int) -> None:
-        """Index every valid block from ``offset`` to EOF.
+    @property
+    def corrupt_blocks(self) -> int:
+        """Blocks rejected so far; a block counts once however many
+        reads land in it."""
+        return len(self._corrupt_offsets)
+
+    def _scan_tail(self, tail: bytes, base: int) -> None:
+        """Index every valid block of ``tail``, the file from ``base``.
 
         Complete blocks beyond the sidecar's coverage (writer killed
         between shard append and index append) are re-indexed; a torn
         final block marks ``_valid_end`` so the next append truncates
         it; corrupt blocks are skipped with a resync.
         """
-        size = len(buf)
-        while offset < size:
+        size = len(tail)
+        local = 0
+        while local < size:
             try:
-                payloads, end = read_block(buf, offset)
+                payloads, local_end = read_block(tail, local)
             except TruncatedBlockError:
                 # Torn tail: everything from here is a failed append.
                 break
             except BlockCorruptError as exc:
-                self.corrupt_blocks += 1
-                nxt = find_block(buf, exc.resync_from)
+                self._corrupt_offsets.add(base + local)
+                nxt = find_block(tail, exc.resync_from)
                 if nxt < 0:
                     break
-                offset = nxt
+                local = nxt
                 continue
+            offset, end = base + local, base + local_end
             pairs = [self.extract(p) for p in payloads]
             self.index.add_block(offset, end, pairs)
             try:
                 self.index.append_line(offset, end, pairs)
             except OSError:
                 pass  # read-only media; in-memory index still right
-            offset = end
+            local = local_end
             self._valid_end = end
 
     # ------------------------------------------------------------------
@@ -176,24 +209,56 @@ class Shard:
             fh.seek(offset)
             return fh.read(length)
 
-    def get(self, key: str) -> Optional[bytes]:
-        """The latest payload stored under ``key`` (CRC-verified)."""
-        span = self.index.get(key)
-        if span is None:
-            return None
-        offset, length = span
+    def _decode(self, offset: int, length: int) -> Optional[List[bytes]]:
+        """CRC-verified payloads of the indexed block at ``offset``, or
+        None when it fails its checks (never remembered, counted once).
+        """
+        memo = self._memo
+        if memo is not None and memo[0] == offset:
+            return memo[1]
         buf = self._read_span(offset, length)
         try:
             payloads, _ = read_block(buf, 0)
         except BlockCorruptError:
-            self.corrupt_blocks += 1
+            self._corrupt_offsets.add(offset)
             return None
-        found: Optional[bytes] = None
-        for payload in payloads:
-            record_key, _ = self.extract(payload)
-            if record_key == key:
-                found = payload  # keep scanning: latest in block wins
-        return found
+        if sum(map(len, payloads)) <= MEMO_MAX_BYTES:
+            self._memo = (offset, payloads)
+        return payloads
+
+    def _pick(
+        self, payloads: List[bytes], wanted: Dict[str, int]
+    ) -> Dict[str, bytes]:
+        """Payloads of one block for ``wanted`` (key -> ordinal).
+
+        The ordinal comes from the sidecar, which is only a cache: the
+        picked payload must carry the key asked for, and any key whose
+        ordinal is out of range or names another record is looked for
+        across the whole block instead — a stale or foreign sidecar
+        costs time, never another key's record.  (What the check cannot
+        see is a sidecar pointing at an *earlier* duplicate of the same
+        key inside the block; the writer's own sidecar always names the
+        last one.)
+        """
+        out: Dict[str, bytes] = {}
+        astray: Set[str] = set()
+        for key, ordinal in wanted.items():
+            if 0 <= ordinal < len(payloads):
+                payload = payloads[ordinal]
+                if self.extract(payload)[0] == key:
+                    out[key] = payload
+                    continue
+            astray.add(key)
+        if astray:
+            for payload in payloads:
+                record_key, _ = self.extract(payload)
+                if record_key in astray:
+                    out[record_key] = payload  # latest in block wins
+        return out
+
+    def get(self, key: str) -> Optional[bytes]:
+        """The latest payload stored under ``key`` (CRC-verified)."""
+        return self.get_many([key]).get(key)
 
     def get_many(self, keys: List[str]) -> Dict[str, bytes]:
         """Latest payloads for ``keys``, decompressing each block once.
@@ -202,24 +267,17 @@ class Shard:
         one decompression between them — the amortization that makes
         prefix queries over 10^4+ cells cheap.
         """
-        spans: Dict[Tuple[int, int], List[str]] = {}
+        blocks: Dict[Tuple[int, int], Dict[str, int]] = {}
         for key in keys:
-            span = self.index.get(key)
-            if span is not None:
-                spans.setdefault(span, []).append(key)
+            location = self.index.get(key)
+            if location is not None:
+                offset, length, ordinal = location
+                blocks.setdefault((offset, length), {})[key] = ordinal
         out: Dict[str, bytes] = {}
-        for (offset, length), wanted in sorted(spans.items()):
-            buf = self._read_span(offset, length)
-            try:
-                payloads, _ = read_block(buf, 0)
-            except BlockCorruptError:
-                self.corrupt_blocks += 1
-                continue
-            want = set(wanted)
-            for payload in payloads:
-                record_key, _ = self.extract(payload)
-                if record_key in want:
-                    out[record_key] = payload  # latest in block wins
+        for (offset, length), wanted in sorted(blocks.items()):
+            payloads = self._decode(offset, length)
+            if payloads is not None:
+                out.update(self._pick(payloads, wanted))
         return out
 
     def keys_for_prefix(self, prefix: str) -> Iterator[Tuple[str, str]]:
@@ -250,7 +308,7 @@ class Shard:
             except TruncatedBlockError:
                 return
             except BlockCorruptError as exc:
-                self.corrupt_blocks += 1
+                self._corrupt_offsets.add(offset)
                 nxt = find_block(buf, exc.resync_from)
                 if nxt < 0:
                     return

@@ -3,11 +3,17 @@ plus the result-cache correctness regressions the record format fixes."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (
     ResultStore,
@@ -196,6 +202,57 @@ class TestShardRecovery:
         reopened = Shard(path, {"shard": 0})
         assert len(reopened) == 3
 
+    def test_corrupt_block_in_unindexed_tail_is_resynced(self, tmp_path):
+        # The tail scan works on the bytes past the sidecar's coverage
+        # only; its resync must land on the right *file* offsets.
+        path = tmp_path / "s.rsd"
+        shard = Shard(path, {"shard": 0})
+        shard.append(_records("a", 3))
+        sidecar = path.with_suffix(".rsx")
+        covered = sidecar.read_text()
+        span = shard.append(_records("b", 4))
+        last = _records("c", 4)
+        shard.append(last)
+        sidecar.write_text(covered)  # blocks b and c lose their lines
+        data = bytearray(path.read_bytes())
+        data[(span[0] + span[1]) // 2] ^= 0xFF  # inside block b
+        path.write_bytes(data)
+
+        reopened = Shard(path, {"shard": 0})
+        assert reopened.corrupt_blocks >= 1
+        assert reopened.get("b001") is None
+        for key, _, payload in _records("a", 3) + last:
+            assert reopened.get(key) == payload
+        assert reopened.blocks()[-1] == shard.blocks()[-1]
+
+    def test_open_reads_the_header_not_the_shard(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.rsd"
+        records = _records("a", 5)
+        Shard(path, {"shard": 0}).append(records)
+
+        def whole_file_read(self):
+            raise AssertionError(f"read_bytes({self.name}) on open")
+
+        monkeypatch.setattr(Path, "read_bytes", whole_file_read)
+        reopened = Shard(path, {"shard": 0})
+        assert reopened.header_meta == {"shard": 0}
+        assert reopened.get("a003") == records[3][2]
+
+    def test_bad_block_counts_once_per_handle(self, tmp_path):
+        path = tmp_path / "s.rsd"
+        shard = Shard(path, {"shard": 0})
+        span = shard.append(_records("a", 4))
+        shard.append(_records("b", 4))
+        data = bytearray(path.read_bytes())
+        data[(span[0] + span[1]) // 2] ^= 0xFF
+        path.write_bytes(data)
+
+        reopened = Shard(path, {"shard": 0})
+        assert reopened.get("a000") is None
+        assert reopened.get("a002") is None
+        assert reopened.get_many(["a001", "a003", "b000"]).keys() == {"b000"}
+        assert reopened.corrupt_blocks == 1
+
 
 # ----------------------------------------------------------------------
 # RecordStore
@@ -273,6 +330,14 @@ class TestRecordStore:
         with pytest.raises(StoreFormatError):
             RecordStore(tmp_path)
 
+    def test_unknown_codec_is_refused(self, tmp_path):
+        # Used to fall back to zlib silently and stamp the bogus name
+        # into store.meta.json.
+        root = tmp_path / "s"
+        with pytest.raises(ValueError, match="bz2"):
+            RecordStore(root, codec="lzma")
+        assert not root.exists()
+
 
 class TestOpenStore:
     def test_fresh_directory_gets_record_format(self, tmp_path):
@@ -295,6 +360,252 @@ class TestOpenStore:
         )
         with pytest.raises(ValueError):
             open_store(tmp_path, "parquet")
+
+
+# ----------------------------------------------------------------------
+# The read path: one decode per block, one parse per record returned
+# ----------------------------------------------------------------------
+
+
+class ReadCounts:
+    """Block decompressions and record-payload JSON parses, counted."""
+
+    def __init__(self) -> None:
+        self.decompress = 0
+        self.payload_parses = 0
+
+    def reset(self) -> None:
+        self.decompress = self.payload_parses = 0
+
+
+@pytest.fixture
+def read_counts(monkeypatch):
+    import repro.store.format as store_format
+
+    counts = ReadCounts()
+    real_decompress, real_loads = store_format.decompress, json.loads
+
+    def decompress(payload, codec):
+        counts.decompress += 1
+        return real_decompress(payload, codec)
+
+    def loads(data, *args, **kwargs):
+        # Record payloads are the only bytes starting with the "key"
+        # field (sidecar lines are str, shard headers carry no "key").
+        if isinstance(data, bytes) and data.startswith(b'{"key":'):
+            counts.payload_parses += 1
+        return real_loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(store_format, "decompress", decompress)
+    monkeypatch.setattr(json, "loads", loads)
+    return counts
+
+
+class TestReadPathCost:
+    """Deterministic pin of the read-path gain: counts, not timings.
+    Every hit costs two payload parses — the key check on the picked
+    record and the parse of the record handed back."""
+
+    def test_keys_of_one_block_decode_it_once(self, tmp_path, read_counts):
+        cells = list(synthetic_cells(40))
+        with RecordStore(tmp_path, num_shards=1) as store:
+            for spec, result in cells:
+                store.put(spec, result)
+        fresh = RecordStore(tmp_path)
+        assert len(fresh.open_shards()[0].blocks()) == 1
+        read_counts.reset()
+        wanted = cells[3::4]
+        for spec, result in wanted:
+            assert fresh.get(spec).to_dict() == result.to_dict()
+        assert read_counts.decompress == 1
+        assert read_counts.payload_parses == 2 * len(wanted)
+
+    def test_oversized_block_is_served_but_not_retained(
+        self, tmp_path, read_counts, monkeypatch
+    ):
+        import repro.store.shard as store_shard
+
+        cells = list(synthetic_cells(6))
+        with RecordStore(tmp_path, num_shards=1) as store:
+            for spec, result in cells:
+                store.put(spec, result)
+        monkeypatch.setattr(store_shard, "MEMO_MAX_BYTES", 100)
+        fresh = RecordStore(tmp_path)
+        read_counts.reset()
+        for spec, result in cells:
+            assert fresh.get(spec).to_dict() == result.to_dict()
+        assert read_counts.decompress == len(cells)
+        assert fresh.open_shards()[0]._memo is None
+
+    def test_put_order_resume_decodes_each_touched_block_once(
+        self, tmp_path, read_counts
+    ):
+        cells = list(synthetic_cells(200))
+        with RecordStore(tmp_path, num_shards=2, flush_records=16) as store:
+            for spec, result in cells:
+                store.put(spec, result)
+        probed = [spec for spec, _ in cells[:150]]
+        scout = RecordStore(tmp_path)
+        touched = set()
+        for spec in probed:
+            key = spec.content_hash()
+            shard_id = scout.shard_id(key)
+            offset, _, _ = scout.open_shards()[shard_id].index.get(key)
+            touched.add((shard_id, offset))
+        all_blocks = sum(len(s.blocks()) for s in scout.open_shards())
+        assert 4 < len(touched) < all_blocks
+
+        fresh = RecordStore(tmp_path)
+        read_counts.reset()
+        results = run_matrix(probed, shards=1, store=fresh)
+        assert fresh.hits == len(probed) and fresh.misses == 0
+        assert [r.to_dict() for r in results] == [
+            result.to_dict() for _, result in cells[:150]
+        ]
+        assert read_counts.decompress == len(touched)
+        assert read_counts.payload_parses == 2 * len(probed)
+
+    def test_prefix_query_parses_only_matching_records(
+        self, tmp_path, read_counts
+    ):
+        fill_store(RecordStore(tmp_path, flush_records=16), 300)
+        store = RecordStore(tmp_path)
+        selector = "scenario=incast/fabric=push"
+        pairs = store.keys(selector)
+        shards = store.open_shards()
+        touched = {
+            (store.shard_id(key), shards[store.shard_id(key)].index.get(key)[0])
+            for _, key in pairs
+        }
+        read_counts.reset()
+        records = list(store.iter_records(selector))
+        assert len(records) == len(pairs) == 40
+        assert read_counts.decompress == len(touched)
+        assert read_counts.payload_parses == 2 * len(records)
+
+
+# ----------------------------------------------------------------------
+# Oracles: a dict model, and sidecars that lie
+# ----------------------------------------------------------------------
+
+_MODEL_CELLS = list(synthetic_cells(10, seed=5))
+
+_model_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(0, len(_MODEL_CELLS) - 1),
+            st.integers(0, 3),
+        ),
+        st.tuples(st.just("get"), st.integers(0, len(_MODEL_CELLS) - 1)),
+        st.tuples(st.just("has"), st.integers(0, len(_MODEL_CELLS) - 1)),
+        st.tuples(st.sampled_from(["flush", "reopen", "iter"])),
+    ),
+    max_size=40,
+)
+
+
+class TestStoreModel:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_model_ops)
+    def test_record_store_behaves_like_a_dict(self, ops):
+        """Random put / re-put / flush / reopen / read programs: blocks
+        of 3 records over 2 shards, so re-puts land in the same pending
+        block, in the same flushed block and in later blocks."""
+        root = Path(tempfile.mkdtemp(prefix="repro-store-model-"))
+        try:
+            store = RecordStore(root, num_shards=2, flush_records=3)
+            model = {}
+            for op in ops:
+                if op[0] == "put":
+                    spec, base = _MODEL_CELLS[op[1]]
+                    result = dataclasses.replace(base, drops=op[2])
+                    store.put(spec, result)
+                    model[spec.content_hash()] = result.to_dict()
+                elif op[0] == "get":
+                    spec, _ = _MODEL_CELLS[op[1]]
+                    got = store.get(spec)
+                    want = model.get(spec.content_hash())
+                    assert (got and got.to_dict()) == want
+                elif op[0] == "has":
+                    spec, _ = _MODEL_CELLS[op[1]]
+                    assert store.has(spec) == (spec.content_hash() in model)
+                elif op[0] == "flush":
+                    store.flush()
+                elif op[0] == "reopen":
+                    store.flush()
+                    store = RecordStore(root)
+                else:
+                    records = list(store.iter_records())
+                    assert {r["key"]: r["result"] for r in records} == model
+                    assert len(records) == len(model)
+                    spec_keys = [r["spec_key"] for r in records]
+                    assert spec_keys == sorted(spec_keys)
+            assert len(store) == len(model)
+            assert store.corrupt_blocks == 0
+        finally:
+            shutil.rmtree(root)
+
+
+def _plain_store(root, tag, n=12):
+    """One raw-codec shard of fixed-shape records: two stores built
+    with different tags get byte-for-byte the same block spans."""
+    store = RecordStore(root, num_shards=1, codec="raw", flush_records=4)
+    for i in range(n):
+        store.put_record(
+            f"{tag}{i:03d}", {"seed": i}, {"drops": i}, f"scenario={tag}/{i:03d}"
+        )
+    store.flush()
+    return store
+
+
+class TestStaleSidecar:
+    """The sidecar is a cache.  Whatever it claims, a get returns the
+    record of the key asked for, or None — never a neighbour's."""
+
+    def test_permuted_pairs_still_find_the_right_record(self, tmp_path):
+        _plain_store(tmp_path, "a")
+        sidecar = next(tmp_path.glob("*.rsx"))
+        lines = [json.loads(x) for x in sidecar.read_text().splitlines()]
+        assert len(lines) == 3
+        sidecar.write_text(
+            "".join(
+                json.dumps([offset, end, pairs[::-1]]) + "\n"
+                for offset, end, pairs in lines
+            )
+        )
+        store = RecordStore(tmp_path)
+        for i in range(12):
+            record = store.get_record(f"a{i:03d}")
+            assert record["key"] == f"a{i:03d}"
+            assert record["result"] == {"drops": i}
+        records = list(store.iter_records())
+        assert [r["key"] for r in records] == [f"a{i:03d}" for i in range(12)]
+        assert [r["result"]["drops"] for r in records] == list(range(12))
+
+    def test_foreign_sidecar_never_serves_another_keys_record(self, tmp_path):
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        _plain_store(ours, "a")
+        _plain_store(theirs, "b")
+        our_sidecar = next(ours.glob("*.rsx"))
+        their_sidecar = next(theirs.glob("*.rsx"))
+
+        def spans(sidecar):
+            return [json.loads(x)[:2] for x in sidecar.read_text().splitlines()]
+
+        assert spans(our_sidecar) == spans(their_sidecar)
+        shutil.copy(their_sidecar, our_sidecar)
+
+        store = RecordStore(ours)
+        for i in range(12):
+            # The sidecar says b<i> lives where a<i> does.
+            assert store.get_record(f"b{i:03d}") is None
+            assert store.get_record(f"a{i:03d}") is None
+        assert list(store.iter_records()) == []
+        # The shard bytes are untouched: dropping the bad cache heals.
+        our_sidecar.unlink()
+        healed = RecordStore(ours)
+        assert healed.get_record("a007")["result"] == {"drops": 7}
 
 
 # ----------------------------------------------------------------------
