@@ -145,6 +145,31 @@ class Cell:
         cell.size_bytes = header_bytes + payload_bytes
         return cell
 
+    @classmethod
+    def reach(
+        cls, sender: DeviceId, header_bytes: int, reachable: frozenset
+    ) -> "Cell":
+        """Fast constructor for REACHABILITY cells (one per live port
+        per advertisement tick).  Same contract as :meth:`data`: must
+        assign every slot the dataclass declares.
+        """
+        cell = cls.__new__(cls)
+        cell.kind = CellKind.REACHABILITY
+        cell.dst_fa = 0  # reachability cells are per-link, not routed
+        cell.src_fa = sender
+        cell.header_bytes = header_bytes
+        cell.voq = None
+        cell.seq = 0
+        cell.fragments = ()
+        cell.fci = False
+        cell.created_ns = 0
+        cell.cell_id = next(_cell_ids)
+        cell.reachable = reachable
+        cell.sender = sender
+        cell._payload_bytes = 0
+        cell.size_bytes = header_bytes
+        return cell
+
     @property
     def payload_bytes(self) -> int:
         """Payload bytes carried by this cell."""

@@ -62,8 +62,9 @@ class FabricAdapter(Entity):
         "_report_flush_pending", "_uplinks",
         "_static_reach", "_elig_cache", "_elig_epoch", "_live_uplinks",
         "_spray", "egress_ports", "reassembly", "_monitor", "_advertiser",
-        "_inbound_index", "cell_latency", "packet_latency", "cells_sent",
-        "cells_received", "packets_in", "packets_out", "ingress_drops",
+        "_self_reach", "_inbound_index", "cell_latency", "packet_latency",
+        "cells_sent", "cells_received", "packets_in", "packets_out",
+        "ingress_drops",
         "local_switched", "low_latency_cells", "hosts_paused",
         "pause_frames_sent", "alive", "dead_drops",
     )
@@ -119,6 +120,8 @@ class FabricAdapter(Entity):
         # Reachability protocol (dynamic mode).
         self._monitor: Optional[ReachabilityMonitor] = None
         self._advertiser: Optional[PeriodicTask] = None
+        #: What this FA advertises, every tick, on every uplink: itself.
+        self._self_reach = frozenset({fa_id})
         #: Inbound fabric link -> its uplink's attachment index.  The
         #: index doubles as the reachability monitor's key: stable
         #: across runs, unlike object identities.
@@ -201,18 +204,10 @@ class FabricAdapter(Entity):
         )
 
     def _advertise(self) -> None:
+        size = self.config.reachability_cell_bytes
         for up in self._uplinks:
-            if not up.up:
-                continue
-            cell = Cell(
-                kind=CellKind.REACHABILITY,
-                dst_fa=0,
-                src_fa=self.fa_id,
-                header_bytes=self.config.reachability_cell_bytes,
-                sender=self.fa_id,
-                reachable=frozenset({self.fa_id}),
-            )
-            up.send(cell, self.config.reachability_cell_bytes)
+            if up.up:
+                up.send(Cell.reach(self.fa_id, size, self._self_reach), size)
 
     def _reach_changed(self) -> None:
         """The learned reachability view moved: spoil eligible caches."""

@@ -46,6 +46,7 @@ class FabricElement(Entity):
         "config", "fe_id", "tier", "pod", "_ports", "_inbound_index",
         "_down_map", "_up_map", "_static_up_all", "_elig_cache",
         "_elig_epoch", "_spray", "_monitor", "_advertiser",
+        "_tables_dirty", "_advertised",
         "down_queue_depth", "sample_down_queues", "cells_forwarded",
         "cells_fci_marked", "no_route_drops", "alive", "dead_drops",
         "_fci_threshold",
@@ -96,6 +97,15 @@ class FabricElement(Entity):
         # Reachability protocol state (dynamic mode only).
         self._monitor: Optional[ReachabilityMonitor] = None
         self._advertiser: Optional[PeriodicTask] = None
+        # The monitor reports a change per heard advertisement while the
+        # fabric converges, far more often than anything reads the
+        # tables: a change only marks them dirty (and bumps the epoch),
+        # the first reader rebuilds.  ``_advertised`` is the
+        # ``(down_set, full_set)`` pair the current tables advertise.
+        self._tables_dirty = False
+        self._advertised: Optional[
+            Tuple[FrozenSet[DeviceId], FrozenSet[DeviceId]]
+        ] = None
 
         # Instrumentation: queue depth (in cells) observed by arriving
         # cells on down ports — the paper's Fig 9 (right).
@@ -160,6 +170,7 @@ class FabricElement(Entity):
             for d, ps in down_map.items()
         }
         self._static_up_all = up_reaches_everything
+        self._advertised = None
         self.sim.topology_epoch += 1
 
     def enable_protocol(self) -> None:
@@ -169,7 +180,7 @@ class FabricElement(Entity):
             self.config.reachability_period_ns,
             self.config.reachability_up_threshold,
             self.config.reachability_miss_threshold,
-            self._rebuild_tables,
+            self._tables_changed,
         )
         for index in range(len(self._ports)):
             self._monitor.track(index)
@@ -184,33 +195,43 @@ class FabricElement(Entity):
     # ------------------------------------------------------------------
     # Reachability protocol
     # ------------------------------------------------------------------
-    def _down_reachable(self) -> FrozenSet[DeviceId]:
-        return frozenset(self._down_map.keys())
-
-    def _all_reachable(self) -> FrozenSet[DeviceId]:
-        return frozenset(self._down_map.keys()) | frozenset(
-            self._up_map.keys()
-        )
-
     def _advertise(self) -> None:
-        down_set = self._down_reachable()
-        full_set = self._all_reachable()
+        if self._tables_dirty:
+            self._rebuild_tables()
+        advertised = self._advertised
+        if advertised is None:
+            down_set = frozenset(self._down_map)
+            advertised = self._advertised = (
+                down_set, down_set | frozenset(self._up_map)
+            )
+        down_set, full_set = advertised
+        size = self.config.reachability_cell_bytes
         for port in self._ports:
-            if not port.out.up:
+            out = port.out
+            if not out.up:
                 continue
             # Up-neighbors must only hear what we reach *downward*
             # (up/down routing keeps the fabric loop-free); down-neighbors
             # hear everything we can reach.
-            advertised = down_set if port.direction == "up" else full_set
-            cell = Cell(
-                kind=CellKind.REACHABILITY,
-                dst_fa=0,  # reachability cells are per-link, not routed
-                src_fa=self.fe_id,
-                header_bytes=self.config.reachability_cell_bytes,
-                sender=self.fe_id,
-                reachable=advertised,
+            out.send(
+                Cell.reach(
+                    self.fe_id,
+                    size,
+                    down_set if port.direction == "up" else full_set,
+                ),
+                size,
             )
-            port.out.send(cell, self.config.reachability_cell_bytes)
+
+    def _tables_changed(self) -> None:
+        """Monitor callback: the learned state moved.
+
+        Eligible caches spoil now (the epoch bump); the tables
+        themselves are rebuilt by their next reader.  The rebuild is a
+        pure function of monitor state, so what that reader sees is
+        what a rebuild here would have left.
+        """
+        self._tables_dirty = True
+        self.sim.topology_epoch += 1
 
     def _rebuild_tables(self) -> None:
         """Recompute forwarding maps from the monitor's learned state."""
@@ -224,7 +245,8 @@ class FabricElement(Entity):
                 target.setdefault(dst, []).append(port)
         self._down_map = down
         self._up_map = up
-        self.sim.topology_epoch += 1
+        self._tables_dirty = False
+        self._advertised = None
 
     def _on_reachability_cell(self, cell: Cell, in_link: Link) -> None:
         if self._monitor is None:
@@ -312,6 +334,8 @@ class FabricElement(Entity):
             ports = cache.get(dst_fa)
             if ports is not None:
                 return ports
+        if self._tables_dirty:
+            self._rebuild_tables()
         down = [
             p for p in self._down_map.get(dst_fa, ()) if p.out.up
         ]

@@ -84,7 +84,14 @@ class ReachabilityMonitor:
             health.alive = True
             self.links_declared_up += 1
             changed = True
-        if health.alive and health.reachable != reachable:
+        # Senders re-advertise one cached set object until their view
+        # moves, so identity settles the steady state without comparing
+        # the sets element by element.
+        if (
+            health.alive
+            and health.reachable is not reachable
+            and health.reachable != reachable
+        ):
             health.reachable = reachable
             changed = True
         if changed:

@@ -119,7 +119,7 @@ class PushFabricNetwork(FabricNetwork):
         An element reaches an edge through every down port whose
         neighbor is named in the route's via-set; destinations without
         a down route fall back to the up ports at forwarding time
-        (:meth:`EthernetSwitch._route`), so the plan's
+        (:meth:`EthernetSwitch.route`), so the plan's
         ``up_reaches_everything`` flag needs no explicit state here.
         """
         for node in plan.elements:

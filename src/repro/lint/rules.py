@@ -18,7 +18,7 @@ DET003    det         no set/dict-keys iteration feeding the scheduler
 DET004    det         no ``id()``/``hash()`` in ordering or as dict keys
 DET005    det         ``*_ns`` times are integers: no float math/equality
 DET006    all         no OS entropy (``os.urandom``/``uuid4``/``secrets``)
-HOT001    sim,core    hot-core classes declare ``__slots__``
+HOT001    hot pkgs    hot-path classes declare ``__slots__`` (both fabrics)
 HOT002    hot table   no closure allocation inside known hot methods
 API001    all         ``heapq``/``bisect`` only in the engine + kernels
 ========  ==========  =====================================================
@@ -512,13 +512,23 @@ def _declares_slots(node: ast.ClassDef) -> bool:
     return False
 
 
+#: Packages whose classes sit on a per-event path of either fabric:
+#: the engine and links, the pull fabric's devices, and the push
+#: fabric's switch, transports and packets.
+_HOT_PACKAGES = frozenset(
+    ("repro", package)
+    for package in ("sim", "core", "baselines", "transport", "net")
+)
+
+
 @rule(
     "HOT001",
-    "classes in sim/ and core/ declare __slots__ (or "
-    "@dataclass(slots=True)); instance dicts cost the hot path",
+    "classes in sim/, core/, baselines/, transport/ and net/ declare "
+    "__slots__ (or @dataclass(slots=True)); instance dicts cost the "
+    "hot path",
 )
 def _hot001(ctx: ModuleContext) -> Iterator[RuleHit]:
-    if ctx.rel[:2] not in {("repro", "sim"), ("repro", "core")}:
+    if ctx.rel[:2] not in _HOT_PACKAGES:
         return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.ClassDef) or _hot001_exempt(node):
@@ -571,6 +581,15 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[str, FrozenSet[str]]] = {
     },
     ("core", "fabric_adapter.py"): {
         "FabricAdapter": frozenset({"_spray_cells", "_egress_cell"}),
+    },
+    ("baselines", "ethernet.py"): {
+        "EthernetSwitch": frozenset({"receive", "forward"}),
+    },
+    ("transport", "host.py"): {
+        "Host": frozenset({"output", "receive", "nic_ready"}),
+    },
+    ("transport", "tcp.py"): {
+        "TcpSender": frozenset({"_try_send", "_emit"}),
     },
 }
 

@@ -8,17 +8,18 @@ inside the fabric only ever sees the Fabric Adapter id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 DeviceId = int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PortAddress:
     """A (Fabric Adapter, downlink port) pair — a VOQ's destination."""
 
     fa: DeviceId
     port: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.fa < 0:

@@ -29,7 +29,7 @@ def reset_flow_ids(start: int = 1) -> None:
     _flow_ids = itertools.count(start)
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """An application transfer.  ``size_bytes=None`` means long-running."""
 
@@ -47,7 +47,7 @@ class Flow:
             raise ValueError("flow start must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     """Delivery record for one flow, updated by the destination."""
 
@@ -77,6 +77,8 @@ class FlowStats:
 
 class FlowTracker:
     """Registry of flows and their delivery statistics."""
+
+    __slots__ = ("_stats", "_aliases")
 
     def __init__(self) -> None:
         self._stats: Dict[int, FlowStats] = {}

@@ -28,7 +28,7 @@ JUMBO_FRAME = 9000
 _packet_ids = itertools.count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauseFrame:
     """Flow control from a Fabric Adapter to its host (§5.4).
 
@@ -53,7 +53,7 @@ def wire_size(frame_bytes: int) -> int:
     return frame_bytes + ETHERNET_OVERHEAD_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One Ethernet frame's worth of traffic.
 
@@ -75,20 +75,21 @@ class Packet:
     ecn_echo: bool = False
     priority: int = 0
     created_ns: int = 0
-    pkt_id: int = field(default_factory=lambda: next(_packet_ids))
+    pkt_id: int = field(default_factory=_packet_ids.__next__)
     # DCQCN congestion-notification packets.
     is_cnp: bool = False
+    #: On-wire size: frame plus preamble/SFD/IPG (:func:`wire_size`).
+    #: A stored slot, not a property: every NIC and switch hop reads it
+    #: (buffer check, link send) and ``size_bytes`` never changes after
+    #: construction.
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError(
                 f"packet size must be positive, got {self.size_bytes}"
             )
-
-    @property
-    def wire_bytes(self) -> int:
-        """On-wire size of the pause frame."""
-        return wire_size(self.size_bytes)
+        self.wire_bytes = wire_size(self.size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"

@@ -202,17 +202,49 @@ class Link:
             raise LinkDown(f"link {self.name} is down")
         if size_bytes <= 0:
             raise ValueError(f"frame size must be positive, got {size_bytes}")
-        queue = self._queue
-        queue.append((payload, size_bytes))
-        queued = self._queued_bytes + size_bytes
-        self._queued_bytes = queued
-        if queued > self.peak_queue_bytes:
-            self.peak_queue_bytes = queued
-        depth = len(queue)
-        if depth > self.peak_queue_frames:
-            self.peak_queue_frames = depth
-        if not self._busy:
-            self._start_next()
+        if (
+            self._busy
+            or self.on_transmit is not None
+            or self._ser_done != -1
+            or self._inline
+        ):
+            queue = self._queue
+            queue.append((payload, size_bytes))
+            queued = self._queued_bytes + size_bytes
+            self._queued_bytes = queued
+            if queued > self.peak_queue_bytes:
+                self.peak_queue_bytes = queued
+            depth = len(queue)
+            if depth > self.peak_queue_frames:
+                self.peak_queue_frames = depth
+            if not self._busy:
+                self._start_next()
+            return
+        # Idle link, no hook, no stale serialization (an idle link's
+        # queue is empty): the frame would come straight back off the
+        # queue, so start serializing it in place — leaving exactly the
+        # state the append + _start_next above would.
+        if size_bytes > self.peak_queue_bytes:
+            self.peak_queue_bytes = size_bytes
+        if not self.peak_queue_frames:
+            self.peak_queue_frames = 1
+        self._busy = True
+        if size_bytes == self._tx_last_size:
+            tx_time = self._tx_last_ns
+        else:
+            tx_time = self._tx_ns.get(size_bytes)
+            if tx_time is None:
+                tx_time = self._tx_ns[size_bytes] = time_ns_for_bytes(
+                    size_bytes, self.rate_bps
+                )
+            self._tx_last_size = size_bytes
+            self._tx_last_ns = tx_time
+        sim = self.sim
+        done = sim._now + tx_time
+        self._ser_payload = payload
+        self._ser_size = size_bytes
+        self._ser_done = done
+        sim.rearm_at(done, self._tx_entry, self._tx_done)
 
     def _start_next(self) -> None:
         """Start (or continue) a serialization train with the next frame."""

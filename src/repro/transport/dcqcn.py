@@ -26,6 +26,12 @@ if TYPE_CHECKING:
 class DcqcnSender(TcpSender):
     """Rate-paced sender with DCQCN reaction/recovery state."""
 
+    __slots__ = (
+        "line_rate_bps", "g", "alpha", "rc_bps", "rt_bps", "min_rate_bps",
+        "additive_increase_bps", "fast_recovery_rounds", "_recovery_stage",
+        "cnps_received", "_pacing_armed", "_timer",
+    )
+
     def __init__(
         self,
         host: "Host",
@@ -123,6 +129,8 @@ class DcqcnSender(TcpSender):
 
 class DcqcnNotificationPoint(TcpReceiver):
     """Receiver that converts ECN marks into paced CNPs."""
+
+    __slots__ = ("cnp_interval_ns", "_last_cnp_ns", "cnps_sent")
 
     def __init__(
         self, host: "Host", flow_id: int, cnp_interval_ns: int = 50 * MICROSECOND

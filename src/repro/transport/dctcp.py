@@ -15,6 +15,11 @@ from repro.transport.tcp import TcpSender
 class DctcpSender(TcpSender):
     """DCTCP sender: NewReno + ECN-proportional decrease."""
 
+    __slots__ = (
+        "g", "alpha", "_window_end", "_acked_in_window",
+        "_marked_in_window", "_cut_this_window",
+    )
+
     def __init__(self, *args, g: float = 1 / 16, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if not 0 < g <= 1:

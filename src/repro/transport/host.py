@@ -31,6 +31,12 @@ class Host(Entity):
     #: RTT on a lossless fabric — bounded.
     DEFAULT_TX_BACKPRESSURE_BYTES = 4 * 9000
 
+    __slots__ = (
+        "address", "tracker", "nic_buffer_bytes", "tx_backpressure_bytes",
+        "_senders", "_receivers", "_blocked_senders", "packets_received",
+        "bytes_received", "nic_drops", "_fc_paused", "span_recorder",
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -72,9 +78,10 @@ class Host(Entity):
 
     def nic_ready(self) -> bool:
         """Whether a windowed sender should emit more data now."""
-        if not self.ports or self._fc_paused:
+        ports = self.ports
+        if not ports or self._fc_paused:
             return False
-        return self.ports[0].queued_bytes < self.tx_backpressure_bytes
+        return ports[0]._queued_bytes < self.tx_backpressure_bytes
 
     def block_on_nic(self, sender) -> None:
         """Register ``sender`` to be woken when the NIC drains."""
@@ -94,15 +101,17 @@ class Host(Entity):
         is dropped (a backstop — windowed senders defer via
         :meth:`nic_ready` long before hitting it).
         """
-        if not self.ports:
+        ports = self.ports
+        if not ports:
             raise RuntimeError(f"{self.name} is not attached to a fabric")
-        link = self.ports[0]
-        if link.queued_bytes + packet.wire_bytes > self.nic_buffer_bytes:
+        link = ports[0]
+        wire_bytes = packet.wire_bytes
+        if link._queued_bytes + wire_bytes > self.nic_buffer_bytes:
             self.nic_drops += 1
             return
         if self.span_recorder is not None:
             self.span_recorder.packet_out(self.sim.now, packet)
-        link.send(packet, packet.wire_bytes)
+        link.send(packet, wire_bytes)
 
     def receive(self, packet: Packet, link: Link) -> None:
         """Demultiplex an arriving frame to flow state."""

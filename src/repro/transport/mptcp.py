@@ -23,6 +23,8 @@ if TYPE_CHECKING:
 class _Subflow(TcpSender):
     """A TCP subflow whose window growth is coupled to its siblings."""
 
+    __slots__ = ("connection",)
+
     def __init__(self, connection: "MptcpConnection", *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.connection = connection
@@ -41,6 +43,10 @@ class _Subflow(TcpSender):
 
 class MptcpConnection:
     """A striped multi-subflow transfer."""
+
+    __slots__ = (
+        "host", "flow", "n_subflows", "on_complete", "_completed", "subflows",
+    )
 
     def __init__(
         self,

@@ -23,6 +23,14 @@ if TYPE_CHECKING:
 class TcpSender:
     """One direction of a TCP connection (the data sender)."""
 
+    __slots__ = (
+        "host", "sim", "flow", "mss", "min_rto_ns", "on_complete",
+        "snd_una", "snd_nxt", "total_bytes", "cwnd", "ssthresh",
+        "dup_acks", "in_recovery", "recover_point", "srtt_ns",
+        "rttvar_ns", "_send_times", "_rto_event", "timeouts",
+        "fast_retransmits", "packets_sent", "done",
+    )
+
     def __init__(
         self,
         host: "Host",
@@ -85,17 +93,22 @@ class TcpSender:
         """Send new data while the window (and the NIC) allow."""
         if self.done:
             return
-        while self.flight_size < self.cwnd:
-            remaining = self._remaining()
-            if remaining is not None and remaining <= 0:
-                break
-            if not self.host.nic_ready():
-                # Qdisc backpressure: resume when the NIC drains.
-                self.host.block_on_nic(self)
-                break
+        host = self.host
+        total = self.total_bytes
+        # Window and sequence state are re-read every segment: _emit can
+        # re-enter the host (NIC wake-ups), so nothing is cached across it.
+        while self.snd_nxt - self.snd_una < self.cwnd:
             size = self.mss
-            if remaining is not None:
-                size = min(size, remaining)
+            if total is not None:
+                remaining = total - self.snd_nxt
+                if remaining <= 0:
+                    break
+                if remaining < size:
+                    size = remaining
+            if not host.nic_ready():
+                # Qdisc backpressure: resume when the NIC drains.
+                host.block_on_nic(self)
+                break
             self._emit(self.snd_nxt, size)
             self.snd_nxt += size
         self._arm_rto()
@@ -238,6 +251,10 @@ class TcpSender:
 
 class TcpReceiver:
     """Cumulative-ACK receiver with out-of-order buffering."""
+
+    __slots__ = (
+        "host", "flow_id", "ack_priority", "rcv_nxt", "_ranges", "acks_sent",
+    )
 
     def __init__(self, host: "Host", flow_id: int, ack_priority: int = 0):
         self.host = host

@@ -343,7 +343,7 @@ class TestPushInjection:
         assert not down_port.out.up
         for flow_id in range(200):
             probe = src.send_to(dst, 1000, flow_id=flow_id)
-            chosen = tor0._route(probe)
+            chosen = tor0.route(probe)
             if chosen is down_port:
                 victim = flow_id
                 break

@@ -265,6 +265,27 @@ class TestHot001:
         src = "class Loose:\n    def __init__(self):\n        self.x = 1\n"
         assert "HOT001" not in rules_hit(tmp_path, "repro/fabrics/ok.py", src)
 
+    @pytest.mark.parametrize("package", ["baselines", "transport", "net"])
+    def test_push_side_packages_are_covered(self, tmp_path, package):
+        # One rule set for both fabrics: the push path's switch,
+        # transports and packets are as hot as the pull path's devices.
+        src = "class Thing:\n    def __init__(self):\n        self.x = 1\n"
+        assert "HOT001" in rules_hit(tmp_path, f"repro/{package}/bad.py", src)
+
+    def test_push_side_hot_classes_are_dict_free(self):
+        from repro.baselines.ethernet import EthernetSwitch, EthPort
+        from repro.net.packet import Packet
+        from repro.transport.host import Host
+        from repro.transport.tcp import TcpReceiver, TcpSender
+
+        for cls in (EthernetSwitch, EthPort, Host, TcpSender, TcpReceiver, Packet):
+            assert "__dict__" not in dir(cls), cls.__name__
+
+        class Probe(Host):  # subclasses outside the hot zone keep a dict
+            pass
+
+        assert "__dict__" in dir(Probe)
+
 
 # ----------------------------------------------------------------------
 # HOT002: closures in hot methods
@@ -288,6 +309,23 @@ class TestHot002:
             "        return lambda: 1\n"
         )
         assert "HOT002" not in rules_hit(tmp_path, "repro/sim/link.py", src)
+
+    @pytest.mark.parametrize(
+        "rel, cls, method",
+        [
+            ("repro/baselines/ethernet.py", "EthernetSwitch", "receive"),
+            ("repro/transport/host.py", "Host", "output"),
+            ("repro/transport/tcp.py", "TcpSender", "_try_send"),
+        ],
+    )
+    def test_push_side_hot_methods_are_covered(self, tmp_path, rel, cls, method):
+        src = (
+            f"class {cls}:\n"
+            "    __slots__ = ()\n"
+            f"    def {method}(self, x=None):\n"
+            "        return lambda: x\n"
+        )
+        assert "HOT002" in rules_hit(tmp_path, rel, src)
 
     def test_repo_hot_methods_are_closure_free(self):
         report = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
