@@ -4,9 +4,18 @@ A 10k-cell synthetic sweep (``repro.store.synth``) goes through the
 real put/flush/shard path, then every claim the store makes is checked
 at that scale: full CRC verification of every record, prefix queries
 returning the exact brute-force answer, legacy migration serving
-bit-identical results, and the sharded blocks landing at least 5x
+bit-identical results, and the sharded blocks landing at least 4.5x
 smaller on disk than the legacy one-JSON-file-per-cell layout.
+
+The size bar is the one check the codec decision moved by design.  At
+10k cells the zlib blocks the store writes measure 4.91x (275 B/cell)
+where bz2-9 measured 5.84x (232 B/cell) against 1 351 B/cell legacy:
+19 % more bytes bought a block that decompresses 6.5x and compresses
+2.7x faster (README "The read path").  4.5x is the measured ratio
+minus margin; the decode cost per block is printed beside it.
 """
+
+import time
 
 import pytest
 from harness import print_series
@@ -14,6 +23,7 @@ from harness import print_series
 from repro.experiments.store import ResultStore
 from repro.store import RecordStore, migrate_legacy, verify_store
 from repro.store.cells import spec_key_from_dict
+from repro.store.format import read_block
 from repro.store.query import store_records
 from repro.store.synth import fill_store, synthetic_cells
 
@@ -58,17 +68,28 @@ def test_store_holds_10k_cells_verified_and_compact(tmp_path):
     record_bytes_per_cell = stats["shard_bytes"] / CELLS
     ratio = legacy_bytes_per_cell / record_bytes_per_cell
 
+    # What the bytes were traded for: CRC check + decompression +
+    # record framing of one block (reported, not asserted: wall time).
+    buffers = [
+        buf for shard in store.open_shards() for buf in shard.read_blocks()
+    ]
+    started = time.perf_counter()
+    for buf in buffers:
+        read_block(buf, 0)
+    decode_ms = (time.perf_counter() - started) * 1e3 / len(buffers)
+
     print_series(
         f"result store at {CELLS} cells",
         [
             ("legacy", f"{legacy_bytes_per_cell:.0f} B/cell"),
             ("record", f"{record_bytes_per_cell:.0f} B/cell",
-             f"{ratio:.1f}x smaller"),
+             f"{ratio:.2f}x smaller", f"decode {decode_ms:.2f} ms/block",
+             str(stats["codec_blocks"])),
             ("blocks", str(stats["blocks"]),
              f"{stats['shard_bytes'] / 1024:.0f} KiB total"),
         ],
     )
-    assert ratio >= 5.0
+    assert ratio >= 4.5
 
     # Migration: the legacy sample imports bit-identically.
     migrated_root = tmp_path / "migrated"

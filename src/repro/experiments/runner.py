@@ -21,11 +21,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.builders import build_network
-from repro.experiments.spec import ScenarioSpec
+from repro.experiments.spec import (
+    OMIT_NONE,
+    ScenarioSpec,
+    field_table,
+    plain_fields,
+)
 from repro.net.flow import Flow, reset_flow_ids
 from repro.transport.dcqcn import DcqcnNotificationPoint, DcqcnSender
 from repro.transport.dctcp import DctcpSender
@@ -64,16 +69,14 @@ class RunResult:
     #: Telemetry artifact (see :mod:`repro.telemetry`); ``None`` — and
     #: omitted from :meth:`to_dict` — on uninstrumented runs, so stored
     #: cells keep their historical shape.
-    telemetry: Optional[Dict[str, Any]] = None
+    telemetry: Optional[Dict[str, Any]] = field(
+        default=None, metadata={OMIT_NONE: True}
+    )
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for the store and the CLI."""
-        from dataclasses import asdict
-
-        data = asdict(self)
-        if data.get("telemetry") is None:
-            del data["telemetry"]
-        return data
+        """Plain-dict form for the store and the CLI (what
+        ``dataclasses.asdict`` gives, minus unset ``OMIT_NONE`` fields)."""
+        return plain_fields(self, _RESULT_FIELDS)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunResult":
@@ -83,8 +86,7 @@ class RunResult:
         by a newer writer (extra result fields) must stay readable, not
         take the whole store down with a ``TypeError``.
         """
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in _RESULT_NAMES})
 
     @property
     def mean_rate_gbps(self) -> float:
@@ -92,6 +94,10 @@ class RunResult:
         if not self.flow_rates_gbps:
             return 0.0
         return sum(self.flow_rates_gbps) / len(self.flow_rates_gbps)
+
+
+_RESULT_FIELDS = field_table(RunResult)
+_RESULT_NAMES = frozenset(name for name, _, _ in _RESULT_FIELDS)
 
 
 # ----------------------------------------------------------------------

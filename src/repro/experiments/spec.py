@@ -10,9 +10,11 @@ spec a reproducible claim rather than a pile of keyword arguments.
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.fabrics.registry import get_fabric, known_fabric_names
@@ -78,6 +80,79 @@ def kind_for_fabric(fabric_name: str) -> str:
         f"no kind preset runs fabric {canonical!r}; "
         f"presets: {sorted(KIND_PRESETS)}"
     )
+
+
+# ----------------------------------------------------------------------
+# Plain-dict forms
+# ----------------------------------------------------------------------
+
+#: ``dataclasses.field(metadata=...)`` flags read by :func:`field_table`.
+#: ``OMIT_NONE``: the member is left out of the plain dict while it is
+#: ``None``, so a field added later changes no existing JSON or hash.
+#: ``HASH_NEUTRAL``: the member never reaches :meth:`ScenarioSpec.content_hash`
+#: — it says how a run is observed or executed, not which run it is.
+OMIT_NONE = "omit_none"
+HASH_NEUTRAL = "hash_neutral"
+
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def field_table(cls: type) -> Tuple[Tuple[str, bool, bool], ...]:
+    """``(name, omit_none, hash_neutral)`` per dataclass field, in order."""
+    return tuple(
+        (
+            f.name,
+            bool(f.metadata.get(OMIT_NONE)),
+            bool(f.metadata.get(HASH_NEUTRAL)),
+        )
+        for f in fields(cls)
+    )
+
+
+def plain_copy(value: Any) -> Any:
+    """``value`` as ``dataclasses.asdict`` would leave it inside a dict.
+
+    Equal to the ``asdict`` form and sharing nothing mutable with
+    ``value``: dicts, lists and tuples are rebuilt member by member,
+    JSON scalars are handed over as they are, a nested dataclass (the
+    topology) becomes its own plain dict, and only what is none of
+    these (nothing a spec or result holds today) pays for a ``deepcopy``.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        return {
+            k: v if type(v) in _ATOMS else plain_copy(v)
+            for k, v in value.items()
+        }
+    if kind is list:
+        return [v if type(v) in _ATOMS else plain_copy(v) for v in value]
+    if kind is tuple:
+        return tuple(plain_copy(v) for v in value)
+    if is_dataclass(value):
+        return plain_fields(value, field_table(kind))
+    return copy.deepcopy(value)
+
+
+def plain_fields(
+    obj: Any,
+    table: Tuple[Tuple[str, bool, bool], ...],
+    hashed_only: bool = False,
+) -> Dict[str, Any]:
+    """The plain-dict form of a dataclass instance: one walk over its
+    :func:`field_table`.  Unset ``OMIT_NONE`` members are left out, and
+    with ``hashed_only`` so is every ``HASH_NEUTRAL`` one."""
+    data: Dict[str, Any] = {}
+    for name, omit_none, hash_neutral in table:
+        if hashed_only and hash_neutral:
+            continue
+        value = getattr(obj, name)
+        if value is None and omit_none:
+            continue
+        data[name] = plain_copy(value)
+    return data
 
 
 @dataclass
@@ -148,15 +223,19 @@ class ScenarioSpec:
     #: *nothing*: :meth:`to_dict` omits the key, so every pre-fault
     #: spec hash (and with it the result store and the no-fault golden
     #: traces) is untouched by this field existing.
-    faults: Optional[Dict[str, Any]] = None
+    faults: Optional[Dict[str, Any]] = field(
+        default=None, metadata={OMIT_NONE: True}
+    )
     #: Optional telemetry configuration (a
     #: :meth:`~repro.telemetry.probes.TelemetryConfig.to_dict`; see
     #: :mod:`repro.telemetry`).  Hash-neutral: ``None`` serializes to
-    #: nothing (the ``faults`` trick), and :meth:`content_hash` strips
+    #: nothing (the ``faults`` trick), and :meth:`content_hash` skips
     #: the field even when set — instrumenting a run never changes its
     #: identity, so golden digests and cache cells are shared between
     #: an instrumented spec and its plain twin.
-    telemetry: Optional[Dict[str, Any]] = None
+    telemetry: Optional[Dict[str, Any]] = field(
+        default=None, metadata={OMIT_NONE: True, HASH_NEUTRAL: True}
+    )
     #: Optional engine kernel name (see :mod:`repro.sim.kernel`).
     #: ``None`` — the default — runs the registry's default kernel.
     #: Hash-neutral exactly like ``telemetry``: every registered kernel
@@ -164,7 +243,9 @@ class ScenarioSpec:
     #: golden test enforces it), so which core executes a run never
     #: changes the run's identity — cache cells and golden digests are
     #: shared across kernels.
-    kernel: Optional[str] = None
+    kernel: Optional[str] = field(
+        default=None, metadata={OMIT_NONE: True, HASH_NEUTRAL: True}
+    )
 
     def __post_init__(self) -> None:
         if isinstance(self.topology, dict):
@@ -204,19 +285,13 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A plain-dict form that round-trips through JSON.
 
-        An unset fault plan is omitted entirely, so unfaulted specs
-        keep the exact content hashes they had before fault injection
-        existed (the result-store cache and golden traces depend on
-        that stability).
+        What ``dataclasses.asdict`` gives, minus every ``OMIT_NONE``
+        field that is unset: an unset fault plan is omitted entirely,
+        so unfaulted specs keep the exact content hashes they had
+        before fault injection existed (the result-store cache and
+        golden traces depend on that stability).
         """
-        data = asdict(self)
-        if data.get("faults") is None:
-            del data["faults"]
-        if data.get("telemetry") is None:
-            del data["telemetry"]
-        if data.get("kernel") is None:
-            del data["kernel"]
-        return data
+        return plain_fields(self, _SPEC_FIELDS)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
@@ -235,17 +310,14 @@ class ScenarioSpec:
     def content_hash(self) -> str:
         """Hex digest identifying this exact spec (store cache key).
 
-        The ``telemetry`` field is excluded: instrumentation observes a
-        run without defining it (probes ride the event stream and never
-        schedule), so an instrumented spec is the *same experiment* —
-        same cache cell, same golden digest — as its plain twin.  The
-        ``kernel`` field is excluded for the same reason: kernels are
-        bit-identical by contract, so which core executes a run does
-        not define the experiment either.
+        ``HASH_NEUTRAL`` fields are excluded.  Instrumentation observes
+        a run without defining it (probes ride the event stream and
+        never schedule), so an instrumented spec is the *same
+        experiment* — same cache cell, same golden digest — as its
+        plain twin; and kernels are bit-identical by contract, so which
+        core executes a run does not define the experiment either.
         """
-        data = self.to_dict()
-        data.pop("telemetry", None)
-        data.pop("kernel", None)
+        data = plain_fields(self, _SPEC_FIELDS, hashed_only=True)
         payload = json.dumps(data, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
@@ -255,3 +327,6 @@ class ScenarioSpec:
         data = self.to_dict()
         data.update(changes)
         return ScenarioSpec.from_dict(data)
+
+
+_SPEC_FIELDS = field_table(ScenarioSpec)

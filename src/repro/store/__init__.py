@@ -22,11 +22,12 @@ Design properties, in the order they matter:
   writer costs at most its in-flight block (truncated on next open);
 * **indexed** — per-shard indexes map content-hash keys to a block and
   the record's ordinal inside it (a keyed read decodes the block once
-  and parses only the record asked for) and keep spec keys sorted for
-  prefix range queries (``scenario=permutation/fabric=*``);
-* **compressed, batched, parallel** — records batch into zlib/bz2
-  blocks (5x+ smaller than the legacy layout) that decompress
-  independently across a process pool on scans;
+  and parses only the record asked for, once) and keep spec keys sorted
+  for prefix range queries (``scenario=permutation/fabric=*``);
+* **compressed, batched, parallel** — records batch into zlib blocks
+  (4.9x smaller than the legacy layout) that decompress independently
+  across a process pool on scans; each block names its codec, so the
+  bz2 blocks of older stores read unchanged, also beside zlib ones;
 * **self-describing** — format/schema versions and creation params
   live in the store and in every shard header, so readers can refuse
   (or adapt to) formats they don't understand.

@@ -3,13 +3,13 @@
 Examples::
 
     # Push a deterministic synthetic sweep through the real store path
-    # (what the nightly CI job does at 1k cells):
-    python -m repro.store synth --cells 1000 --store /tmp/synth-store
+    # (what the nightly CI job does at 10k cells):
+    python -m repro.store synth --cells 10000 --store /tmp/synth-store
 
     # CRC-verify every block of a store:
     python -m repro.store verify .experiment-store
 
-    # What is this store? (format, versions, shard fill)
+    # What is this store? (format, versions, shard fill, blocks per codec)
     python -m repro.store info .experiment-store
 
 Sweep *queries* live on the experiments CLI
@@ -23,9 +23,11 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from collections import Counter
+from typing import Dict, List, Optional
 
 from repro.store.cells import RecordStore, is_record_store
+from repro.store.format import block_codec
 from repro.store.query import verify_store
 from repro.store.synth import fill_store
 
@@ -34,7 +36,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     store = RecordStore(
         args.store,
         num_shards=args.shards,
-        codec=args.codec,
         flush_records=args.flush_records,
     )
     started = time.perf_counter()
@@ -54,6 +55,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0 if stats["corrupt_blocks"] == 0 else 1
 
 
+def _codec_counts(counts: Dict[str, int]) -> str:
+    """``{"bz2": 19, "zlib": 6}`` as ``bz2 19, zlib 6``."""
+    return ", ".join(f"{name} {n}" for name, n in sorted(counts.items())) or "-"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     stats = verify_store(args.store)
     for field in (
@@ -61,6 +67,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "corrupt_blocks", "shard_bytes",
     ):
         print(f"{field + ':':<16} {stats[field]}")
+    print(f"{'codec_blocks:':<16} {_codec_counts(stats['codec_blocks'])}")
     if stats["corrupt_blocks"]:
         print("INTEGRITY FAILURE: corrupt blocks detected", file=sys.stderr)
         return 1
@@ -74,12 +81,18 @@ def cmd_info(args: argparse.Namespace) -> int:
         return 0
     store = RecordStore(args.store)
     print(json.dumps(store.meta, indent=1, sort_keys=True))
+    # ``params.codec`` above is what the store was *created* with; what
+    # its blocks hold is read off their headers (nothing decompressed).
+    total: Dict[str, int] = Counter()
     for shard in store.open_shards():
+        codecs = Counter(map(block_codec, shard.read_blocks(head_only=True)))
+        total.update(codecs)
         print(
             f"{shard.path.name}: {len(shard)} records, "
-            f"{len(shard.blocks())} blocks, "
+            f"{len(shard.blocks())} blocks ({_codec_counts(codecs)}), "
             f"{shard.path.stat().st_size} bytes"
         )
+    print(f"blocks per codec: {_codec_counts(total)}")
     return 0
 
 
@@ -97,7 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_synth.add_argument("--store", required=True)
     p_synth.add_argument("--seed", type=int, default=1)
     p_synth.add_argument("--shards", type=int, default=None)
-    p_synth.add_argument("--codec", choices=("zlib", "bz2"), default="bz2")
     p_synth.add_argument("--flush-records", type=int, default=128)
     p_synth.set_defaults(fn=cmd_synth)
 

@@ -58,13 +58,19 @@ STORE_DIR_ENV = "REPRO_EXPERIMENT_STORE"
 DEFAULT_NUM_SHARDS = 8
 SHARD_NAME = "shard-{:02d}.rsd"
 
-#: bz2 over generously batched blocks is what clears the 5x+ size win
-#: over the legacy per-cell JSON layout (and is the codec the ZS
-#: tooling this design follows used); ``codec="zlib"`` trades a little
-#: of that ratio for faster appends.
-DEFAULT_CODEC = "bz2"
-DEFAULT_LEVEL = 9
+#: The one codec new blocks are written with, decided by measurement
+#: (README "The read path", the codec grid): a 128-cell zlib block
+#: decompresses 6.5x and compresses 2.7x faster than the bz2 block this
+#: store wrote before, for 19 % more bytes (4.9x smaller than the
+#: legacy per-cell JSON layout, where bz2 was 5.8x).  Blocks name their
+#: own codec, so every bz2 store still reads, and appending to one
+#: gives a shard of both.
+DEFAULT_CODEC = "zlib"
 DEFAULT_FLUSH_RECORDS = 128
+
+#: How every payload :meth:`RecordStore.put_record` writes begins:
+#: sorted-key compact JSON puts the ``key`` member first.
+_KEY_PREFIX = b'{"key":"'
 
 
 def spec_key_from_dict(spec_dict: Dict[str, Any], key: str) -> str:
@@ -97,16 +103,37 @@ def prefix_from_selector(selector: str) -> str:
     return selector
 
 
+def record_key(payload: bytes) -> str:
+    """The ``key`` member of a record payload, without parsing it.
+
+    Read off the canonical payload's first member; a payload that does
+    not start exactly ``{"key":"<plain ASCII>",`` (another writer's
+    member order or whitespace, an escaped key) is parsed instead.
+    """
+    if payload.startswith(_KEY_PREFIX):
+        start = len(_KEY_PREFIX)
+        end = payload.find(b'"', start)
+        if end > 0 and payload[end + 1 : end + 2] == b",":
+            raw = payload[start:end]
+            if b"\\" not in raw and raw.isascii():
+                return raw.decode("ascii")
+    return str(json.loads(payload)["key"])
+
+
 class RecordStore:
     """Sharded, checksummed result cache (same protocol as the legacy
-    ``ResultStore``: ``get``/``put``/``has``/``clear``/``__len__``)."""
+    ``ResultStore``: ``get``/``put``/``has``/``clear``/``__len__``).
+
+    ``codec`` names what *this handle's* appends compress with; it
+    exists for the ``raw`` test fixtures and for writing the bz2 blocks
+    older stores hold.  Reads go by each block's own header.
+    """
 
     def __init__(
         self,
         root: Optional[Union[str, os.PathLike]] = None,
         num_shards: Optional[int] = None,
         codec: str = DEFAULT_CODEC,
-        level: int = DEFAULT_LEVEL,
         flush_records: int = DEFAULT_FLUSH_RECORDS,
     ) -> None:
         if codec not in CODEC_NAMES:
@@ -119,7 +146,6 @@ class RecordStore:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        self.level = level
         self.flush_records = max(1, flush_records)
         self.codec = CODEC_NAMES[codec]
         self.meta: Dict[str, Any] = {}
@@ -183,7 +209,6 @@ class RecordStore:
                     "schema": self.meta.get("schema_version", 1),
                 },
                 codec=self.codec,
-                level=self.level,
             )
             self._shards[index] = shard
         return shard
@@ -256,11 +281,7 @@ class RecordStore:
                 return pending_record
         if not self.shard_path(index).exists():
             return None
-        payload_bytes = self._shard(index).get(key)
-        if payload_bytes is None:
-            return None
-        record: Dict[str, Any] = json.loads(payload_bytes)
-        return record
+        return self._shard(index).get_records([key]).get(key)
 
     def has(self, spec: "ScenarioSpec") -> bool:
         return self.get_record(spec.content_hash()) is not None
@@ -305,13 +326,13 @@ class RecordStore:
         by_shard: Dict[int, List[str]] = {}
         for _, key in pairs:
             by_shard.setdefault(self.shard_id(key), []).append(key)
-        payloads: Dict[str, bytes] = {}
+        records: Dict[str, Dict[str, Any]] = {}
         for index, shard_keys in by_shard.items():
-            payloads.update(self._shard(index).get_many(shard_keys))
+            records.update(self._shard(index).get_records(shard_keys))
         for _, key in pairs:
-            payload = payloads.get(key)
-            if payload is not None:
-                yield json.loads(payload)
+            record = records.get(key)
+            if record is not None:
+                yield record
 
     def results(self, selector: str = "") -> "List[RunResult]":
         """Matching results as :class:`RunResult` values."""

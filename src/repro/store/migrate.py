@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.store.cells import DEFAULT_CODEC, RecordStore
+from repro.store.cells import RecordStore
 from repro.store.meta import STORE_META_NAME
 
 
@@ -39,7 +39,6 @@ def migrate_legacy(
     src: Union[str, Path],
     dst: Union[str, Path],
     num_shards: Optional[int] = None,
-    codec: str = DEFAULT_CODEC,
 ) -> MigrationReport:
     """Copy every legacy cell in ``src`` into a record store at ``dst``."""
     src_path = Path(src)
@@ -51,7 +50,7 @@ def migrate_legacy(
         )
     if not src_path.is_dir():
         raise FileNotFoundError(f"legacy store {src_path} does not exist")
-    store = RecordStore(dst_path, num_shards=num_shards, codec=codec)
+    store = RecordStore(dst_path, num_shards=num_shards)
     report = MigrationReport()
     for cell in sorted(src_path.glob("*.json")):
         if cell.name == STORE_META_NAME:

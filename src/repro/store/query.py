@@ -7,8 +7,11 @@ query`` does lands here.  Reads come in two flavors:
   path for selectors like ``scenario=permutation/fabric=*``);
 * **integrity scans** — straight over the shard bytes, verifying every
   CRC, optionally fanning block decompression out over a
-  ``multiprocessing`` pool (the ZS ``mpbz2`` trick: compressed blocks
-  are independent, so cores scale the scan).
+  ``multiprocessing`` pool (the trick of ZS's ``mpbz2``, whatever the
+  codec: compressed blocks are independent, so cores scale the scan).
+  A scan learns each record's key from the payload's first bytes and
+  parses only the records its caller reads back — verification parses
+  none.
 
 Both flavors also speak the legacy one-JSON-per-cell layout, so a
 query works against an unmigrated store — migration is an
@@ -20,16 +23,27 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.store.cells import (
     RecordStore,
     is_record_store,
     prefix_from_selector,
+    record_key,
     spec_key_from_dict,
 )
-from repro.store.format import BlockCorruptError, read_block
+from repro.store.format import BlockCorruptError, block_codec, read_block
 from repro.store.meta import STORE_META_NAME
 
 if TYPE_CHECKING:
@@ -44,32 +58,48 @@ PathLike = Union[str, os.PathLike]
 # ----------------------------------------------------------------------
 
 
-def _decode_block(args: Tuple[str, int, int]) -> Tuple[int, List[Dict[str, Any]]]:
-    """Worker: decompress + parse one block; ``(corrupt, records)``.
+def _decode_block(buf: bytes) -> Optional[Tuple[str, List[bytes]]]:
+    """Worker: check + decompress one block; ``(codec name, payloads)``,
+    or None for a block that fails its checks.
 
-    Module-level so it pickles into pool workers; everything it needs
-    travels in ``args`` (path, offset, length).
+    Module-level so it pickles into pool workers.  Bytes in, bytes out:
+    the parent reads the block and nothing is parsed here, so what
+    crosses the pool is the compressed block one way and its record
+    payloads the other.
     """
-    path, offset, length = args
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        buf = fh.read(length)
     try:
         payloads, _ = read_block(buf, 0)
     except BlockCorruptError:
-        return 1, []
-    return 0, [json.loads(p) for p in payloads]
+        return None
+    return block_codec(buf), payloads
 
 
 @dataclass
 class ScanReport:
     """Outcome of an integrity scan over a store."""
 
-    records: List[Dict[str, Any]] = field(default_factory=list)
+    #: Payload of the latest record per key, in block order.
+    latest: Dict[str, bytes] = field(default_factory=dict)
+    #: Spec-key prefix :attr:`records` is filtered by.
+    prefix: str = ""
     total_records: int = 0
     corrupt_blocks: int = 0
     blocks: int = 0
+    #: Valid blocks per codec name, by each block's own header.
+    codec_blocks: Dict[str, int] = field(default_factory=dict)
     shard_bytes: int = 0
+
+    @cached_property
+    def records(self) -> List[Dict[str, Any]]:
+        """The latest record per key under the scan's selector, sorted
+        by spec key — parsed on first use, superseded re-puts never."""
+        matched = [
+            record
+            for record in map(json.loads, self.latest.values())
+            if str(record.get("spec_key", "")).startswith(self.prefix)
+        ]
+        matched.sort(key=lambda r: str(r.get("spec_key", "")))
+        return matched
 
 
 def scan_store(
@@ -77,55 +107,46 @@ def scan_store(
 ) -> ScanReport:
     """CRC-verify every block of a record store, collecting records.
 
-    Returns the latest record per key, filtered by ``selector`` and
-    sorted by spec key.  ``processes > 1`` decompresses blocks on a
-    pool; block order (and therefore latest-wins dedup) is preserved
-    because ``Pool.map`` keeps input order.
+    The report holds the latest record per key (``.records``: filtered
+    by ``selector``, sorted by spec key).  ``processes > 1``
+    decompresses blocks on a pool; block order (and therefore
+    latest-wins dedup) is preserved because ``Pool.map`` keeps input
+    order.
     """
     store = RecordStore(root)
     store.flush()
-    prefix = prefix_from_selector(selector)
     shards = store.open_shards()
-    tasks: List[Tuple[str, int, int]] = []
-    shard_bytes = 0
-    for shard in shards:
-        shard_bytes += shard.path.stat().st_size
-        for offset, end in shard.blocks():
-            tasks.append((str(shard.path), offset, end - offset))
-    # Blocks skipped during open-time tail scans never made the index,
-    # so count them up front.
-    corrupt = sum(s.corrupt_blocks for s in shards)
-    decoded: List[Tuple[int, List[Dict[str, Any]]]]
-    if processes and processes > 1 and len(tasks) > 1:
+    report = ScanReport(
+        prefix=prefix_from_selector(selector),
+        # Blocks skipped during open-time tail scans never made the
+        # index, so count them up front.
+        corrupt_blocks=sum(s.corrupt_blocks for s in shards),
+        blocks=sum(len(s.blocks()) for s in shards),
+        shard_bytes=sum(s.path.stat().st_size for s in shards),
+    )
+    buffers = (buf for shard in shards for buf in shard.read_blocks())
+    decoded: Iterable[Optional[Tuple[str, List[bytes]]]]
+    if processes and processes > 1 and report.blocks > 1:
         import multiprocessing
 
+        tasks = list(buffers)
         try:
             with multiprocessing.Pool(min(processes, len(tasks))) as pool:
                 decoded = pool.map(_decode_block, tasks)
         except (ImportError, OSError):
-            decoded = [_decode_block(t) for t in tasks]
+            decoded = map(_decode_block, tasks)
     else:
-        decoded = [_decode_block(t) for t in tasks]
-    latest: Dict[str, Dict[str, Any]] = {}
-    total = 0
-    for bad, records in decoded:
-        corrupt += bad
-        for record in records:
-            total += 1
-            latest[record["key"]] = record
-    matched = [
-        record
-        for record in latest.values()
-        if str(record.get("spec_key", "")).startswith(prefix)
-    ]
-    matched.sort(key=lambda r: str(r.get("spec_key", "")))
-    return ScanReport(
-        records=matched,
-        total_records=total,
-        corrupt_blocks=corrupt,
-        blocks=len(tasks),
-        shard_bytes=shard_bytes,
-    )
+        decoded = map(_decode_block, buffers)
+    for block in decoded:
+        if block is None:
+            report.corrupt_blocks += 1
+            continue
+        codec, payloads = block
+        report.codec_blocks[codec] = report.codec_blocks.get(codec, 0) + 1
+        report.total_records += len(payloads)
+        for payload in payloads:
+            report.latest[record_key(payload)] = payload
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +225,7 @@ def verify_store(root: PathLike) -> Dict[str, Any]:
             "distinct_keys": len(records),
             "blocks": 0,
             "corrupt_blocks": 0,
+            "codec_blocks": {},
             "shard_bytes": sum(
                 p.stat().st_size for p in path.glob("*.json")
             ),
@@ -212,9 +234,10 @@ def verify_store(root: PathLike) -> Dict[str, Any]:
     return {
         "format": "record",
         "records": report.total_records,
-        "distinct_keys": len(report.records),
+        "distinct_keys": len(report.latest),
         "blocks": report.blocks,
         "corrupt_blocks": report.corrupt_blocks,
+        "codec_blocks": dict(sorted(report.codec_blocks.items())),
         "shard_bytes": report.shard_bytes,
     }
 

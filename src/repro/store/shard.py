@@ -17,10 +17,11 @@ every checksum, and recovery is positional —
 
 Keyed reads cost one decode per *block* and one parse per *record
 returned*: the index names the record's ordinal inside its block, the
-picked payload's own key is checked against the key asked for (the
-sidecar is never trusted to say whose record it is), and the shard
-remembers the last block it decoded, which is all a put-order resume
-or a block-grouped query needs.
+picked payload is parsed, its own key is checked against the key asked
+for (the sidecar is never trusted to say whose record it is) and that
+same parse is what the caller gets; the shard remembers the last block
+it decoded, which is all a put-order resume or a block-grouped query
+needs.
 
 Single-writer, multi-reader: appends happen from one process (the
 sweep parent); concurrent readers see a consistent prefix.
@@ -31,9 +32,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.store.format import (
+    BLOCK_HEADER_SIZE,
     BlockCorruptError,
     CODEC_ZLIB,
     SHARD_HEADER_FIXED_SIZE,
@@ -51,7 +53,9 @@ from repro.store.index import ShardIndex
 #: (key, spec_key, payload) — what callers append and scans yield.
 Record = Tuple[str, str, bytes]
 
-ExtractFn = Callable[[bytes], Tuple[str, str]]
+#: A stored record as a keyed read finds it: its payload bytes and the
+#: parse of them that passed the key check.
+Found = Tuple[bytes, Dict[str, Any]]
 
 #: The last decoded block of a shard is kept for the next read only if
 #: its payloads total at most this many bytes (a default block of 128
@@ -60,7 +64,7 @@ ExtractFn = Callable[[bytes], Tuple[str, str]]
 MEMO_MAX_BYTES = 8 * 1024 * 1024
 
 
-def default_extract(payload: bytes) -> Tuple[str, str]:
+def extract(payload: bytes) -> Tuple[str, str]:
     """Pull ``(key, spec_key)`` out of a JSON record payload."""
     obj = json.loads(payload)
     return str(obj["key"]), str(obj["spec_key"])
@@ -74,15 +78,13 @@ class Shard:
         path: Path,
         header_meta: Optional[Dict[str, Any]] = None,
         codec: int = CODEC_ZLIB,
-        level: int = 6,
-        extract: ExtractFn = default_extract,
         create: bool = True,
     ) -> None:
         self.path = Path(path)
         self.index_path = self.path.with_suffix(".rsx")
+        #: What this handle's appends compress with; reads go by each
+        #: block's own header.
         self.codec = codec
-        self.level = level
-        self.extract = extract
         self.index = ShardIndex(self.index_path)
         #: Offsets of the blocks rejected by CRC/framing checks over
         #: this handle's lifetime (open-time tail scan + later reads).
@@ -163,7 +165,7 @@ class Shard:
                 local = nxt
                 continue
             offset, end = base + local, base + local_end
-            pairs = [self.extract(p) for p in payloads]
+            pairs = [extract(p) for p in payloads]
             self.index.add_block(offset, end, pairs)
             try:
                 self.index.append_line(offset, end, pairs)
@@ -185,7 +187,7 @@ class Shard:
         if not records:
             raise ValueError("append needs at least one record")
         block = encode_block(
-            [payload for _, _, payload in records], self.codec, self.level
+            [payload for _, _, payload in records], self.codec
         )
         size = self.path.stat().st_size
         if size > self._valid_end:
@@ -228,32 +230,50 @@ class Shard:
 
     def _pick(
         self, payloads: List[bytes], wanted: Dict[str, int]
-    ) -> Dict[str, bytes]:
-        """Payloads of one block for ``wanted`` (key -> ordinal).
+    ) -> Dict[str, Found]:
+        """Records of one block for ``wanted`` (key -> ordinal).
 
         The ordinal comes from the sidecar, which is only a cache: the
         picked payload must carry the key asked for, and any key whose
         ordinal is out of range or names another record is looked for
         across the whole block instead — a stale or foreign sidecar
-        costs time, never another key's record.  (What the check cannot
-        see is a sidecar pointing at an *earlier* duplicate of the same
-        key inside the block; the writer's own sidecar always names the
-        last one.)
+        costs time, never another key's record.  The parse that reads
+        a payload's key is the one handed back, so a hit costs one.
+        (What the check cannot see is a sidecar pointing at an
+        *earlier* duplicate of the same key inside the block; the
+        writer's own sidecar always names the last one.)
         """
-        out: Dict[str, bytes] = {}
+        out: Dict[str, Found] = {}
         astray: Set[str] = set()
         for key, ordinal in wanted.items():
             if 0 <= ordinal < len(payloads):
                 payload = payloads[ordinal]
-                if self.extract(payload)[0] == key:
-                    out[key] = payload
+                record = json.loads(payload)
+                if record["key"] == key:
+                    out[key] = payload, record
                     continue
             astray.add(key)
         if astray:
             for payload in payloads:
-                record_key, _ = self.extract(payload)
-                if record_key in astray:
-                    out[record_key] = payload  # latest in block wins
+                record = json.loads(payload)
+                if record["key"] in astray:
+                    out[record["key"]] = payload, record  # latest wins
+        return out
+
+    def _find(self, keys: List[str]) -> Dict[str, Found]:
+        """Latest stored record for each of ``keys`` that has one,
+        decompressing each block once."""
+        blocks: Dict[Tuple[int, int], Dict[str, int]] = {}
+        for key in keys:
+            location = self.index.get(key)
+            if location is not None:
+                offset, length, ordinal = location
+                blocks.setdefault((offset, length), {})[key] = ordinal
+        out: Dict[str, Found] = {}
+        for (offset, length), wanted in sorted(blocks.items()):
+            payloads = self._decode(offset, length)
+            if payloads is not None:
+                out.update(self._pick(payloads, wanted))
         return out
 
     def get(self, key: str) -> Optional[bytes]:
@@ -261,24 +281,19 @@ class Shard:
         return self.get_many([key]).get(key)
 
     def get_many(self, keys: List[str]) -> Dict[str, bytes]:
-        """Latest payloads for ``keys``, decompressing each block once.
+        """Latest payloads for ``keys`` (CRC-verified, key-checked)."""
+        return {
+            key: payload for key, (payload, _) in self._find(keys).items()
+        }
+
+    def get_records(self, keys: List[str]) -> Dict[str, Dict[str, Any]]:
+        """Latest records for ``keys``, parsed: one parse per record.
 
         Records that share a block (batched appends) cost one read and
         one decompression between them — the amortization that makes
         prefix queries over 10^4+ cells cheap.
         """
-        blocks: Dict[Tuple[int, int], Dict[str, int]] = {}
-        for key in keys:
-            location = self.index.get(key)
-            if location is not None:
-                offset, length, ordinal = location
-                blocks.setdefault((offset, length), {})[key] = ordinal
-        out: Dict[str, bytes] = {}
-        for (offset, length), wanted in sorted(blocks.items()):
-            payloads = self._decode(offset, length)
-            if payloads is not None:
-                out.update(self._pick(payloads, wanted))
-        return out
+        return {key: record for key, (_, record) in self._find(keys).items()}
 
     def keys_for_prefix(self, prefix: str) -> Iterator[Tuple[str, str]]:
         """Indexed ``(spec_key, key)`` pairs under a spec-key prefix."""
@@ -287,6 +302,15 @@ class Shard:
     def blocks(self) -> List[Tuple[int, int]]:
         """Spans of every indexed block (for parallel scans)."""
         return list(self.index.blocks)
+
+    def read_blocks(self, head_only: bool = False) -> Iterator[bytes]:
+        """The bytes of every indexed block in file order, unchecked,
+        through one open of the file (``head_only``: just each block's
+        header — enough for :func:`~repro.store.format.block_codec`)."""
+        with self.path.open("rb") as fh:
+            for offset, end in self.index.blocks:
+                fh.seek(offset)
+                yield fh.read(BLOCK_HEADER_SIZE if head_only else end - offset)
 
     def scan(self) -> Iterator[Record]:
         """Every valid record in file order, straight from the bytes.
@@ -315,7 +339,7 @@ class Shard:
                 offset = nxt
                 continue
             for payload in payloads:
-                key, spec_key = self.extract(payload)
+                key, spec_key = extract(payload)
                 yield key, spec_key, payload
             offset = end
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from typing import List
 
-import networkx as nx
+# networkx is imported where a graph is built or walked, not here:
+# ``repro.experiments`` reaches this module through ``repro.analysis``,
+# and the import is ~170 ms that every CLI call and sweep worker would
+# pay without ever building a graph.
 
 
 class FatTreeGraph:
@@ -33,6 +36,8 @@ class FatTreeGraph:
             raise ValueError("pod shape must be positive")
         if pods > 1 and spines < 1:
             raise ValueError("multi-pod networks need spines")
+        import networkx as nx
+
         self.pods = pods
         self.tors_per_pod = tors_per_pod
         self.t1_per_pod = t1_per_pod
@@ -75,6 +80,8 @@ class FatTreeGraph:
 
     def shortest_paths(self, src_tor: str, dst_tor: str) -> List[List[str]]:
         """All shortest paths between two ToRs (spray path diversity)."""
+        import networkx as nx
+
         return list(
             nx.all_shortest_paths(self.graph, src_tor, dst_tor)
         )
@@ -85,6 +92,8 @@ class FatTreeGraph:
 
     def diameter_hops(self) -> int:
         """Longest shortest ToR-to-ToR path (in links)."""
+        import networkx as nx
+
         tors = self.tors()
         best = 0
         lengths = dict(nx.all_pairs_shortest_path_length(self.graph))
@@ -96,4 +105,6 @@ class FatTreeGraph:
 
     def min_edge_cut_between_tors(self, a: str, b: str) -> int:
         """Minimum edge cut between two ToRs (fault tolerance)."""
+        import networkx as nx
+
         return len(nx.minimum_edge_cut(self.graph, a, b))

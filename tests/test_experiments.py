@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (
     ResultStore,
@@ -20,7 +24,12 @@ from repro.experiments import (
     scenario_names,
 )
 from repro.experiments.registry import scenario
+from repro.experiments.spec import HASH_NEUTRAL, OMIT_NONE
 from repro.experiments.summarize import Summary, aggregate
+from repro.faults.plan import FaultPlan, link_down
+from repro.sim.kernel import kernel_names
+from repro.store import spec_key_from_dict
+from repro.telemetry.probes import TelemetryConfig
 from repro.core.network import OneTierSpec, TwoTierSpec
 from repro.sim.units import MICROSECOND
 
@@ -100,6 +109,186 @@ class TestScenarioSpec:
         assert resolve_kind("stardust") == ("stardust", "tcp")
         assert resolve_kind("dctcp") == ("push", "dctcp")
         assert resolve_kind("ethernet") == ("push", "tcp")
+
+
+# ----------------------------------------------------------------------
+# Plain-dict forms: to_dict against dataclasses.asdict, hash neutrality
+# ----------------------------------------------------------------------
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+#: Nested dict/list/tuple values, the shapes ``workload``,
+#: ``config_overrides`` and ``metrics`` may hold.
+_nested = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+_members = st.dictionaries(st.text(min_size=1, max_size=4), _nested, max_size=3)
+_FAULTS = FaultPlan(events=[link_down(1000, edge=0, uplink=1)]).to_dict()
+_TELEMETRY = TelemetryConfig(sample_interval_ns=50_000, per_voq=True).to_dict()
+
+
+def _asdict_minus_unset(obj):
+    """The oracle: ``dataclasses.asdict``, then drop unset OMIT_NONE fields."""
+    data = dataclasses.asdict(obj)
+    for f in dataclasses.fields(obj):
+        if f.metadata.get(OMIT_NONE) and data[f.name] is None:
+            del data[f.name]
+    return data
+
+
+def _scribble(value):
+    """Mutate every dict and list reachable from ``value`` in place."""
+    if isinstance(value, dict):
+        for member in list(value.values()):
+            _scribble(member)
+        value.clear()
+        value["scribbled"] = True
+    elif isinstance(value, (list, tuple)):
+        for member in value:
+            _scribble(member)
+        if isinstance(value, list):
+            value.append("scribbled")
+
+
+class TestPlainForms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workload=_members,
+        overrides=_members,
+        faults=st.sampled_from([None, _FAULTS]),
+        telemetry=st.sampled_from([None, _TELEMETRY]),
+        kernel=st.sampled_from([None, *kernel_names()]),
+    )
+    def test_spec_to_dict_is_asdict(
+        self, workload, overrides, faults, telemetry, kernel
+    ):
+        spec = ScenarioSpec(
+            scenario="generated",
+            topology=TINY,
+            workload={"kind": "permutation", **workload},
+            config_overrides=overrides,
+            faults=faults,
+            telemetry=telemetry,
+            kernel=kernel,
+        )
+        want = _asdict_minus_unset(spec)
+        got = spec.to_dict()
+        assert got == want
+        assert list(got) == list(want)  # field order too
+        _scribble(got)
+        assert _asdict_minus_unset(spec) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        metrics=_members,
+        rates=st.lists(st.floats(allow_nan=False), max_size=4),
+        fcts=st.lists(st.integers(0, 2**40), max_size=4),
+        telemetry=st.sampled_from([None, {"schema": 1, "series": [[1, 2]]}]),
+    )
+    def test_result_to_dict_is_asdict(self, metrics, rates, fcts, telemetry):
+        result = RunResult(
+            spec_hash="0" * 24, scenario="generated", fabric="stardust",
+            transport="tcp", seed=1, flow_rates_gbps=rates, fcts_ns=fcts,
+            metrics=metrics, telemetry=telemetry,
+        )
+        want = _asdict_minus_unset(result)
+        got = result.to_dict()
+        assert got == want
+        assert list(got) == list(want)
+        _scribble(got)
+        assert _asdict_minus_unset(result) == want
+        assert RunResult.from_dict(want).to_dict() == want
+
+    def test_to_dict_no_longer_goes_through_asdict(self, monkeypatch):
+        def no_asdict(obj, **kwargs):
+            raise AssertionError(f"asdict({type(obj).__name__})")
+
+        monkeypatch.setattr(dataclasses, "asdict", no_asdict)
+        monkeypatch.setattr("repro.experiments.spec.asdict", no_asdict)
+        spec = build_scenario("incast", kind="dctcp", seed=5)
+        spec.to_dict()
+        spec.content_hash()
+        RunResult("0" * 24, "incast", "push", "dctcp", 5).to_dict()
+
+    def test_declared_flags(self):
+        flags = {
+            f.name: (
+                bool(f.metadata.get(OMIT_NONE)),
+                bool(f.metadata.get(HASH_NEUTRAL)),
+            )
+            for f in dataclasses.fields(ScenarioSpec)
+            if f.metadata
+        }
+        assert flags == {
+            "faults": (True, False),
+            "telemetry": (True, True),
+            "kernel": (True, True),
+        }
+        assert [
+            f.name for f in dataclasses.fields(RunResult) if f.metadata
+        ] == ["telemetry"]
+
+    def test_hash_neutral_fields_leave_every_golden_hash_alone(self):
+        """Toggling each HASH_NEUTRAL field moves neither the content
+        hash, nor the store's spec key, nor any of the 14 recorded
+        golden ``spec_hash`` values."""
+        values = {
+            "telemetry": [_TELEMETRY, TelemetryConfig().to_dict()],
+            "kernel": list(kernel_names()),
+        }
+        neutral = [
+            f.name
+            for f in dataclasses.fields(ScenarioSpec)
+            if f.metadata.get(HASH_NEUTRAL)
+        ]
+        assert sorted(neutral) == sorted(values)
+        goldens = sorted((Path(__file__).parent / "golden").glob("*.json"))
+        assert len(goldens) == 14
+        for path in goldens:
+            recorded = json.loads(path.read_text())
+            spec = ScenarioSpec.from_dict(recorded["spec"])
+            key = spec.content_hash()
+            assert key == recorded["digest"]["spec_hash"]
+            spec_key = spec_key_from_dict(spec.to_dict(), key)
+            for name in neutral:
+                for value in values[name]:
+                    twin = spec.with_updates(**{name: value})
+                    assert twin.to_dict()[name] == value
+                    assert twin.content_hash() == key
+                    assert spec_key_from_dict(twin.to_dict(), key) == spec_key
+            # ... while a field that is not neutral does move it.
+            assert spec.with_updates(faults=_FAULTS).content_hash() != key
+
+    def test_literal_hashes(self):
+        """Content hashes as every existing store and golden has them."""
+        assert (
+            build_scenario("permutation").content_hash()
+            == "7808663a44c867816e0b06d7"
+        )
+        assert (
+            build_scenario("incast", kind="dctcp", seed=5).content_hash()
+            == "b25670219ae995c97a6688aa"
+        )
+        assert (
+            build_scenario("permutation_link_failure", kind="stardust", seed=7)
+            .content_hash()
+            == "b630537299f5d8c7f1a800b9"
+        )
+        nested = build_scenario("mixed", kind="tcp", seed=2).with_updates(
+            config_overrides={"a": [1, {"b": (2, 3)}]}
+        )
+        assert nested.content_hash() == "f3bde7486abd88786a1e5615"
 
 
 # ----------------------------------------------------------------------

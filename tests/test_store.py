@@ -25,6 +25,7 @@ from repro.experiments import (
 from repro.experiments.store import open_store as facade_open_store
 from repro.store import (
     FORMAT_VERSION,
+    SCHEMA_VERSION,
     RecordStore,
     Shard,
     StoreFormatError,
@@ -37,12 +38,15 @@ from repro.store import (
     store_results,
     verify_store,
 )
+from repro.store.__main__ import main as store_cli
+from repro.store.cells import record_key
 from repro.store.format import (
     BlockCorruptError,
     CODEC_BZ2,
     CODEC_RAW,
     CODEC_ZLIB,
     TruncatedBlockError,
+    block_codec,
     encode_block,
     encode_shard_header,
     read_block,
@@ -403,8 +407,8 @@ def read_counts(monkeypatch):
 
 class TestReadPathCost:
     """Deterministic pin of the read-path gain: counts, not timings.
-    Every hit costs two payload parses — the key check on the picked
-    record and the parse of the record handed back."""
+    Every hit costs one payload parse — the one that checks the picked
+    record's key is the record handed back — and verifying costs none."""
 
     def test_keys_of_one_block_decode_it_once(self, tmp_path, read_counts):
         cells = list(synthetic_cells(40))
@@ -418,7 +422,7 @@ class TestReadPathCost:
         for spec, result in wanted:
             assert fresh.get(spec).to_dict() == result.to_dict()
         assert read_counts.decompress == 1
-        assert read_counts.payload_parses == 2 * len(wanted)
+        assert read_counts.payload_parses == len(wanted)
 
     def test_oversized_block_is_served_but_not_retained(
         self, tmp_path, read_counts, monkeypatch
@@ -463,7 +467,7 @@ class TestReadPathCost:
             result.to_dict() for _, result in cells[:150]
         ]
         assert read_counts.decompress == len(touched)
-        assert read_counts.payload_parses == 2 * len(probed)
+        assert read_counts.payload_parses == len(probed)
 
     def test_prefix_query_parses_only_matching_records(
         self, tmp_path, read_counts
@@ -481,7 +485,126 @@ class TestReadPathCost:
         records = list(store.iter_records(selector))
         assert len(records) == len(pairs) == 40
         assert read_counts.decompress == len(touched)
-        assert read_counts.payload_parses == 2 * len(records)
+        assert read_counts.payload_parses == len(records)
+
+    def test_verify_parses_no_record(self, tmp_path, read_counts):
+        fill_store(RecordStore(tmp_path, flush_records=16), 300)
+        read_counts.reset()
+        report = verify_store(tmp_path)
+        assert report["records"] == report["distinct_keys"] == 300
+        assert report["corrupt_blocks"] == 0
+        assert read_counts.payload_parses == 0
+        assert read_counts.decompress == report["blocks"] > 8
+
+    def test_scan_parses_the_latest_record_of_each_key_once(
+        self, tmp_path, read_counts
+    ):
+        cells = list(synthetic_cells(120))
+        with RecordStore(tmp_path, flush_records=16) as store:
+            for spec, result in cells:
+                store.put(spec, result)
+            for spec, result in cells[::3]:  # superseded by these re-puts
+                store.put(spec, dataclasses.replace(result, drops=10**6))
+        selector = "scenario=incast"
+        read_counts.reset()
+        report = scan_store(tmp_path, selector)
+        assert report.total_records == 160
+        assert read_counts.decompress == report.blocks
+        assert read_counts.payload_parses == 0  # nobody has asked yet
+        records = report.records
+        assert read_counts.payload_parses == 120  # distinct keys
+        assert report.records is records  # ... and only the first time
+        assert read_counts.payload_parses == 120
+        reput = {spec.content_hash() for spec, _ in cells[::3]}
+        assert records and all(
+            (r["result"]["drops"] == 10**6) == (r["key"] in reput)
+            for r in records
+        )
+        assert records == store_records(tmp_path, selector)
+        assert records == store_records(tmp_path, selector, processes=2)
+
+
+# ----------------------------------------------------------------------
+# A record's key, read off its payload's first member
+# ----------------------------------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_json_dicts = st.dictionaries(st.text(max_size=4), _json_values, max_size=3)
+
+
+@pytest.fixture
+def all_parses(monkeypatch):
+    """Every ``json.loads`` call, whatever it is handed."""
+    calls = []
+    real_loads = json.loads
+
+    def loads(data, *args, **kwargs):
+        calls.append(data)
+        return real_loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    return calls
+
+
+class TestRecordKey:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.text(max_size=12),
+        spec_key=st.text(max_size=12),
+        spec=_json_dicts,
+        result=_json_dicts,
+    )
+    def test_prefix_read_agrees_with_a_parse_on_every_written_payload(
+        self, key, spec_key, spec, result
+    ):
+        """Unicode, quotes, backslashes, nested containers: whatever
+        ``put_record`` can emit, the key read off the payload's first
+        bytes is the key a full parse finds."""
+        root = Path(tempfile.mkdtemp(prefix="repro-store-key-"))
+        try:
+            with RecordStore(root, num_shards=1, codec="raw") as store:
+                store.put_record(key, spec, result, spec_key)
+            payload = store.open_shards()[0].get(key)
+        finally:
+            shutil.rmtree(root)
+        assert record_key(payload) == json.loads(payload)["key"] == key
+
+    def test_canonical_payload_is_not_parsed(self, all_parses):
+        payload = b'{"key":"0a1b2c","result":{"key":"decoy"},"spec":{}}'
+        assert record_key(payload) == "0a1b2c"
+        assert all_parses == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # another writer's member order
+            b'{"spec_key":"scenario=x/k","key":"k1","spec":{},"result":{}}',
+            # whitespace after the colon, or after the key
+            b'{"key": "k1","spec_key":"scenario=x/k"}',
+            b'{"key":"k1" ,"spec_key":"scenario=x/k"}',
+            b' {"key":"k1","spec_key":"scenario=x/k"}',
+            # an escaped key: quote, backslash, \u escape, raw UTF-8
+            json.dumps({"key": 'k"1'}, separators=(",", ":")).encode(),
+            json.dumps({"key": "k\\1"}, separators=(",", ":")).encode(),
+            json.dumps({"key": "k\u00e9"}, separators=(",", ":")).encode(),
+            json.dumps(
+                {"key": "k\u00e9"}, separators=(",", ":"), ensure_ascii=False
+            ).encode(),
+            # the key is the only member
+            b'{"key":"k1"}',
+        ],
+    )
+    def test_anything_else_takes_the_parse_path(self, payload, all_parses):
+        want = json.loads(payload)["key"]
+        del all_parses[:]
+        assert record_key(payload) == want
+        assert all_parses == [payload]
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +622,10 @@ _model_ops = st.lists(
         ),
         st.tuples(st.just("get"), st.integers(0, len(_MODEL_CELLS) - 1)),
         st.tuples(st.just("has"), st.integers(0, len(_MODEL_CELLS) - 1)),
-        st.tuples(st.sampled_from(["flush", "reopen", "iter"])),
+        st.tuples(st.sampled_from(["flush", "iter"])),
+        # Reopen, writing with another codec from here on: a shard may
+        # hold blocks of all three, each read by its own header.
+        st.tuples(st.just("reopen"), st.sampled_from(["raw", "zlib", "bz2"])),
     ),
     max_size=40,
 )
@@ -511,7 +637,8 @@ class TestStoreModel:
     def test_record_store_behaves_like_a_dict(self, ops):
         """Random put / re-put / flush / reopen / read programs: blocks
         of 3 records over 2 shards, so re-puts land in the same pending
-        block, in the same flushed block and in later blocks."""
+        block, in the same flushed block and in later blocks — of the
+        same codec or another."""
         root = Path(tempfile.mkdtemp(prefix="repro-store-model-"))
         try:
             store = RecordStore(root, num_shards=2, flush_records=3)
@@ -534,7 +661,9 @@ class TestStoreModel:
                     store.flush()
                 elif op[0] == "reopen":
                     store.flush()
-                    store = RecordStore(root)
+                    store = RecordStore(
+                        root, codec=op[1], flush_records=3
+                    )
                 else:
                     records = list(store.iter_records())
                     assert {r["key"]: r["result"] for r in records} == model
@@ -606,6 +735,146 @@ class TestStaleSidecar:
         our_sidecar.unlink()
         healed = RecordStore(ours)
         assert healed.get_record("a007")["result"] == {"drops": 7}
+
+
+# ----------------------------------------------------------------------
+# One store, several codecs: what every existing (bz2) store relies on
+# ----------------------------------------------------------------------
+
+
+def _answers(root, specs):
+    """Everything a reader can ask of a store, in comparable form."""
+    store = RecordStore(root)
+    report = verify_store(root)
+    # Sizes and codec counts are what *should* differ between twins.
+    for name in ("shard_bytes", "codec_blocks"):
+        del report[name]
+    return {
+        "get": [
+            (got := store.get(spec)) and got.to_dict() for spec in specs
+        ],
+        "iter": list(store.iter_records()),
+        "prefix": list(store.iter_records("scenario=incast/fabric=push")),
+        "scan": scan_store(root, "scenario=mixed").records,
+        "verify": report,
+    }
+
+
+class TestCodecCompatibility:
+    CELLS = list(synthetic_cells(90, seed=11))
+    #: Re-puts of old keys: they supersede records in earlier blocks.
+    REPUTS = [
+        (spec, dataclasses.replace(result, drops=777))
+        for spec, result in CELLS[5:60:4]
+    ]
+    ABSENT = [spec for spec, _ in synthetic_cells(3, seed=500)]
+
+    def _write(self, root, first_codec, second_codec):
+        """60 cells, a reopen, then 30 more and the re-puts — the same
+        puts and flushes whatever the two codecs are."""
+        kwargs = dict(num_shards=2, flush_records=8)
+        with RecordStore(root, codec=first_codec, **kwargs) as store:
+            for spec, result in self.CELLS[:60]:
+                store.put(spec, result)
+        with RecordStore(root, codec=second_codec, **kwargs) as store:
+            for spec, result in self.CELLS[60:] + self.REPUTS:
+                store.put(spec, result)
+
+    def test_default_codec_is_zlib_and_versions_did_not_move(self, tmp_path):
+        fill_store(RecordStore(tmp_path), 10)
+        assert verify_store(tmp_path)["codec_blocks"].keys() == {"zlib"}
+        assert (FORMAT_VERSION, SCHEMA_VERSION) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "first,second", [("bz2", "bz2"), ("bz2", "zlib"), ("raw", "bz2")]
+    )
+    def test_any_codec_history_answers_like_its_single_codec_twin(
+        self, tmp_path, first, second
+    ):
+        old, twin = tmp_path / "old", tmp_path / "twin"
+        self._write(old, first, second)
+        self._write(twin, "zlib", "zlib")
+        counts = verify_store(old)["codec_blocks"]
+        assert counts.keys() == {first, second}
+        assert sum(counts.values()) == verify_store(twin)["blocks"]
+        if first != second:
+            # Both codecs inside one shard file, not just one store.
+            shard = RecordStore(old).open_shards()[0]
+            heads = shard.read_blocks(head_only=True)
+            assert set(map(block_codec, heads)) == {first, second}
+        specs = [spec for spec, _ in self.CELLS] + self.ABSENT
+        got, want = _answers(old, specs), _answers(twin, specs)
+        assert got == want
+        assert want["verify"]["distinct_keys"] == 90
+        assert want["verify"]["records"] == 90 + len(self.REPUTS)
+        assert want["get"].count(None) == len(self.ABSENT)
+        assert sum(r["result"]["drops"] == 777 for r in want["iter"]) == len(
+            self.REPUTS
+        )
+
+    def test_resume_from_a_bz2_store_then_append(self, tmp_path):
+        """What a sweep does to an existing store: serve the old cells,
+        run and append the new ones — in the default codec."""
+        specs = [tiny_permutation(seed=s) for s in (3, 4, 5)]
+        first = run_matrix(specs[:2], store=RecordStore(tmp_path, codec="bz2"))
+        resumed = RecordStore(tmp_path)
+        results = run_matrix(specs, store=resumed)
+        assert (resumed.hits, resumed.misses) == (2, 1)
+        assert results[:2] == first
+        assert verify_store(tmp_path)["codec_blocks"] == {"bz2": 2, "zlib": 1}
+        again = RecordStore(tmp_path)
+        assert run_matrix(specs, store=again) == results
+        assert again.misses == 0
+
+    def test_migrating_into_a_bz2_store(self, tmp_path):
+        src = tmp_path / "legacy"
+        legacy = ResultStore(src)
+        for spec, result in self.CELLS[:20]:
+            legacy.put(spec, result)
+        old, twin = tmp_path / "old", tmp_path / "twin"
+        fill_store(RecordStore(old, codec="bz2"), 30, seed=5)
+        fill_store(RecordStore(twin), 30, seed=5)
+        assert migrate_legacy(src, old).cells == 20
+        assert migrate_legacy(src, twin).cells == 20
+        assert set(verify_store(old)["codec_blocks"]) == {"bz2", "zlib"}
+        specs = [spec for spec, _ in self.CELLS[:20]]
+        assert _answers(old, specs) == _answers(twin, specs)
+
+
+class TestStoreCli:
+    def _mixed(self, root):
+        fill_store(RecordStore(root, num_shards=2, codec="bz2"), 40)
+        fill_store(RecordStore(root), 40, seed=2)
+
+    def test_info_counts_blocks_per_codec_without_decompressing(
+        self, tmp_path, capsys, read_counts
+    ):
+        self._mixed(tmp_path)
+        read_counts.reset()
+        assert store_cli(["info", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert read_counts.decompress == 0
+        # store.meta.json still says what the store was created with...
+        assert '"codec": "bz2"' in out
+        # ... and the block headers say what it holds.
+        assert "blocks per codec: bz2 2, zlib 2" in out
+        assert "2 blocks (bz2 1, zlib 1)" in out
+
+    def test_verify_reports_blocks_per_codec(self, tmp_path, capsys):
+        self._mixed(tmp_path)
+        assert store_cli(["verify", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "codec_blocks:    bz2 2, zlib 2" in out
+        assert "ok: every record CRC-verified" in out
+
+    def test_synth_writes_the_one_codec(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            store_cli(["synth", "--store", str(tmp_path), "--codec", "bz2"])
+        capsys.readouterr()
+        assert store_cli(
+            ["synth", "--cells", "30", "--store", str(tmp_path)]
+        ) == 0
+        assert verify_store(tmp_path)["codec_blocks"].keys() == {"zlib"}
 
 
 # ----------------------------------------------------------------------

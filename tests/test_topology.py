@@ -1,6 +1,10 @@
 """Unit tests for the Appendix A scaling math and fat-tree graphs."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,26 @@ STARDUST = SwitchModel(12_800 * GBPS, bundle=1)  # 256 x 50G
 FT_L2 = SwitchModel(12_800 * GBPS, bundle=2)  # 128 x 100G
 FT_L4 = SwitchModel(12_800 * GBPS, bundle=4)  # 64 x 200G
 FT_L8 = SwitchModel(12_800 * GBPS, bundle=8)  # 32 x 400G
+
+
+def test_sweep_imports_do_not_pull_in_networkx():
+    """``FatTreeGraph`` is networkx's only user and imports it when a
+    graph is built; the sweep runner, the store and the digest — what
+    every CLI call and every ``run_matrix`` worker imports — must not
+    pay for it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "import repro.experiments.runner, repro.store, repro.perf.digest\n"
+        "assert 'repro.topology.fattree' in sys.modules\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestSwitchModel:
