@@ -351,7 +351,7 @@ class FabricAdapter(Entity):
             self._report_now(voq)
         elif voq.id not in self._report_flush_pending:
             self._report_flush_pending.add(voq.id)
-            self.sim.schedule(
+            self.sim.call_later(
                 self.config.voq_report_flush_ns,
                 lambda: self._flush_report(voq),
             )

@@ -93,7 +93,7 @@ class ReassemblyEngine:
             ctx.pending[cell.seq] = cell
             if ctx.stalled_since_ns is None:
                 ctx.stalled_since_ns = self.sim.now
-                self.sim.schedule(
+                self.sim.call_later(
                     self._timeout_ns, lambda: self._check_timeout(key)
                 )
             return
@@ -104,7 +104,7 @@ class ReassemblyEngine:
             self._consume(ctx, ctx.pending.pop(ctx.expected_seq))
         ctx.stalled_since_ns = self.sim.now if ctx.pending else None
         if ctx.pending:
-            self.sim.schedule(
+            self.sim.call_later(
                 self._timeout_ns, lambda: self._check_timeout(key)
             )
 
@@ -160,6 +160,6 @@ class ReassemblyEngine:
             self._consume(ctx, ctx.pending.pop(ctx.expected_seq))
         ctx.stalled_since_ns = self.sim.now if ctx.pending else None
         if ctx.pending:
-            self.sim.schedule(
+            self.sim.call_later(
                 self._timeout_ns, lambda: self._check_timeout(key)
             )

@@ -35,6 +35,7 @@ from repro.experiments.summarize import (
     format_resilience,
     format_table,
 )
+from repro.sim.kernel import KERNEL_GONE
 from repro.store.format import StoreFormatError
 
 
@@ -102,8 +103,6 @@ def cmd_show(args) -> int:
 
 def cmd_run(args) -> int:
     specs = _build_matrix(args)
-    if args.kernel:
-        specs = [s.with_updates(kernel=args.kernel) for s in specs]
     if args.telemetry:
         from repro.telemetry.probes import TelemetryConfig
 
@@ -293,11 +292,7 @@ def main(argv=None) -> int:
         help="instrument every cell (time-series probes + flow spans; "
              "see python -m repro.telemetry export)",
     )
-    run.add_argument(
-        "--kernel", default=None, metavar="NAME",
-        help="engine kernel to run every cell on (hash-neutral: results "
-             "and cache cells are byte-identical across kernels)",
-    )
+    run.add_argument("--kernel", help=argparse.SUPPRESS)  # gone: says so
     run.add_argument(
         "--sample-interval-ns", type=int, default=10_000,
         help="telemetry sampling cadence (with --telemetry)",
@@ -351,6 +346,9 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if getattr(args, "kernel", None) is not None:
+        print(f"error: {KERNEL_GONE.format(args.kernel)}", file=sys.stderr)
+        return 2
     handler = {
         "list": cmd_list,
         "show": cmd_show,

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.fabrics.registry import get_fabric
-from repro.sim.kernel import build_simulator
 from repro.sim.units import gbps
 
 
@@ -47,14 +46,9 @@ def build_network(spec, topology: Optional[object] = None):
     """Build the network a :class:`ScenarioSpec` declares.
 
     ``topology`` lets callers reuse an already-materialized topology
-    dataclass; by default it is built from ``spec.topology``.  The
-    engine core comes from the kernel registry (``spec.kernel``; the
-    default is the reference ``wheel`` kernel) — every registered
-    kernel is bit-identical, so this changes how fast the run executes,
-    never what it computes.
+    dataclass; by default it is built from ``spec.topology``.
     """
     topo = topology if topology is not None else spec.topology.build()
-    sim = build_simulator(getattr(spec, "kernel", None))
     return get_fabric(spec.fabric).cls.for_experiment(
-        topo, rate=spec.link_rate_bps, sim=sim, **spec.config_overrides
+        topo, rate=spec.link_rate_bps, **spec.config_overrides
     )

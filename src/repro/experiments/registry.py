@@ -32,6 +32,7 @@ from repro.faults.plan import (
     link_up,
     random_storm,
 )
+from repro.sim.kernel import KERNEL_GONE
 from repro.sim.units import KB, MB, MICROSECOND, MILLISECOND, gbps
 
 
@@ -84,19 +85,15 @@ def get_scenario(name: str) -> ScenarioEntry:
         raise UnknownScenarioError(name, sorted(_REGISTRY)) from None
 
 
-def build_scenario(name: str, **params) -> ScenarioSpec:
+def build_scenario(name: str, kernel=None, **params) -> ScenarioSpec:
     """Build a concrete spec from the named scenario family.
 
-    ``kernel`` is hoisted out of ``params`` here rather than threaded
-    through every factory: it is a hash-neutral execution detail (which
-    engine kernel runs the spec), not scenario identity, and factories
-    would otherwise misroute it into device ``config_overrides``.
+    ``kernel`` is a remnant ``bench/`` still passes (always ``None``);
+    the next benchmark change removes it.
     """
-    kernel = params.pop("kernel", None)
-    spec = get_scenario(name).factory(**params)
     if kernel is not None:
-        spec = spec.with_updates(kernel=kernel)
-    return spec
+        raise ValueError(KERNEL_GONE.format(kernel))
+    return get_scenario(name).factory(**params)
 
 
 def scenario_names() -> List[str]:

@@ -125,7 +125,7 @@ def _start_single_flow(hosts, flow: Flow, spec: ScenarioSpec) -> None:
         subflows = spec.workload.get("mptcp_subflows", 8)
         conn = MptcpConnection(host, flow, n_subflows=subflows, mss=spec.mss)
         if flow.start_ns:
-            host.sim.schedule(flow.start_ns, conn.start)
+            host.sim.call_later(flow.start_ns, conn.start)
         else:
             conn.start()
         return

@@ -236,16 +236,6 @@ class ScenarioSpec:
     telemetry: Optional[Dict[str, Any]] = field(
         default=None, metadata={OMIT_NONE: True, HASH_NEUTRAL: True}
     )
-    #: Optional engine kernel name (see :mod:`repro.sim.kernel`).
-    #: ``None`` — the default — runs the registry's default kernel.
-    #: Hash-neutral exactly like ``telemetry``: every registered kernel
-    #: is bit-identical on every golden trace (the kernel-parametrized
-    #: golden test enforces it), so which core executes a run never
-    #: changes the run's identity — cache cells and golden digests are
-    #: shared across kernels.
-    kernel: Optional[str] = field(
-        default=None, metadata={OMIT_NONE: True, HASH_NEUTRAL: True}
-    )
 
     def __post_init__(self) -> None:
         if isinstance(self.topology, dict):
@@ -274,10 +264,6 @@ class ScenarioSpec:
                 self.telemetry = self.telemetry.to_dict()
             else:
                 TelemetryConfig.from_dict(self.telemetry)  # validate
-        if self.kernel is not None:
-            from repro.sim.kernel import get_kernel
-
-            get_kernel(self.kernel)  # UnknownKernelError lists known names
 
     # ------------------------------------------------------------------
     # Serialization
@@ -295,7 +281,15 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Stores written while the engine had selectable kernels (before
+        PR 21) carry a ``"kernel"`` key.  It never entered the content
+        hash and every kernel computed the same results, so it is
+        dropped and the record keeps its identity.
+        """
+        if "kernel" in data:
+            data = {k: v for k, v in data.items() if k != "kernel"}
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -314,8 +308,7 @@ class ScenarioSpec:
         a run without defining it (probes ride the event stream and
         never schedule), so an instrumented spec is the *same
         experiment* — same cache cell, same golden digest — as its
-        plain twin; and kernels are bit-identical by contract, so which
-        core executes a run does not define the experiment either.
+        plain twin.
         """
         data = plain_fields(self, _SPEC_FIELDS, hashed_only=True)
         payload = json.dumps(data, sort_keys=True)
@@ -326,7 +319,7 @@ class ScenarioSpec:
         """A copy of this spec with fields replaced."""
         data = self.to_dict()
         data.update(changes)
-        return ScenarioSpec.from_dict(data)
+        return ScenarioSpec(**data)
 
 
 _SPEC_FIELDS = field_table(ScenarioSpec)

@@ -110,8 +110,7 @@ class FabricNetwork(ABC):
         self.config = config
         # Explicit None test: Simulator defines __len__ (pending event
         # count), so a freshly built engine is *falsy* and `sim or
-        # Simulator()` would silently discard a caller-provided core —
-        # exactly what the kernel plumbing passes in.
+        # Simulator()` would silently discard a caller-provided one.
         self.sim = Simulator() if sim is None else sim
         self.plan: WiringPlan = build_wiring_plan(spec)
         self._host_sinks: Dict[PortAddress, Entity] = {}

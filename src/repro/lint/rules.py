@@ -20,7 +20,7 @@ DET005    det         ``*_ns`` times are integers: no float math/equality
 DET006    all         no OS entropy (``os.urandom``/``uuid4``/``secrets``)
 HOT001    hot pkgs    hot-path classes declare ``__slots__`` (both fabrics)
 HOT002    hot table   no closure allocation inside known hot methods
-API001    all         ``heapq``/``bisect`` only in the engine + kernels
+API001    all         ``heapq``/``bisect`` only in the engine + link
 ========  ==========  =====================================================
 """
 
@@ -568,13 +568,8 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[str, FrozenSet[str]]] = {
     },
     ("sim", "link.py"): {
         "Link": frozenset(
-            {"send", "_start_next", "_tx_done", "_deliver", "_take_serialized"}
+            {"send", "_start_next", "_tx_done", "_take_serialized"}
         ),
-    },
-    # Matches every module in the sim/kernel package (the key is the
-    # first two path parts after the package root).
-    ("sim", "kernel"): {
-        "BatchSimulator": frozenset({"run", "run_for", "_tx_step"}),
     },
     ("core", "fabric_element.py"): {
         "FabricElement": frozenset({"receive", "eligible_ports"}),
@@ -642,19 +637,16 @@ _ORDERING_MODULES = frozenset({"heapq", "bisect"})
 
 @rule(
     "API001",
-    "heapq/bisect are scheduler internals: only sim/engine.py and the "
-    "sim/kernel package touch them; everything else goes through the "
+    "heapq/bisect are scheduler internals: only sim/engine.py and "
+    "sim/link.py touch them; everything else goes through the "
     "Simulator API",
 )
 def _api001(ctx: ModuleContext) -> Iterator[RuleHit]:
-    # Kernel implementations ARE the scheduler: the sim/kernel package
-    # is the pluggable half of sim/engine.py (see repro.sim.kernel
-    # .registry for the contract), so it shares the exemption.  Nothing
-    # outside those two places may maintain event order by hand.
-    if ctx.rel[-2:] == ("sim", "engine.py") or ctx.rel[-3:-1] == (
-        "sim",
-        "kernel",
-    ):
+    # sim/link.py shares the exemption for one method: Link._tx_done,
+    # the per-frame train step, is the engine's schedule_at/rearm_at
+    # inlined (see its docstring).  Nothing outside those two modules
+    # may maintain event order by hand.
+    if ctx.rel[-2:] in (("sim", "engine.py"), ("sim", "link.py")):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):

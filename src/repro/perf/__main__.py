@@ -6,7 +6,6 @@ Examples::
     python -m repro.perf --quick             # small sizes (smoke)
     python -m repro.perf --only link         # substring filter
     python -m repro.perf --check             # exit 1 on >10% regression
-    python -m repro.perf --check --kernel batch   # gate the batch kernel
     python -m repro.perf --write-baseline    # refresh the committed baseline
     python -m repro.perf --profile 25        # cProfile each bench, top 25
     python -m repro.perf golden --check      # verify golden traces
@@ -29,13 +28,8 @@ from repro.perf import (
     profile_bench,
     suite,
 )
-from repro.perf.bench import bench_name
 from repro.perf.golden import DEFAULT_GOLDEN_DIR, check_goldens, write_goldens
-from repro.sim.kernel import (
-    UnknownKernelError,
-    get_kernel,
-    known_kernel_names,
-)
+from repro.sim.kernel import KERNEL_GONE
 
 #: Where the committed reference numbers live.
 DEFAULT_BASELINE = Path("benchmarks") / "perf_baseline.json"
@@ -89,9 +83,8 @@ def unbaselined(rows: List[dict]) -> List[str]:
 
     A bench without a reference is *ungated*: it can regress arbitrarily
     and ``--check`` would still pass.  Callers must surface these —
-    historically they were silently skipped, so adding a bench (or a
-    kernel variant) without refreshing the baseline weakened the gate
-    without anyone noticing.
+    historically they were silently skipped, so adding a bench without
+    refreshing the baseline weakened the gate without anyone noticing.
     """
     return [r["name"] for r in rows if r["eps_ratio"] is None]
 
@@ -118,18 +111,15 @@ def _fmt_table(rows: List[dict]) -> str:
 
 def cmd_profile(args) -> int:
     """Run each bench under cProfile and report the top-N hotspots."""
-    factories = bench_factories(
-        quick=args.quick, only=args.only, kernel=args.kernel
-    )
+    factories = bench_factories(quick=args.quick, only=args.only)
     if not factories:
         print(f"no bench matches --only {args.only!r}", file=sys.stderr)
         return 2
-    kernel = get_kernel(args.kernel).name
     sections = []
     for name, factory in factories:
         result, report = profile_bench(factory, args.profile)
         header = (
-            f"== {name} [kernel={kernel}]: {result.events:,} events, "
+            f"== {name}: {result.events:,} events, "
             f"{result.wall_s:.2f}s under cProfile =="
         )
         sections.append(f"{header}\n{report}")
@@ -162,7 +152,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         args.check = args.write_baseline = False
-    results = suite(quick=args.quick, only=args.only, kernel=args.kernel)
+    results = suite(quick=args.quick, only=args.only)
     if not results:
         print(f"no bench matches --only {args.only!r}", file=sys.stderr)
         return 2
@@ -210,11 +200,7 @@ def cmd_bench(args) -> int:
             )
             return 1
     headline = next(
-        (
-            r for r in rows
-            if r["name"] == bench_name("permutation_default", args.kernel)
-        ),
-        None,
+        (r for r in rows if r["name"] == "permutation_default"), None
     )
     if headline and headline["speedup"] is not None:
         print(
@@ -291,13 +277,7 @@ def main(argv=None) -> int:
         help="with --check: warn instead of failing when a bench has "
              "no baseline row (gates only the covered benches)",
     )
-    parser.add_argument(
-        "--kernel", default=None, metavar="NAME",
-        help="engine kernel to run every bench on (one of: "
-             f"{', '.join(known_kernel_names())}; default "
-             "wheel — non-default kernels get their own "
-             "'name[kernel]' rows in results and the baseline)",
-    )
+    parser.add_argument("--kernel", help=argparse.SUPPRESS)  # gone: says so
     parser.add_argument(
         "--profile", type=int, default=0, metavar="N",
         help="run each bench under cProfile and report the top-N "
@@ -329,10 +309,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "golden":
         return cmd_golden(args)
-    try:
-        get_kernel(args.kernel)
-    except UnknownKernelError as exc:
-        print(exc, file=sys.stderr)
+    if args.kernel is not None:
+        print(f"error: {KERNEL_GONE.format(args.kernel)}", file=sys.stderr)
         return 2
     return cmd_bench(args)
 

@@ -26,7 +26,6 @@ from repro.experiments.spec import ScenarioSpec
 from repro.perf.digest import run_digest
 from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
-from repro.sim.kernel import DEFAULT_KERNEL, build_simulator, get_kernel
 from repro.sim.link import Link
 from repro.sim.units import MICROSECOND, gbps
 
@@ -64,27 +63,13 @@ class BenchResult:
         return payload
 
 
-def bench_name(base: str, kernel: Optional[str] = None) -> str:
-    """A bench's report/baseline row name under ``kernel``.
-
-    The reference ``wheel`` kernel keeps the historical bare names, so
-    every pre-kernel baseline row and trend line stays comparable;
-    alternative kernels get their own rows (``link_stream[batch]``)
-    and therefore their own regression references.
-    """
-    canonical = get_kernel(kernel).name
-    if canonical == DEFAULT_KERNEL:
-        return base
-    return f"{base}[{canonical}]"
-
-
 # ----------------------------------------------------------------------
 # Micro: the engine and link layers in isolation
 # ----------------------------------------------------------------------
 
 
 def bench_engine_events(
-    n: int = 400_000, chains: int = 64, kernel: Optional[str] = None
+    n: int = 400_000, chains: int = 64
 ) -> BenchResult:
     """Pure event throughput: self-rescheduling callback chains.
 
@@ -93,7 +78,7 @@ def bench_engine_events(
     the per-event overhead a link-serialization event pays, with no
     device logic on top.
     """
-    sim = build_simulator(kernel)
+    sim = Simulator()
     # The fast path when present (post-optimization), else the classic
     # API — the comparison between the two IS the measurement.
     call_later = getattr(sim, "call_later", sim.schedule)
@@ -110,20 +95,18 @@ def bench_engine_events(
     sim.run()
     wall = time.perf_counter() - started
     return BenchResult(
-        bench_name("engine_events", kernel), wall, sim.events_fired,
+        "engine_events", wall, sim.events_fired,
         sim_time_ns=sim.now,
     )
 
 
-def bench_engine_cancel_churn(
-    n: int = 120_000, kernel: Optional[str] = None
-) -> BenchResult:
+def bench_engine_cancel_churn(n: int = 120_000) -> BenchResult:
     """Cancel/reschedule churn: half of all scheduled events die young.
 
     Models PeriodicTask.set_period storms (DCQCN rate updates); the
     engine must skip the corpses cheaply and keep the heap compact.
     """
-    sim = build_simulator(kernel)
+    sim = Simulator()
 
     def _noop() -> None:
         pass
@@ -135,7 +118,7 @@ def bench_engine_cancel_churn(
     sim.run()
     wall = time.perf_counter() - started
     result = BenchResult(
-        bench_name("engine_cancel_churn", kernel), wall, sim.events_fired,
+        "engine_cancel_churn", wall, sim.events_fired,
         sim_time_ns=sim.now,
     )
     result.extra["pending_after_run"] = sim.pending
@@ -153,15 +136,13 @@ class _Sink(Entity):
         self.frames += 1
 
 
-def bench_link_stream(
-    frames: int = 150_000, kernel: Optional[str] = None
-) -> BenchResult:
+def bench_link_stream(frames: int = 150_000) -> BenchResult:
     """One saturated 100G link streaming fixed-size frames to a sink.
 
     Exercises the dominant event pattern of every experiment: enqueue,
     serialize (one event), propagate (one event), deliver.
     """
-    sim = build_simulator(kernel)
+    sim = Simulator()
     src = _Sink(sim)
     dst = _Sink(sim)
     link = Link(sim, src, dst, gbps(100), propagation_ns=100)
@@ -172,7 +153,7 @@ def bench_link_stream(
     sim.run()
     wall = time.perf_counter() - started
     result = BenchResult(
-        bench_name("link_stream", kernel), wall, sim.events_fired,
+        "link_stream", wall, sim.events_fired,
         sim_time_ns=sim.now,
     )
     result.extra["frames_delivered"] = dst.frames
@@ -243,57 +224,39 @@ def default_permutation_spec() -> ScenarioSpec:
 # ----------------------------------------------------------------------
 
 def bench_factories(
-    quick: bool = False, only: Optional[str] = None,
-    kernel: Optional[str] = None,
+    quick: bool = False, only: Optional[str] = None
 ) -> List[tuple[str, Callable[[], BenchResult]]]:
     """The suite as (name, factory) pairs, in report order.
 
     ``only`` filters names by substring; quick mode shrinks sizes and
-    drops the minutes-long headline bench; ``kernel`` runs every bench
-    on the named engine kernel (see :func:`bench_name` for how rows are
-    labelled).  Exposed separately from :func:`suite` so the CLI can
-    wrap each bench (cProfile for ``--profile``) without re-declaring
-    the matrix.
+    drops the minutes-long headline bench.  Exposed separately from
+    :func:`suite` so the CLI can wrap each bench (cProfile for
+    ``--profile``) without re-declaring the matrix.
     """
-    kernel = get_kernel(kernel).name
-
-    def _named(base: str) -> str:
-        return bench_name(base, kernel)
-
     benches: List[tuple[str, Callable[[], BenchResult]]] = [
         (
-            _named("engine_events"),
-            lambda: bench_engine_events(
-                40_000 if quick else 400_000, kernel=kernel
-            ),
+            "engine_events",
+            lambda: bench_engine_events(40_000 if quick else 400_000),
         ),
         (
-            _named("engine_cancel_churn"),
-            lambda: bench_engine_cancel_churn(
-                12_000 if quick else 120_000, kernel=kernel
-            ),
+            "engine_cancel_churn",
+            lambda: bench_engine_cancel_churn(12_000 if quick else 120_000),
         ),
         (
-            _named("link_stream"),
-            lambda: bench_link_stream(
-                15_000 if quick else 150_000, kernel=kernel
-            ),
+            "link_stream",
+            lambda: bench_link_stream(15_000 if quick else 150_000),
         ),
     ]
-    for base, spec in _meso_specs(quick):
-        name = _named(base)
-        spec = spec.with_updates(kernel=kernel)
+    for name, spec in _meso_specs(quick):
         benches.append(
             (name, lambda spec=spec, name=name: _run_scenario_bench(name, spec))
         )
     if not quick:
-        name = _named("permutation_default")
         benches.append(
             (
-                name,
-                lambda name=name: _run_scenario_bench(
-                    name,
-                    default_permutation_spec().with_updates(kernel=kernel),
+                "permutation_default",
+                lambda: _run_scenario_bench(
+                    "permutation_default", default_permutation_spec()
                 ),
             )
         )
@@ -341,13 +304,12 @@ def measure_process_stats(
 
 
 def suite(
-    quick: bool = False, only: Optional[str] = None,
-    kernel: Optional[str] = None,
+    quick: bool = False, only: Optional[str] = None
 ) -> List[BenchResult]:
     """Run the suite in report order (see :func:`bench_factories`)."""
     return [
         measure_process_stats(factory)
-        for _, factory in bench_factories(quick, only, kernel=kernel)
+        for _, factory in bench_factories(quick, only)
     ]
 
 

@@ -39,8 +39,9 @@ earlier single global binary heap:
   (compacted in place when they dominate it) and the wheel stays dense
   with live work.
 
-Every pop compares the wheel head against the spill head, so the merged
-firing order is exactly the ``(time_ns, seq)`` total order of the old
+No wheel entry fires without being compared against the spill head
+(directly, or through the drain's bound), so the merged firing order is
+exactly the ``(time_ns, seq)`` total order of the old
 single heap — golden traces recorded against the heap engine stay
 byte-identical.
 
@@ -50,6 +51,36 @@ the primitive cell trains ride on: a link serializing k back-to-back
 cells steps one reusable entry through the wheel instead of allocating
 and heap-pushing k fresh ones (see :mod:`repro.sim.link`).
 
+The run loop
+------------
+
+Nearly every event of a run is a link's serialization completion or
+delivery, so :meth:`Simulator.run` is built around those two:
+
+* **Tagged link entries.**  A link arms its train and delivery events
+  as ``[time_ns, seq, TAG, link]`` with ``TAG`` a small int
+  (:data:`TAG_TX` / :data:`TAG_RX`) in the callback's place.  The loop
+  dispatches on the tag: a completion is one ``Link._tx_done`` frame,
+  a delivery is the destination's ``receive`` and nothing else.  Every
+  other entry's third element is a callable and is simply called.
+* **Batched bucket drain.**  Once the cursor's bucket is sorted, an
+  inner loop drains it against a single precomputed bound (the minimum
+  of horizon, next probe deadline and spill-head time) and re-reads the
+  spill head only when a callback installed a different head *object*
+  — pushes, pops and compaction all swap the head, and an in-heap
+  entry's key is never mutated — so merging with the spill heap costs
+  two int compares and an identity check per event.  Every boundary
+  case goes back to the outer loop, which re-derives state exactly.
+* **GC deferral.**  The loop disables the cyclic garbage collector
+  while it owns the process and restores it on exit.  A run allocates
+  heavily but acyclically (cells, frames, list entries), so reference
+  counting already reclaims it; generation-0 passes were close to half
+  the wall time of a permutation cell.  Order, counters and results are
+  unaffected; a collection simply happens later.
+
+Counters stay eager: ``events_fired`` and the occupancy meta-metrics
+are exact at every callback and probe.
+
 Telemetry probe hook
 --------------------
 
@@ -57,8 +88,10 @@ Telemetry probe hook
 from the run loop on a time cadence — *between* events, never as one.
 The probe schedules nothing, so ``events_fired``, event ordering and
 the simulation outcome are bit-identical with or without it (golden
-traces stay byte-identical either way).  Disabled cost is one int
-compare per fired event against a sentinel deadline.  The probe fires
+traces stay byte-identical either way).  The deadline is a sentinel no
+run reaches while no probe is installed: one int compare per event on
+the outer loop, nothing in the drain (it is part of the drain's bound).
+The probe fires
 at most once per ``interval_ns``, at the first event on or past each
 deadline — sampling rides the event stream, so an idle simulation is
 (correctly) not sampled.
@@ -66,12 +99,20 @@ deadline — sampling rides the event stream, so an idle simulation is
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, List, Optional
+import gc
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Union
 
 #: "No horizon/budget" sentinel — a time/count no simulation reaches,
 #: kept as an int so the hot loop's compares stay int-vs-int.
 _NEVER = 1 << 62
+
+#: ``entry[2]`` of a link-armed ``[time_ns, seq, TAG, link]`` entry.
+#: Ints, so the run loop's dispatch is ``fn.__class__ is int`` — and a
+#: *fired* entry still reads ``entry[2] is None`` like every other spent
+#: entry, which is what the link's re-arm guards check.
+TAG_TX = 1
+TAG_RX = 2
 
 #: Calendar-wheel geometry — the single source of truth; the class
 #: mirrors these as documented attributes.  The hot paths load these
@@ -170,19 +211,6 @@ class Simulator:
     #: Compaction only kicks in past this many corpses — tiny heaps are
     #: cheaper to drain than to rebuild.
     COMPACT_MIN_CANCELLED = 64
-
-    #: Kernel capability flag, read once per link at wiring time.
-    #: Kernels that step cell trains inline (``repro.sim.kernel.batch``)
-    #: override this to True; links then arm tagged
-    #: ``[time, seq, kind, link]`` entries the kernel's run loop
-    #: dispatches without a callback frame.  This reference engine
-    #: leaves it False and never sees a tagged entry.
-    KERNEL_LINK_INLINE = False
-
-    #: Registry name of this engine core (the kernel registry stamps it
-    #: on registration; ``repro.sim.kernel.wheel`` registers this class
-    #: itself, so a plain ``Simulator()`` *is* the ``wheel`` kernel).
-    kernel_name = "wheel"
 
     def __init__(self) -> None:
         self._buckets: List[list] = [[] for _ in range(_WHEEL_SLOTS)]
@@ -288,7 +316,7 @@ class Simulator:
             )
         entry = [time_ns, self._seq, fn]
         self._seq += 1
-        heapq.heappush(self._spill, entry)
+        heappush(self._spill, entry)
         return Event(self, entry)
 
     def schedule(self, delay_ns: int, fn: Callable[[], None]) -> Event:
@@ -312,7 +340,7 @@ class Simulator:
         self._seq = seq + 1
         slot = time_ns >> _WHEEL_SHIFT
         if slot - self._cursor >= _WHEEL_SLOTS:
-            heapq.heappush(self._spill, [time_ns, seq, fn])
+            heappush(self._spill, [time_ns, seq, fn])
         else:
             bucket = self._buckets[slot & _WHEEL_MASK]
             if slot == self._sorted_slot:
@@ -330,7 +358,7 @@ class Simulator:
         self._seq = seq + 1
         slot = time_ns >> _WHEEL_SHIFT
         if slot - self._cursor >= _WHEEL_SLOTS:
-            heapq.heappush(self._spill, [time_ns, seq, fn])
+            heappush(self._spill, [time_ns, seq, fn])
         else:
             bucket = self._buckets[slot & _WHEEL_MASK]
             if slot == self._sorted_slot:
@@ -340,7 +368,7 @@ class Simulator:
             self._wheel_live += 1
 
     def rearm_at(
-        self, time_ns: int, entry: list, fn: Callable[[], None]
+        self, time_ns: int, entry: list, fn: Union[Callable[[], None], int]
     ) -> None:
         """Fast path: re-insert a *spent* entry at ``time_ns``.
 
@@ -350,7 +378,8 @@ class Simulator:
         sequence number — exactly the ordering a fresh ``schedule_at``
         would get — without allocating a new list.  This is the cell
         train primitive: one link serialization entry stepping through a
-        back-to-back run of cells.  Not cancellable.
+        back-to-back run of cells; a link's ``[time_ns, seq, TAG, link]``
+        entries pass their tag as ``fn``.  Not cancellable.
         """
         if time_ns < self._now:
             raise SimError(
@@ -363,7 +392,7 @@ class Simulator:
         entry[2] = fn
         slot = time_ns >> _WHEEL_SHIFT
         if slot - self._cursor >= _WHEEL_SLOTS:
-            heapq.heappush(self._spill, entry)
+            heappush(self._spill, entry)
         else:
             bucket = self._buckets[slot & _WHEEL_MASK]
             if slot == self._sorted_slot:
@@ -447,7 +476,7 @@ class Simulator:
         """
         spill = self._spill
         spill[:] = [entry for entry in spill if entry[2] is not None]
-        heapq.heapify(spill)
+        heapify(spill)
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -464,6 +493,14 @@ class Simulator:
         Returns the simulation time when the run stopped.  Events exactly
         at ``until`` are executed; later ones stay queued so the run can
         be resumed — as is the first event past a ``max_events`` stop.
+
+        The outer loop selects the next entry exactly (wheel head
+        against spill head, horizon, budget, probe deadline); after each
+        wheel event it fires, the inner loop keeps draining the
+        now-sorted bucket while one precomputed bound proves the next
+        entry is safe, and falls back to the outer loop for every
+        boundary case (spill head due or tied, probe deadline, horizon,
+        budget).
         """
         if self._running:
             raise SimError("simulator is not re-entrant")
@@ -474,11 +511,10 @@ class Simulator:
         # locals stay valid across callbacks that schedule more work.
         # The per-event counters (`_events_fired`, `_wheel_live`) update
         # eagerly so `events_fired`/`pending_events` stay exact even
-        # when read from inside a callback.  The int sentinels keep the
-        # horizon/budget compares int-vs-int.
+        # when read from inside a callback or a probe.  The int
+        # sentinels keep the horizon/budget compares int-vs-int.
         buckets = self._buckets
         spill = self._spill
-        heappop = heapq.heappop
         shift = _WHEEL_SHIFT
         mask = _WHEEL_MASK
         nslots = _WHEEL_SLOTS
@@ -486,14 +522,19 @@ class Simulator:
         limit = _NEVER if max_events is None else max_events
         fired = 0
         # Probe deadline mirror: _NEVER when no probe is installed, so
-        # the per-event cost of the telemetry hook is one int compare.
+        # the telemetry hook costs the outer loop one int compare and
+        # the drain nothing (it is folded into the drain bound).
         probe_due = self._probe_due
         cursor = self._cursor
         # Only this loop ever writes _sorted_slot (inserts just read it
-        # for the insort decision), so a local mirror is safe and saves
-        # an attribute read per event.
+        # for the insort decision), so a local mirror is safe.
         sorted_slot = self._sorted_slot
         due = buckets[cursor & mask]
+        # Defer cyclic GC while the loop owns the process (restored on
+        # exit, even via exceptions); see the module docstring.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         try:
             while True:
                 # ---- wheel candidate: head of the cursor's bucket ----
@@ -563,7 +604,19 @@ class Simulator:
                             due = buckets[slot & mask]
                         if time_ns >= probe_due:
                             probe_due = self._probe_fire(time_ns)
-                        fn()
+                        if fn.__class__ is int:
+                            link = spill_entry[3]
+                            if fn == TAG_TX:
+                                link._tx_done()
+                            elif link.up:
+                                link._dst_receive(
+                                    link._in_flight.popleft(), link
+                                )
+                            else:
+                                link._in_flight.popleft()
+                                link.dropped_frames += 1
+                        else:
+                            fn()
                         self._events_fired += 1
                         fired += 1
                         continue
@@ -575,7 +628,7 @@ class Simulator:
                     cursor = self._now >> shift
                     break
 
-                # ---- fire from the wheel ----
+                # ---- fire the wheel candidate (full edge checks) ----
                 time_ns = wheel_entry[0]
                 if time_ns > horizon and until is not None:
                     self._now = until
@@ -591,12 +644,78 @@ class Simulator:
                 self._now = time_ns
                 if time_ns >= probe_due:
                     probe_due = self._probe_fire(time_ns)
-                fn()
+                if fn.__class__ is int:
+                    link = wheel_entry[3]
+                    if fn == TAG_TX:
+                        link._tx_done()
+                    elif link.up:
+                        link._dst_receive(link._in_flight.popleft(), link)
+                    else:
+                        link._in_flight.popleft()
+                        link.dropped_frames += 1
+                else:
+                    fn()
                 self._events_fired += 1
                 fired += 1
+
+                # ---- batched drain of the rest of this bucket ----
+                # Bound: the drain may fire any entry strictly before
+                # the next probe deadline, at or before the horizon, and
+                # strictly before the spill head (ties go to the outer
+                # loop's exact (time, seq) compare).  The spill head
+                # *entry* is cached and the bound recomputed whenever a
+                # callback installed a different head object — watching
+                # ``len`` is not enough, because a compaction (removing
+                # N corpses) plus N pushes leaves the length unchanged
+                # while the new head may be earlier.  Identity is exact:
+                # pushes, pops and compaction all swap the head object,
+                # and an in-heap entry's (time, seq) key is never
+                # mutated (rearm requires a popped, spent entry).  A
+                # cancellation nulls head[2] in place but keeps its key,
+                # so the stale bound is merely conservative and the
+                # outer loop drops the corpse.
+                lim = probe_due - 1
+                if horizon < lim:
+                    lim = horizon
+                head = spill[0] if spill else None
+                if head is not None and head[0] < lim:
+                    lim = head[0] - 1
+                while due:
+                    e = due[-1]
+                    time_ns = e[0]
+                    if time_ns > lim or fired >= limit:
+                        break
+                    due.pop()
+                    self._wheel_live -= 1
+                    fn = e[2]
+                    e[2] = None
+                    self._now = time_ns
+                    if fn.__class__ is int:
+                        link = e[3]
+                        if fn == TAG_TX:
+                            link._tx_done()
+                        elif link.up:
+                            link._dst_receive(link._in_flight.popleft(), link)
+                        else:
+                            link._in_flight.popleft()
+                            link.dropped_frames += 1
+                    else:
+                        fn()
+                    self._events_fired += 1
+                    fired += 1
+                    h = spill[0] if spill else None
+                    if h is not head:
+                        head = h
+                        lim = probe_due - 1
+                        if horizon < lim:
+                            lim = horizon
+                        if h is not None and h[0] < lim:
+                            lim = h[0] - 1
         finally:
             self._cursor = cursor
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
         return self._now
 
     def run_for(self, duration_ns: int) -> int:

@@ -1,48 +1,14 @@
-"""Swappable engine cores behind one narrow boundary.
+"""Remnant of the engine-kernel registry (there is one engine now): ``bench/``
+still imports :func:`build_simulator`; the next benchmark change removes it."""
 
-The engine-kernel boundary is the three inner loops every profile is
-made of — calendar-wheel rotation/pop, cell-train stepping, and the
-link FIFO drain — plus the scheduling API that feeds them.  A *kernel*
-is a :class:`~repro.sim.engine.Simulator` core implementing that
-boundary; the registry makes kernels named plugins the same way fabrics
-and scenarios already are.
+from typing import Optional
 
-Two kernels ship:
+from repro.sim.engine import Simulator
 
-* ``wheel`` — the reference calendar-wheel engine, today's code
-  verbatim (:mod:`repro.sim.kernel.wheel`);
-* ``batch`` — batched bucket drain + inline tagged cell-train stepping
-  with flat ``array('q')`` time columns (:mod:`repro.sim.kernel.batch`).
+KERNEL_GONE = "no engine kernel {!r}: PR 21 left one run loop (results never differed)"
 
-Every registered kernel must be bit-identical to ``wheel`` on every
-committed golden trace; ``ScenarioSpec.kernel`` selects one per run and
-is hash-neutral for exactly that reason.
-"""
 
-from repro.sim.kernel.registry import (
-    DEFAULT_KERNEL,
-    KernelEntry,
-    UnknownKernelError,
-    build_simulator,
-    get_kernel,
-    kernel,
-    kernel_names,
-    known_kernel_names,
-)
-
-# Importing the implementation modules is what registers them.
-from repro.sim.kernel import wheel as _wheel  # noqa: F401
-from repro.sim.kernel import batch as _batch  # noqa: F401
-from repro.sim.kernel.batch import BatchSimulator
-
-__all__ = [
-    "DEFAULT_KERNEL",
-    "BatchSimulator",
-    "KernelEntry",
-    "UnknownKernelError",
-    "build_simulator",
-    "get_kernel",
-    "kernel",
-    "kernel_names",
-    "known_kernel_names",
-]
+def build_simulator(name: Optional[str] = None) -> Simulator:
+    if name is not None:
+        raise ValueError(KERNEL_GONE.format(name))
+    return Simulator()

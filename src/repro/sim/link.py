@@ -13,42 +13,51 @@ marking (Fabric Elements) consult :attr:`queued_bytes` /
 Hot-path design: cell trains
 ----------------------------
 
-When a sender has k back-to-back cells queued, the link serializes them
-as one *train*: a single reusable ``[time_ns, seq, fn]`` engine entry
-(:meth:`Simulator.rearm_at`) steps through the k serialization
-completions at their exact per-cell timestamps, and the frame being
+A sender's k back-to-back cells serialize as one *train*: a single
+reusable ``[time_ns, seq, TAG_TX, link]`` engine entry steps through the
+k completions at their exact per-cell timestamps, and the frame being
 serialized lives in three scalar slots instead of an allocated record.
-Per cell that collapses an entry allocation plus two O(log n) heap
-operations into one O(1) calendar-bucket re-arm — while firing exactly
-the same events at the same ``(time_ns, seq)`` keys as the unbatched
-engine, because each step re-arms at the execution point where the old
-code scheduled afresh.  (Event *count* is part of every committed golden
-digest, so trains amortize per-event cost, never event count.)
+The run loop dispatches the tag straight into :meth:`Link._tx_done` —
+the whole per-frame step, delivery insert and train re-arm inlined —
+and delivers ``TAG_RX`` entries itself, so a frame costs one Python
+frame here plus the destination's ``receive``.  The events fired, and
+their ``(time_ns, seq)`` keys, are exactly those of one fresh
+``schedule_at`` per frame: each step arms where that code would
+schedule, delivery first, then the next completion.  (Event *count* is
+part of every golden digest, so trains amortize per-event cost, never
+event count.)
 
 Trains split correctly under mid-train disturbances because each step
 re-derives its state from the live link: ``set_rate`` flushes the
-memoized per-size serialization times, so the next cell of the train
-serializes at the new rate; ``fail()`` drops the queued remainder of the
-train and lets the in-flight cell finish into a dead link (counted
-lost); a post-``restore`` train lays a fresh entry if the pre-fail one
-is still pending, and completion matching falls back to a FIFO side
-queue (``_ser_extra``) so the stale completion pairs with the right
-frame.
+memoized serialization times, so the next cell takes the new rate;
+``fail()`` drops the queued remainder and lets the cell on the
+serializer finish into a dead link (counted lost); a post-``restore``
+train lays a fresh entry if the pre-fail one is still pending, and a
+FIFO side queue (``_ser_extra``) pairs the stale completion with the
+right frame.  Those corners, and a link with an ``on_transmit`` hook,
+take the scalar :meth:`Link._start_next` instead of the inlined step.
 
-Propagation stays on the engine's no-handle fast path: delivery events
-share one constant delay, so they fire in append order and a pure FIFO
-(``_in_flight``) matches payloads exactly.  Delivery dispatches through
-``dst.receive`` as bound at construction — a link's endpoints are fixed
-at wiring time, and rebinding ``receive`` on a wired device later is
-not supported.
+Deliveries share one constant delay, so they fire in append order and a
+pure FIFO (``_in_flight``) matches payloads exactly.  They dispatch
+through ``dst.receive`` as bound at construction — endpoints are fixed
+at wiring time; rebinding ``receive`` on a wired device is unsupported.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import (
+    _WHEEL_MASK,
+    _WHEEL_SHIFT,
+    _WHEEL_SLOTS,
+    TAG_RX,
+    TAG_TX,
+    Simulator,
+    _insort_desc,
+)
 from repro.sim.entity import Entity
 from repro.sim.units import time_ns_for_bytes
 
@@ -64,8 +73,7 @@ class Link:
         "sim", "src", "dst", "rate_bps", "propagation_ns", "name", "up",
         "_queue", "_queued_bytes", "_busy",
         "_ser_payload", "_ser_size", "_ser_done", "_ser_extra",
-        "_in_flight", "_tx_ns", "_tx_last_size", "_tx_last_ns",
-        "_tx_entry", "_dst_receive", "_inline", "_rx_entry", "_tx_plan",
+        "_in_flight", "_tx_ns", "_tx_entry", "_rx_entry", "_dst_receive",
         "tx_frames", "tx_bytes", "peak_queue_bytes",
         "peak_queue_frames", "on_transmit", "on_idle",
         "dropped_frames", "dropped_bytes", "failed_at_ns",
@@ -110,29 +118,16 @@ class Link:
         #: order and all delivery events share one propagation delay,
         #: so they fire in append order.
         self._in_flight: deque[Any] = deque()
-        #: Frame size -> serialization time at this link's rate, with a
-        #: one-entry scalar front (a fabric link carries essentially
-        #: one cell size, so the dict is rarely consulted).
+        #: Frame size -> serialization time at this link's rate.
         self._tx_ns: Dict[int, int] = {}
-        self._tx_last_size = -1
-        self._tx_last_ns = 0
-        #: Kernel capability, sampled at wiring time: inline kernels
-        #: (``repro.sim.kernel.batch``) step this link's events from the
-        #: run loop via tagged ``[time, seq, kind, link]`` entries; the
-        #: reference wheel kernel arms plain callback entries.
-        self._inline: bool = sim.KERNEL_LINK_INLINE
         #: The train entry: one reusable engine entry stepping through
         #: back-to-back serialization completions.  ``entry[2] is None``
         #: means spent (fired or never armed) and safe to re-arm.
-        self._tx_entry: list = [0, 0, None, self] if self._inline else [0, 0, None]
-        #: Inline kernels only: a reusable delivery entry (the common
-        #: case has at most one delivery in flight per link), plus the
-        #: train's precomputed completion-time column (an ``array('q')``
-        #: filled by the kernel; any train disturbance clears it).
-        self._rx_entry: Optional[list] = (
-            [0, 0, None, self] if self._inline else None
-        )
-        self._tx_plan: Any = ()
+        self._tx_entry: list = [0, 0, None, self]
+        #: The delivery entry, reused while it is free — it usually is:
+        #: more than one delivery is pending only when propagation
+        #: exceeds serialization, and those take a fresh entry each.
+        self._rx_entry: list = [0, 0, None, self]
         #: Bound delivery target — ``dst`` never changes after wiring.
         self._dst_receive: Callable[[Any, "Link"], None] = dst.receive
 
@@ -202,12 +197,7 @@ class Link:
             raise LinkDown(f"link {self.name} is down")
         if size_bytes <= 0:
             raise ValueError(f"frame size must be positive, got {size_bytes}")
-        if (
-            self._busy
-            or self.on_transmit is not None
-            or self._ser_done != -1
-            or self._inline
-        ):
+        if self._busy or self.on_transmit is not None or self._ser_done != -1:
             queue = self._queue
             queue.append((payload, size_bytes))
             queued = self._queued_bytes + size_bytes
@@ -229,49 +219,33 @@ class Link:
         if not self.peak_queue_frames:
             self.peak_queue_frames = 1
         self._busy = True
-        if size_bytes == self._tx_last_size:
-            tx_time = self._tx_last_ns
-        else:
-            tx_time = self._tx_ns.get(size_bytes)
-            if tx_time is None:
-                tx_time = self._tx_ns[size_bytes] = time_ns_for_bytes(
-                    size_bytes, self.rate_bps
-                )
-            self._tx_last_size = size_bytes
-            self._tx_last_ns = tx_time
+        tx_time = self._tx_ns.get(size_bytes)
+        if tx_time is None:
+            tx_time = self._tx_ns[size_bytes] = time_ns_for_bytes(
+                size_bytes, self.rate_bps
+            )
         sim = self.sim
         done = sim._now + tx_time
         self._ser_payload = payload
         self._ser_size = size_bytes
         self._ser_done = done
-        sim.rearm_at(done, self._tx_entry, self._tx_done)
+        sim.rearm_at(done, self._tx_entry, TAG_TX)
 
     def _start_next(self) -> None:
-        """Start (or continue) a serialization train with the next frame."""
-        if self._tx_plan:
-            # Any arrival here invalidates a precomputed train column:
-            # this is the scalar path (fresh train, hook installed, or
-            # a stale-serialization corner), and consuming the queue
-            # outside the column's accounting would desynchronize it.
-            self._tx_plan = ()
+        """Start (or continue) a serialization train with the next frame
+        — the scalar path: a busy link's first frame, hooks, and the
+        stale-serialization corner."""
         payload, size = self._queue.popleft()
         self._queued_bytes -= size
         self._busy = True
         if self.on_transmit is not None:
             self.on_transmit(payload)
-        if size == self._tx_last_size:
-            tx_time = self._tx_last_ns
-        else:
-            tx_time = self._tx_ns.get(size)
-            if tx_time is None:
-                tx_time = self._tx_ns[size] = time_ns_for_bytes(
-                    size, self.rate_bps
-                )
-            self._tx_last_size = size
-            self._tx_last_ns = tx_time
+        tx_time = self._tx_ns.get(size)
+        if tx_time is None:
+            tx_time = self._tx_ns[size] = time_ns_for_bytes(
+                size, self.rate_bps
+            )
         sim = self.sim
-        # Engine-internal clock read: this runs once per serialized
-        # frame, and the property indirection is measurable there.
         done = sim._now + tx_time
         if self._ser_done != -1:
             # A stale pre-fail serialization is still pending: demote it
@@ -283,69 +257,107 @@ class Link:
         self._ser_size = size
         self._ser_done = done
         entry = self._tx_entry
-        if self._inline:
-            if entry[2] is not None:
-                # The stale serialization owns the train entry; orphan
-                # it (its event still fires) and lay a fresh one.
-                self._tx_entry = entry = [0, 0, None, self]
-            sim.rearm_tagged(done, entry)
-        else:
-            if entry[2] is not None:
-                self._tx_entry = entry = [0, 0, None]
-            sim.rearm_at(done, entry, self._tx_done)
+        if entry[2] is not None:
+            # The stale serialization owns the train entry; orphan it
+            # (its event still fires) and lay a fresh one.
+            self._tx_entry = entry = [0, 0, None, self]
+        sim.rearm_at(done, entry, TAG_TX)
 
     def _tx_done(self) -> None:
+        """One serialization completion: the per-frame train step, called
+        by the run loop for a ``TAG_TX`` entry.
+
+        The delivery insert and the train re-arm are the engine's
+        ``schedule_at`` / ``rearm_at`` inlined (this runs once per frame
+        per hop, and two engine-call frames per step are real cost), so
+        the order is theirs: the delivery's sequence number is allocated
+        before the next cell's.
+        """
         sim = self.sim
         now = sim._now
-        if not self._ser_extra:
+        if self._ser_extra:
+            payload, size = self._take_serialized(now)
+        else:
             payload = self._ser_payload
             size = self._ser_size
             self._ser_payload = None
             self._ser_done = -1
-        else:
-            payload, size = self._take_serialized(now)
         self.tx_frames += 1
         self.tx_bytes += size
-        if self.up:
-            # Frame hits the wire; deliver after propagation.
-            self._in_flight.append(payload)
-            sim.schedule_at(now + self.propagation_ns, self._deliver)
-            # Next frame of the train, if any: the common step is
-            # inlined (this method *is* the per-cell train step, so a
-            # Python call per cell is real cost); hooks and the
-            # stale-serialization corner fall back to _start_next.
-            queue = self._queue
-            if queue:
-                if self.on_transmit is None and self._tx_entry[2] is None:
-                    payload, size = queue.popleft()
-                    self._queued_bytes -= size
-                    if size == self._tx_last_size:
-                        tx_time = self._tx_last_ns
-                    else:
-                        tx_time = self._tx_ns.get(size)
-                        if tx_time is None:
-                            tx_time = self._tx_ns[size] = time_ns_for_bytes(
-                                size, self.rate_bps
-                            )
-                        self._tx_last_size = size
-                        self._tx_last_ns = tx_time
-                    done = now + tx_time
-                    self._ser_payload = payload
-                    self._ser_size = size
-                    self._ser_done = done
-                    sim.rearm_at(done, self._tx_entry, self._tx_done)
-                else:
-                    self._start_next()
-                return
-        else:
+        if not self.up:
             # Serialization finished into a dead link: the frame is
             # lost, and it must be *counted* as lost, not silently
             # dropped (fault-injection accounting).
             self.dropped_frames += 1
             self.dropped_bytes += size
-        self._busy = False
-        if self.on_idle is not None and not self._queue:
-            self.on_idle()
+            self._busy = False
+            if self.on_idle is not None and not self._queue:
+                self.on_idle()
+            return
+        # Frame hits the wire; deliver after propagation.
+        self._in_flight.append(payload)
+        t = now + self.propagation_ns
+        seq = sim._seq
+        cursor = sim._cursor
+        buckets = sim._buckets
+        rx = self._rx_entry
+        if rx[2] is None:
+            rx[0] = t
+            rx[1] = seq
+            rx[2] = TAG_RX
+        else:
+            rx = [t, seq, TAG_RX, self]
+        slot = t >> _WHEEL_SHIFT
+        if slot - cursor >= _WHEEL_SLOTS:
+            heappush(sim._spill, rx)
+        else:
+            bucket = buckets[slot & _WHEEL_MASK]
+            if slot == sim._sorted_slot:
+                _insort_desc(bucket, rx)
+            else:
+                bucket.append(rx)
+            sim._wheel_live += 1
+
+        queue = self._queue
+        if not queue:
+            sim._seq = seq + 1
+            self._busy = False
+            if self.on_idle is not None:
+                self.on_idle()
+            return
+        # Next frame of the train.  A transmit hook or a train entry
+        # still owned by a stale serialization means the scalar path
+        # owns this transition.
+        entry = self._tx_entry
+        if self.on_transmit is not None or entry[2] is not None:
+            sim._seq = seq + 1
+            self._start_next()
+            return
+        payload, size = queue.popleft()
+        self._queued_bytes -= size
+        tx_time = self._tx_ns.get(size)
+        if tx_time is None:
+            tx_time = self._tx_ns[size] = time_ns_for_bytes(
+                size, self.rate_bps
+            )
+        done = now + tx_time
+        self._ser_payload = payload
+        self._ser_size = size
+        self._ser_done = done
+        sim._seq = seq + 2
+        entry[0] = done
+        entry[1] = seq + 1
+        entry[2] = TAG_TX
+        slot = done >> _WHEEL_SHIFT
+        if slot - cursor >= _WHEEL_SLOTS:
+            heappush(sim._spill, entry)
+        else:
+            bucket = buckets[slot & _WHEEL_MASK]
+            if slot == sim._sorted_slot:
+                _insort_desc(bucket, entry)
+            else:
+                bucket.append(entry)
+            sim._wheel_live += 1
 
     def _take_serialized(self, now: int) -> tuple[Any, int]:
         """Match a completion to its frame when stale serializations from
@@ -367,15 +379,6 @@ class Link:
         self._ser_done = -1
         return payload, size
 
-    def _deliver(self) -> None:
-        if self.up:
-            self._dst_receive(self._in_flight.popleft(), self)
-        else:
-            # The link died while the frame was propagating: lost in
-            # flight (size unknown here; frames only).
-            self._in_flight.popleft()
-            self.dropped_frames += 1
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
@@ -392,8 +395,6 @@ class Link:
         self.up = False
         self.sim.topology_epoch += 1
         self.failed_at_ns = self.sim.now
-        if self._tx_plan:
-            self._tx_plan = ()  # the planned train just lost its cells
         lost = len(self._queue)
         self.dropped_frames += lost
         self.dropped_bytes += self._queued_bytes
@@ -419,9 +420,6 @@ class Link:
         if rate_bps != self.rate_bps:
             self.rate_bps = rate_bps
             self._tx_ns = {}
-            self._tx_last_size = -1
-            if self._tx_plan:
-                self._tx_plan = ()  # planned times assumed the old rate
 
 
 def duplex(

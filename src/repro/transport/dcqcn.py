@@ -89,7 +89,7 @@ class DcqcnSender(TcpSender):
         # multiplicative decrease/recovery algebra); the derived pacing
         # gap is the one sanctioned float-to-ns crossing in transport.
         gap_ns = int((size + 40) * 8 * SECOND / max(self.rc_bps, 1.0))  # repro-lint: allow=DET005 -- rc_bps is float per the DCQCN algorithm; f64 rounding is deterministic
-        self.sim.schedule(max(gap_ns, 1), self._pace)
+        self.sim.call_later(max(gap_ns, 1), self._pace)
 
     def on_cnp(self, packet: Packet) -> None:
         """Reaction point: multiplicative decrease."""

@@ -173,7 +173,7 @@ class Host(Entity):
             self.tracker.register(flow)
         sender = sender_cls(self, flow, **sender_kwargs)
         self._senders[flow.flow_id] = sender
-        self.sim.schedule(start_delay_ns, sender.start)
+        self.sim.call_later(start_delay_ns, sender.start)
         return sender
 
     def register_subflow_sender(self, flow_id: int, sender) -> None:

@@ -59,6 +59,18 @@ class RateInjector(Entity):
         self.packets_received = 0
         self.bytes_received = 0
         self._running = False
+        # Pace by on-wire bytes so "utilization" means wire utilization
+        # — at 64B the Ethernet preamble/IPG is a third of the wire —
+        # and by the *mean* size, so utilization is honoured even with
+        # a size distribution.  Fixed at construction: walking the size
+        # table per packet was a measurable share of an injector's cost.
+        # (A float mean in nanoseconds, not a timestamp; the gaps drawn
+        # from it are ints.)
+        mean_size = packet_bytes if size_dist is None else int(size_dist.mean())
+        self._mean_gap = (
+            wire_size(mean_size) * 8 * SECOND / (line_rate_bps * utilization)
+            if utilization else 0.0
+        )
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -66,29 +78,14 @@ class RateInjector(Entity):
         if self.utilization == 0 or self._running:
             return
         self._running = True
-        self.sim.schedule(self._next_gap(), self._inject)
+        self.sim.call_later(self._next_gap(), self._inject)
 
     def stop(self) -> None:
         """Stop injecting after the current event."""
         self._running = False
 
-    def _mean_gap_ns(self, size_bytes: int) -> float:
-        # Pace by on-wire bytes so "utilization" means wire utilization
-        # — at 64B the Ethernet preamble/IPG is a third of the wire.
-        rate = self.line_rate_bps * self.utilization
-        return wire_size(size_bytes) * 8 * SECOND / rate
-
     def _next_gap(self) -> int:
-        size = self._peek_size
-        return max(1, int(self.rng.expovariate(1.0) * self._mean_gap_ns(size)))
-
-    @property
-    def _peek_size(self) -> int:
-        # Use the mean size for pacing so utilization is honoured even
-        # with a size distribution.
-        if self.size_dist is not None:
-            return int(self.size_dist.mean())
-        return self.packet_bytes
+        return max(1, int(self.rng.expovariate(1.0) * self._mean_gap))
 
     def _inject(self) -> None:
         if not self._running:
@@ -108,7 +105,7 @@ class RateInjector(Entity):
         self.packets_sent += 1
         self.bytes_sent += size
         self.ports[0].send(packet, packet.wire_bytes)
-        self.sim.schedule(self._next_gap(), self._inject)
+        self.sim.call_later(self._next_gap(), self._inject)
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link: Link) -> None:

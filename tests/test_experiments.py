@@ -27,7 +27,6 @@ from repro.experiments.registry import scenario
 from repro.experiments.spec import HASH_NEUTRAL, OMIT_NONE
 from repro.experiments.summarize import Summary, aggregate
 from repro.faults.plan import FaultPlan, link_down
-from repro.sim.kernel import kernel_names
 from repro.store import spec_key_from_dict
 from repro.telemetry.probes import TelemetryConfig
 from repro.core.network import OneTierSpec, TwoTierSpec
@@ -168,10 +167,9 @@ class TestPlainForms:
         overrides=_members,
         faults=st.sampled_from([None, _FAULTS]),
         telemetry=st.sampled_from([None, _TELEMETRY]),
-        kernel=st.sampled_from([None, *kernel_names()]),
     )
     def test_spec_to_dict_is_asdict(
-        self, workload, overrides, faults, telemetry, kernel
+        self, workload, overrides, faults, telemetry
     ):
         spec = ScenarioSpec(
             scenario="generated",
@@ -180,7 +178,6 @@ class TestPlainForms:
             config_overrides=overrides,
             faults=faults,
             telemetry=telemetry,
-            kernel=kernel,
         )
         want = _asdict_minus_unset(spec)
         got = spec.to_dict()
@@ -233,7 +230,6 @@ class TestPlainForms:
         assert flags == {
             "faults": (True, False),
             "telemetry": (True, True),
-            "kernel": (True, True),
         }
         assert [
             f.name for f in dataclasses.fields(RunResult) if f.metadata
@@ -245,7 +241,6 @@ class TestPlainForms:
         golden ``spec_hash`` values."""
         values = {
             "telemetry": [_TELEMETRY, TelemetryConfig().to_dict()],
-            "kernel": list(kernel_names()),
         }
         neutral = [
             f.name

@@ -24,7 +24,7 @@ import pytest
 
 from repro.perf.digest import diff_digests
 from repro.perf.golden import compute_digest, golden_name, golden_specs
-from repro.sim.kernel import kernel_names
+from tests.conftest import ENGINE_DRIVERS, drive_fabrics_with
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,20 +34,28 @@ _REGEN_HINT = (
 )
 
 
-@pytest.mark.parametrize("kernel", kernel_names())
-@pytest.mark.parametrize("spec", golden_specs(), ids=golden_name)
-def test_golden_trace_is_reproduced(spec, kernel):
-    """Every registered kernel must hit the recorded digest, byte for
-    byte — the recordings are kernel-agnostic because ``kernel`` is a
-    hash-neutral execution detail, not part of scenario identity."""
+_CASES = [
+    pytest.param(spec, driver, id=f"{golden_name(spec)}-{driver}")
+    for spec in golden_specs()
+    for driver in sorted(ENGINE_DRIVERS)
+    # Single-stepping the two 128-FA cells costs 10 s and shows nothing
+    # the twelve smaller cells do not.
+    if driver == "batch" or not spec.scenario.endswith("_large")
+]
+
+
+@pytest.mark.parametrize("spec, driver", _CASES)
+def test_golden_trace_is_reproduced(spec, driver, monkeypatch):
+    """The recorded digest, byte for byte — from one ``run`` call per
+    phase and from a run stopped and resumed at every event (see
+    ``ENGINE_DRIVERS``)."""
     path = GOLDEN_DIR / f"{golden_name(spec)}.json"
     assert path.exists(), f"no recorded golden at {path}; {_REGEN_HINT}"
     recorded = json.loads(path.read_text())["digest"]
-    diff = diff_digests(
-        recorded, compute_digest(spec.with_updates(kernel=kernel))
-    )
+    drive_fabrics_with(monkeypatch, driver)
+    diff = diff_digests(recorded, compute_digest(spec))
     assert not diff, (
-        f"golden trace drifted under kernel={kernel}: "
+        f"golden trace drifted ({driver} driver): "
         f"{json.dumps(diff, indent=1, default=str)}\n"
         f"{_REGEN_HINT}"
     )

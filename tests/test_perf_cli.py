@@ -2,8 +2,8 @@
 
 The bench suite itself is exercised by the perf smoke tests; here the
 suite is stubbed out so the *gate* semantics — regression detection,
-missing-baseline failure, ``--allow-missing``, kernel validation — are
-pinned without minutes of wall time.
+missing-baseline failure, ``--allow-missing``, the ``--kernel``
+tombstone — are pinned without minutes of wall time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 import repro.perf.__main__ as perf_cli
 from repro.perf.__main__ import compare, regressions, unbaselined
-from repro.perf.bench import BenchResult, bench_name
+from repro.perf.bench import BenchResult
 
 
 def fake_results():
@@ -51,14 +51,6 @@ class TestCompareHelpers:
         assert unbaselined(rows) == []
         assert not regressions(rows)
 
-    def test_kernel_rows_do_not_collide_with_wheel_rows(self):
-        # A batch-kernel run produces 'name[batch]' rows, so a wheel
-        # baseline never silently gates (or is clobbered by) them.
-        assert bench_name("engine_events") == "engine_events"
-        assert bench_name("engine_events", "wheel") == "engine_events"
-        assert bench_name("engine_events", "batch") == "engine_events[batch]"
-        assert bench_name("engine_events", "reference") == "engine_events"
-
 
 # ----------------------------------------------------------------------
 # CLI gate (suite stubbed)
@@ -68,7 +60,7 @@ class TestCompareHelpers:
 @pytest.fixture
 def stub_suite(monkeypatch):
     monkeypatch.setattr(
-        perf_cli, "suite", lambda quick, only, kernel=None: fake_results()
+        perf_cli, "suite", lambda quick, only: fake_results()
     )
 
 
@@ -138,8 +130,13 @@ class TestCheckGate:
         assert "WARNING: no baseline row" in capsys.readouterr().err
 
     def test_unknown_kernel_rejected(self, stub_suite, paths, capsys):
-        assert run_cli(paths, "--kernel", "nope") == 2
-        assert "nope" in capsys.readouterr().err
+        # Every name is unknown now: one line naming the change, not a
+        # usage dump or a traceback.
+        for name in ("nope", "batch"):
+            assert run_cli(paths, "--kernel", name) == 2
+            err = capsys.readouterr().err
+            assert name in err and "PR 21" in err
+            assert len(err.splitlines()) == 1
 
     def test_results_payload_written(self, stub_suite, paths):
         assert run_cli(paths) == 0

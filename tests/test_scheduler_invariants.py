@@ -18,23 +18,20 @@ import pytest
 
 from repro.sim.engine import SimError, Simulator
 from repro.sim.entity import Entity
-from repro.sim.kernel import get_kernel, kernel_names
 from repro.sim.link import Link
 from repro.sim.units import gbps
+from tests.conftest import ENGINE_DRIVERS
 
 SLOT = Simulator.WHEEL_SLOT_NS
 HORIZON = Simulator.WHEEL_SLOT_NS * Simulator.WHEEL_SLOTS
 
 
-@pytest.fixture(params=kernel_names())
+@pytest.fixture(params=sorted(ENGINE_DRIVERS))
 def sim_cls(request):
-    """Each registered engine kernel's simulator class.
-
-    Every invariant in this module is part of the kernel contract
-    (see :mod:`repro.sim.kernel.registry`): the whole suite must pass
-    identically — same timestamps, same counters — for every kernel.
-    """
-    return get_kernel(request.param).cls
+    """The engine, run whole and single-stepped (see ``ENGINE_DRIVERS``):
+    every invariant here must hold — same timestamps, same counters —
+    wherever ``run`` is stopped and resumed."""
+    return ENGINE_DRIVERS[request.param]
 
 
 # ----------------------------------------------------------------------
@@ -168,14 +165,13 @@ def test_cancel_then_compact_under_churn_keeps_order_and_counts(sim_cls):
 
 
 def test_compact_with_offsetting_pushes_mid_drain_keeps_order(sim_cls):
-    """Regression (batch kernel drain bound): a callback that cancels
+    """Regression (drain bound): a callback that cancels
     past ``COMPACT_MIN_CANCELLED`` (so compaction removes N corpses in
     place) and pushes an offsetting number of new spill entries leaves
     ``len(spill)`` unchanged while installing an *earlier* spill head.
     A drain bound watching only the heap's length then fires the rest
     of the bucket (67/68/70) before the earlier spill event (66),
-    sending the clock non-monotonic and diverging from the wheel
-    kernel's (time, seq) order."""
+    sending the clock non-monotonic."""
     sim = sim_cls()
     fired = []
     n = Simulator.COMPACT_MIN_CANCELLED + 1

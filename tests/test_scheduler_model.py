@@ -36,7 +36,6 @@ from hypothesis.stateful import (
 )
 
 from repro.sim.engine import PeriodicTask, SimError, Simulator
-from repro.sim.kernel import get_kernel, kernel_names
 
 SLOT = Simulator.WHEEL_SLOT_NS
 HORIZON = SLOT * Simulator.WHEEL_SLOTS
@@ -190,7 +189,8 @@ class Driver:
         self.entries = []  # every entry handed to rearm_at
         self.tasks = []
         self.labels = 0
-        self._fodder(COMPACT + 6)  # a storm always has handles to cancel
+        for i in range(COMPACT + 6):  # a storm always has handles to cancel
+            self.handles.append(sim.at(FAR + i, self._callback(())))
 
     def _callback(self, script):
         label = self.labels
@@ -228,12 +228,6 @@ class Driver:
     def _cancel(self, index):
         if self.handles:
             self.handles[index % len(self.handles)].cancel()
-
-    def _fodder(self, count):
-        for i in range(count):
-            self.handles.append(
-                self.sim.at(self.sim.now + FAR + i, self._callback(()))
-            )
 
     def _storm(self, cancels, pushes, near):
         sim = self.sim
@@ -284,13 +278,11 @@ class Driver:
 
 
 class SchedulerMachine(RuleBasedStateMachine):
-    """Lock-step the engine under test with the oracle."""
-
-    engine = Simulator
+    """Lock-step the engine with the oracle."""
 
     def __init__(self):
         super().__init__()
-        self.drivers = [Driver(self.engine()), Driver(ReferenceSimulator())]
+        self.drivers = [Driver(Simulator()), Driver(ReferenceSimulator())]
         self.checked = (0, 0, 0)
 
     def both(self, *op):
@@ -378,18 +370,8 @@ class SchedulerMachine(RuleBasedStateMachine):
         assert len(self.drivers[0].sim) == 0
 
 
-_SETTINGS = settings(
-    max_examples=250, stateful_step_count=30, deadline=None,
+SchedulerMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None,
     database=None, derandomize=True,
 )
-
-# One contract, every registered engine.
-for _name in kernel_names():
-    _machine = type(
-        f"SchedulerMachine_{_name}",
-        (SchedulerMachine,),
-        {"engine": get_kernel(_name).cls},
-    )
-    _machine.TestCase.settings = _SETTINGS
-    globals()[f"TestSchedulerModel_{_name}"] = _machine.TestCase
-del _machine
+TestSchedulerModel = SchedulerMachine.TestCase

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.experiments import (
     ResultStore,
     RunResult,
+    ScenarioSpec,
     TopologySpec,
     build_scenario,
     run_matrix,
@@ -997,6 +998,30 @@ class TestLegacyStoreRegressions:
         data["a_future_field"] = {"anything": 1}
         rebuilt = RunResult.from_dict(data)
         assert rebuilt.to_dict() == result.to_dict()
+
+    def test_specs_stored_with_a_kernel_stay_readable(self, tmp_path):
+        """A sweep run with ``--kernel batch`` before PR 21 stored specs
+        carrying ``"kernel": "batch"``.  The field is gone; the key was
+        hash-neutral, so the record is still the cell it always was."""
+        spec, result = next(synthetic_cells(1))
+        stored_spec = {**spec.to_dict(), "kernel": "batch"}
+        with RecordStore(tmp_path) as store:
+            store.put_record(
+                spec.content_hash(), stored_spec, result.to_dict()
+            )
+        fresh = RecordStore(tmp_path)
+        (record,) = fresh.iter_records()
+        assert record["spec"]["kernel"] == "batch"
+        rebuilt = ScenarioSpec.from_dict(record["spec"])
+        assert rebuilt.to_dict() == spec.to_dict()
+        assert rebuilt.content_hash() == spec.content_hash() == record["key"]
+        assert fresh.get(rebuilt).to_dict() == result.to_dict()
+        # Reading is all the tolerance there is: asking for one fails,
+        # in a sentence.
+        with pytest.raises(ValueError, match="PR 21"):
+            build_scenario("permutation", kernel="batch")
+        with pytest.raises(TypeError, match="kernel"):
+            spec.with_updates(kernel="batch")
 
 
 # ----------------------------------------------------------------------

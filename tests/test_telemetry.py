@@ -28,6 +28,7 @@ from repro.telemetry import (
     write_jsonl,
     write_perfetto,
 )
+from tests.conftest import SteppedSimulator, drive_fabrics_with
 
 QUICK = dict(warmup_ns=20 * MICROSECOND, measure_ns=60 * MICROSECOND)
 TELEM = {"sample_interval_ns": 5_000}
@@ -287,19 +288,18 @@ class TestGoldenNeutrality:
 
 
 # ----------------------------------------------------------------------
-# Engine probes under alternative kernels
+# Engine probes: the batched drain against a single-stepped run
 # ----------------------------------------------------------------------
 
 
 class TestKernelTelemetry:
-    """The engine probe hooks are part of the kernel contract: any
-    registered kernel must keep the occupancy counters exact between
-    events, so instrumentation neither degrades nor perturbs a run."""
+    """The run loop folds the probe deadline into its drain bound and
+    keeps the occupancy counters eager; a run single-stepped through
+    ``run(max_events=1)`` (``conftest.SteppedSimulator``) samples from
+    the outer loop only.  Both must show a probe the same engine."""
 
     def test_engine_probes_sampled_under_batch(self):
-        art = run_spec(
-            quick_spec(telemetry=TELEM, kernel="batch")
-        ).telemetry
+        art = run_spec(quick_spec(telemetry=TELEM)).telemetry
         names = {s["name"] for s in art["series"]}
         assert {
             "engine.events_fired", "engine.wheel_occupancy",
@@ -307,28 +307,28 @@ class TestKernelTelemetry:
         } <= names
         assert art["samples"] > 0
 
-    def test_probe_series_identical_across_kernels(self):
-        # Not just "samples exist": the batch kernel's drained stepping
-        # must leave every engine counter in exactly the state the
-        # reference wheel would show at each probe boundary.
+    def test_probe_series_identical_across_kernels(self, monkeypatch):
+        # Not just "samples exist": the drained stepping must leave
+        # every engine counter in exactly the state a one-event-at-a-
+        # time run shows at each probe boundary.
+        batch = run_spec(quick_spec(telemetry=TELEM)).telemetry
+        drive_fabrics_with(monkeypatch, "wheel")
         wheel = run_spec(quick_spec(telemetry=TELEM)).telemetry
-        batch = run_spec(
-            quick_spec(telemetry=TELEM, kernel="batch")
-        ).telemetry
         assert artifact_minus_meta(wheel) == artifact_minus_meta(batch)
 
-    def test_instrumented_batch_reproduces_wheel_golden(self):
-        # Telemetry and kernel are both hash-neutral spec fields; an
-        # instrumented batch run must still hit the recorded-wheel
-        # digest byte for byte.
+    def test_instrumented_batch_reproduces_wheel_golden(self, monkeypatch):
+        # An instrumented run on the batched loop and a plain
+        # single-stepped one must agree byte for byte.
         spec = min(
             golden_specs(),
             key=lambda s: s.warmup_ns + s.measure_ns,
         )
-        plain, net_plain = run_spec_with_network(spec)
         inst, net_inst = run_spec_with_network(
-            spec.with_updates(telemetry=TELEM, kernel="batch")
+            spec.with_updates(telemetry=TELEM)
         )
+        drive_fabrics_with(monkeypatch, "wheel")
+        plain, net_plain = run_spec_with_network(spec)
+        assert type(net_plain.sim) is SteppedSimulator
         d_plain = json.dumps(run_digest(plain, net_plain), sort_keys=True)
         d_inst = json.dumps(run_digest(inst, net_inst), sort_keys=True)
         assert d_plain == d_inst
