@@ -35,7 +35,7 @@ from repro.experiments.summarize import (
     format_resilience,
     format_table,
 )
-from repro.sim.kernel import KERNEL_GONE
+from repro.sim.engine import KERNEL_GONE
 from repro.store.format import StoreFormatError
 
 

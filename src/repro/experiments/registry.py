@@ -32,7 +32,7 @@ from repro.faults.plan import (
     link_up,
     random_storm,
 )
-from repro.sim.kernel import KERNEL_GONE
+from repro.sim.engine import KERNEL_GONE
 from repro.sim.units import KB, MB, MICROSECOND, MILLISECOND, gbps
 
 

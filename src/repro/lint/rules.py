@@ -20,7 +20,7 @@ DET005    det         ``*_ns`` times are integers: no float math/equality
 DET006    all         no OS entropy (``os.urandom``/``uuid4``/``secrets``)
 HOT001    hot pkgs    hot-path classes declare ``__slots__`` (both fabrics)
 HOT002    hot table   no closure allocation inside known hot methods
-API001    all         ``heapq``/``bisect`` only in the engine + link
+API001    all         ``heapq``/``bisect`` only in ``sim/engine.py``
 ========  ==========  =====================================================
 """
 
@@ -637,16 +637,11 @@ _ORDERING_MODULES = frozenset({"heapq", "bisect"})
 
 @rule(
     "API001",
-    "heapq/bisect are scheduler internals: only sim/engine.py and "
-    "sim/link.py touch them; everything else goes through the "
-    "Simulator API",
+    "heapq/bisect are scheduler internals: only sim/engine.py touches "
+    "them; everything else goes through the Simulator API",
 )
 def _api001(ctx: ModuleContext) -> Iterator[RuleHit]:
-    # sim/link.py shares the exemption for one method: Link._tx_done,
-    # the per-frame train step, is the engine's schedule_at/rearm_at
-    # inlined (see its docstring).  Nothing outside those two modules
-    # may maintain event order by hand.
-    if ctx.rel[-2:] in (("sim", "engine.py"), ("sim", "link.py")):
+    if ctx.rel[-2:] == ("sim", "engine.py"):
         return
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Import):

@@ -29,7 +29,7 @@ from repro.perf import (
     suite,
 )
 from repro.perf.golden import DEFAULT_GOLDEN_DIR, check_goldens, write_goldens
-from repro.sim.kernel import KERNEL_GONE
+from repro.sim.engine import KERNEL_GONE
 
 #: Where the committed reference numbers live.
 DEFAULT_BASELINE = Path("benchmarks") / "perf_baseline.json"

@@ -114,6 +114,10 @@ _NEVER = 1 << 62
 TAG_TX = 1
 TAG_RX = 2
 
+#: What a request for a named engine kernel is answered with (stored
+#: specs and old command lines may still carry one).
+KERNEL_GONE = "no engine kernel {!r}: PR 21 left one run loop (results never differed)"
+
 #: Calendar-wheel geometry — the single source of truth; the class
 #: mirrors these as documented attributes.  The hot paths load these
 #: module globals (cheaper than class-attribute lookups), so changing
@@ -673,12 +677,14 @@ class Simulator:
                 # mutated (rearm requires a popped, spent entry).  A
                 # cancellation nulls head[2] in place but keeps its key,
                 # so the stale bound is merely conservative and the
-                # outer loop drops the corpse.
+                # outer loop drops the corpse.  ``<=``, not ``<``: a spill
+                # head *at* the horizon/probe bound is still a tie the
+                # drain must not jump.
                 lim = probe_due - 1
                 if horizon < lim:
                     lim = horizon
                 head = spill[0] if spill else None
-                if head is not None and head[0] < lim:
+                if head is not None and head[0] <= lim:
                     lim = head[0] - 1
                 while due:
                     e = due[-1]
@@ -709,7 +715,7 @@ class Simulator:
                         lim = probe_due - 1
                         if horizon < lim:
                             lim = horizon
-                        if h is not None and h[0] < lim:
+                        if h is not None and h[0] <= lim:
                             lim = h[0] - 1
         finally:
             self._cursor = cursor

@@ -3,9 +3,7 @@ still imports :func:`build_simulator`; the next benchmark change removes it."""
 
 from typing import Optional
 
-from repro.sim.engine import Simulator
-
-KERNEL_GONE = "no engine kernel {!r}: PR 21 left one run loop (results never differed)"
+from repro.sim.engine import KERNEL_GONE, Simulator
 
 
 def build_simulator(name: Optional[str] = None) -> Simulator:

@@ -18,14 +18,14 @@ reusable ``[time_ns, seq, TAG_TX, link]`` engine entry steps through the
 k completions at their exact per-cell timestamps, and the frame being
 serialized lives in three scalar slots instead of an allocated record.
 The run loop dispatches the tag straight into :meth:`Link._tx_done` —
-the whole per-frame step, delivery insert and train re-arm inlined —
-and delivers ``TAG_RX`` entries itself, so a frame costs one Python
-frame here plus the destination's ``receive``.  The events fired, and
-their ``(time_ns, seq)`` keys, are exactly those of one fresh
-``schedule_at`` per frame: each step arms where that code would
-schedule, delivery first, then the next completion.  (Event *count* is
-part of every golden digest, so trains amortize per-event cost, never
-event count.)
+the whole per-frame step: accounting, delivery arm, train re-arm — and
+delivers ``TAG_RX`` entries itself, so a frame costs one Python frame
+here, its two ``rearm_at`` calls and the destination's ``receive``.  The
+events fired, and their ``(time_ns, seq)`` keys, are exactly those of
+one fresh ``schedule_at`` per frame: each step arms where that code
+would schedule, delivery first, then the next completion.  (Event
+*count* is part of every golden digest, so trains amortize per-event
+cost, never event count.)
 
 Trains split correctly under mid-train disturbances because each step
 re-derives its state from the live link: ``set_rate`` flushes the
@@ -35,7 +35,7 @@ serializer finish into a dead link (counted lost); a post-``restore``
 train lays a fresh entry if the pre-fail one is still pending, and a
 FIFO side queue (``_ser_extra``) pairs the stale completion with the
 right frame.  Those corners, and a link with an ``on_transmit`` hook,
-take the scalar :meth:`Link._start_next` instead of the inlined step.
+take the scalar :meth:`Link._start_next` instead of the train step.
 
 Deliveries share one constant delay, so they fire in append order and a
 pure FIFO (``_in_flight``) matches payloads exactly.  They dispatch
@@ -46,18 +46,9 @@ at wiring time; rebinding ``receive`` on a wired device is unsupported.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Callable, Dict, Optional
 
-from repro.sim.engine import (
-    _WHEEL_MASK,
-    _WHEEL_SHIFT,
-    _WHEEL_SLOTS,
-    TAG_RX,
-    TAG_TX,
-    Simulator,
-    _insort_desc,
-)
+from repro.sim.engine import TAG_RX, TAG_TX, Simulator
 from repro.sim.entity import Entity
 from repro.sim.units import time_ns_for_bytes
 
@@ -267,11 +258,9 @@ class Link:
         """One serialization completion: the per-frame train step, called
         by the run loop for a ``TAG_TX`` entry.
 
-        The delivery insert and the train re-arm are the engine's
-        ``schedule_at`` / ``rearm_at`` inlined (this runs once per frame
-        per hop, and two engine-call frames per step are real cost), so
-        the order is theirs: the delivery's sequence number is allocated
-        before the next cell's.
+        Arms where one fresh ``schedule_at`` per frame would: the
+        delivery first, then the next cell's completion, so the
+        delivery's sequence number is the smaller.
         """
         sim = self.sim
         now = sim._now
@@ -296,31 +285,13 @@ class Link:
             return
         # Frame hits the wire; deliver after propagation.
         self._in_flight.append(payload)
-        t = now + self.propagation_ns
-        seq = sim._seq
-        cursor = sim._cursor
-        buckets = sim._buckets
         rx = self._rx_entry
-        if rx[2] is None:
-            rx[0] = t
-            rx[1] = seq
-            rx[2] = TAG_RX
-        else:
-            rx = [t, seq, TAG_RX, self]
-        slot = t >> _WHEEL_SHIFT
-        if slot - cursor >= _WHEEL_SLOTS:
-            heappush(sim._spill, rx)
-        else:
-            bucket = buckets[slot & _WHEEL_MASK]
-            if slot == sim._sorted_slot:
-                _insort_desc(bucket, rx)
-            else:
-                bucket.append(rx)
-            sim._wheel_live += 1
+        if rx[2] is not None:
+            rx = [0, 0, None, self]
+        sim.rearm_at(now + self.propagation_ns, rx, TAG_RX)
 
         queue = self._queue
         if not queue:
-            sim._seq = seq + 1
             self._busy = False
             if self.on_idle is not None:
                 self.on_idle()
@@ -330,7 +301,6 @@ class Link:
         # owns this transition.
         entry = self._tx_entry
         if self.on_transmit is not None or entry[2] is not None:
-            sim._seq = seq + 1
             self._start_next()
             return
         payload, size = queue.popleft()
@@ -344,20 +314,7 @@ class Link:
         self._ser_payload = payload
         self._ser_size = size
         self._ser_done = done
-        sim._seq = seq + 2
-        entry[0] = done
-        entry[1] = seq + 1
-        entry[2] = TAG_TX
-        slot = done >> _WHEEL_SHIFT
-        if slot - cursor >= _WHEEL_SLOTS:
-            heappush(sim._spill, entry)
-        else:
-            bucket = buckets[slot & _WHEEL_MASK]
-            if slot == sim._sorted_slot:
-                _insort_desc(bucket, entry)
-            else:
-                bucket.append(entry)
-            sim._wheel_live += 1
+        sim.rearm_at(done, entry, TAG_TX)
 
     def _take_serialized(self, now: int) -> tuple[Any, int]:
         """Match a completion to its frame when stale serializations from

@@ -40,7 +40,11 @@ class SteppedSimulator(Simulator):
 #: The two ways the engine-facing suites drive the one engine.  The ids
 #: date from when they named two engines and the tier-1 floor list pins
 #: them: ``batch`` is the engine as it ships (one ``run`` call, batched
-#: drain), ``wheel`` single-steps it.
+#: drain), ``wheel`` single-steps it — rename to ``whole`` / ``stepped``
+#: once the floor allows.  The stepped driver checks where ``run`` may be
+#: cut; it never enters the drain, so it is no oracle for it: that is
+#: ``test_scheduler_model.py`` and the drain-bound regressions in
+#: ``test_scheduler_invariants.py``, which only the ``batch`` ids exercise.
 ENGINE_DRIVERS = {"batch": Simulator, "wheel": SteppedSimulator}
 
 

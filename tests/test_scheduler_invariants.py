@@ -30,7 +30,8 @@ HORIZON = Simulator.WHEEL_SLOT_NS * Simulator.WHEEL_SLOTS
 def sim_cls(request):
     """The engine, run whole and single-stepped (see ``ENGINE_DRIVERS``):
     every invariant here must hold — same timestamps, same counters —
-    wherever ``run`` is stopped and resumed."""
+    wherever ``run`` is stopped and resumed.  Ids: ``batch`` is the whole
+    run, ``wheel`` the stepped one (names pinned by the floor list)."""
     return ENGINE_DRIVERS[request.param]
 
 
@@ -198,6 +199,59 @@ def test_compact_with_offsetting_pushes_mid_drain_keeps_order(sim_cls):
     sim.run(until=100)
     assert fired == [64, 65, 66, 67, 68, 70]
     assert fired == sorted(fired), "sim clock went non-monotonic"
+
+
+def _bound_at(sim, t, bound):
+    """Run past ``t`` with the drain's bound starting exactly at ``t``:
+    the horizon, or the next probe deadline minus one."""
+    if bound == "until":
+        sim.run(until=t)
+    else:
+        sim.set_probe(lambda now: None, t + 1)
+        sim.run()
+
+
+@pytest.mark.parametrize("bound", ["until", "probe"])
+@pytest.mark.parametrize("t", [0, 5, SLOT, 3 * SLOT + 7])
+def test_spill_head_tied_with_the_drain_bound_keeps_seq_order(
+    t, bound, sim_cls
+):
+    """Regression (drain bound): a spill-heap entry due exactly at the
+    horizon (or at ``probe_due - 1``) ties with wheel entries at that
+    instant; the bound must stop one short of it so the tie is settled
+    by the outer loop's (time, seq) compare.  With ``<`` for ``<=`` the
+    drain fired a, c, b."""
+    sim = sim_cls()
+    order = []
+    sim.schedule_at(t, lambda: order.append("a"))
+    sim.at(t, lambda: order.append("b"))  # cancellable: spill heap
+    sim.schedule_at(t, lambda: order.append("c"))
+    _bound_at(sim, t, bound)
+    assert order == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("bound", ["until", "probe"])
+def test_spill_head_installed_mid_drain_at_the_bound_keeps_seq_order(
+    bound, sim_cls
+):
+    """The same tie, with the tied spill head pushed by a callback the
+    drain itself fired (the bound's recompute, not its first value) —
+    a timer armed for a phase boundary that ``run(until=...)`` stops
+    at, with link events sharing the instant later in the bucket."""
+    sim = sim_cls()
+    order = []
+    t = 2 * SLOT + 9
+
+    def arm():
+        order.append("arm")
+        sim.at(t, lambda: order.append("timer"))
+        sim.schedule_at(t, lambda: order.append("after"))
+
+    sim.schedule_at(t - 2, lambda: order.append("first"))
+    sim.schedule_at(t - 1, arm)  # fired by the drain
+    sim.schedule_at(t, lambda: order.append("before"))
+    _bound_at(sim, t, bound)
+    assert order == ["first", "arm", "before", "timer", "after"]
 
 
 def test_pending_events_excludes_corpses_exactly(sim_cls):

@@ -344,9 +344,41 @@ class SchedulerMachine(RuleBasedStateMachine):
     def clear_probe(self):
         self.both("clear_probe")
 
-    @rule(until_delta=_delays, max_events=st.none() | st.integers(0, 40))
-    def run_until(self, until_delta, max_events):
+    @rule(
+        until_delta=_delays,
+        tie=st.none() | st.integers(0, 200),
+        max_events=st.none() | st.integers(0, 40),
+    )
+    def run_until(self, until_delta, tie, max_events):
+        """Half the time the horizon is exactly a pending handle's time:
+        a spill-heap entry due *at* ``until`` is a tie the drain's bound
+        must hand back to the outer loop."""
+        sim = self.drivers[0].sim
+        near = [
+            h for h in self.drivers[0].handles
+            if not h.cancelled and h.time_ns < FAR
+        ]
+        if tie is not None and near:
+            until_delta = near[tie % len(near)].time_ns - sim.now
         self.both("run", until_delta, max_events)
+
+    @rule(
+        delay=_delays,
+        burst=st.lists(_surfaces, min_size=3, max_size=6),
+        bound=st.sampled_from(["until", "probe"]),
+    )
+    def tied_burst(self, delay, burst, bound):
+        """Several events at one instant across the wheel and the spill
+        heap, then a run whose horizon — or whose next probe deadline
+        minus one — is that instant: the two values the drain's bound
+        starts from."""
+        for surface in burst:
+            self.both("arm", surface, delay, ())
+        if bound == "until":
+            self.both("run", delay, None)
+        else:
+            self.both("probe", self.drivers[0].sim.now + delay + 1)
+            self.both("run", delay + SLOT, None)
 
     @rule(max_events=st.integers(0, 40))
     def run_budget(self, max_events):

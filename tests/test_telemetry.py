@@ -296,7 +296,11 @@ class TestKernelTelemetry:
     """The run loop folds the probe deadline into its drain bound and
     keeps the occupancy counters eager; a run single-stepped through
     ``run(max_events=1)`` (``conftest.SteppedSimulator``) samples from
-    the outer loop only.  Both must show a probe the same engine."""
+    the outer loop only.  Both must show a probe the same engine.
+
+    The test names are pinned by the tier-1 floor list and date from two
+    engines: read ``batch`` as "the engine as it ships" and ``wheel`` /
+    ``kernels`` as "the same engine single-stepped"."""
 
     def test_engine_probes_sampled_under_batch(self):
         art = run_spec(quick_spec(telemetry=TELEM)).telemetry
