@@ -115,6 +115,36 @@ def golden_specs() -> List[ScenarioSpec]:
             warmup_ns=200 * MICROSECOND, measure_ns=800 * MICROSECOND,
         ),
     ]
+    # Every transport x workload start path no cell above takes: mptcp's
+    # connection, dcqcn's per-flow notification point and line rate,
+    # dctcp outside permutation, and the delayed starts of the two
+    # FCT workloads.  Small cells (0.4-12k events each).
+    specs += [
+        build_scenario(
+            "permutation", kind=kind, topology=_ONE_TIER, **_PERM_WINDOWS
+        )
+        for kind in ("mptcp", "dcqcn")
+    ]
+    specs += [
+        build_scenario(
+            "incast", kind=kind, n_backends=3, response_bytes=50 * KB
+        )
+        for kind in ("dctcp", "dcqcn")
+    ]
+    specs += [
+        build_scenario(
+            "many_to_many", kind=kind, flow_bytes=20_000,
+            timeout_ns=2 * MILLISECOND,
+        )
+        for kind in ("stardust", "mptcp", "dcqcn")
+    ]
+    specs += [
+        build_scenario(
+            "mixed", kind=kind, topology=_ONE_TIER, load=0.8,
+            warmup_ns=200 * MICROSECOND, measure_ns=1800 * MICROSECOND,
+        )
+        for kind in ("dctcp", "mptcp", "dcqcn")
+    ]
     return specs
 
 

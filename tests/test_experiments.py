@@ -237,7 +237,7 @@ class TestPlainForms:
 
     def test_hash_neutral_fields_leave_every_golden_hash_alone(self):
         """Toggling each HASH_NEUTRAL field moves neither the content
-        hash, nor the store's spec key, nor any of the 14 recorded
+        hash, nor the store's spec key, nor any of the 24 recorded
         golden ``spec_hash`` values."""
         values = {
             "telemetry": [_TELEMETRY, TelemetryConfig().to_dict()],
@@ -249,7 +249,7 @@ class TestPlainForms:
         ]
         assert sorted(neutral) == sorted(values)
         goldens = sorted((Path(__file__).parent / "golden").glob("*.json"))
-        assert len(goldens) == 14
+        assert len(goldens) == 24
         for path in goldens:
             recorded = json.loads(path.read_text())
             spec = ScenarioSpec.from_dict(recorded["spec"])
