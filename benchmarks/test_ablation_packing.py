@@ -9,7 +9,7 @@ Fig 8's silicon argument visible at the network level.
 from harness import print_series
 
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
 from repro.workloads.distributions import packet_size_distribution

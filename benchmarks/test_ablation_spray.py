@@ -11,7 +11,7 @@ behaviour and congests.
 from harness import print_series
 
 from repro.core.config import StardustConfig
-from repro.core.network import StardustNetwork, TwoTierSpec
+from repro.fabrics import StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
 from repro.workloads.generator import UniformRandomTraffic

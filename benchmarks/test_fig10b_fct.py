@@ -12,12 +12,12 @@ import random
 
 from harness import print_series, push_network, stardust_network
 
-from repro.core.network import TwoTierSpec
+from repro.fabrics import TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.units import MICROSECOND, MILLISECOND
-from repro.transport.dctcp import DctcpSender
 from repro.transport.host import make_hosts
+from repro.transport.table import start_flow
 from repro.workloads.distributions import flow_size_distribution
 from repro.workloads.permutation import host_permutation, start_permutation_flows
 
@@ -54,10 +54,9 @@ def run_fct(kind: str):
     """
     if kind == "stardust":
         net = stardust_network(SPEC)
-        sender_cls = None
     else:
         net = push_network(SPEC)
-        sender_cls = DctcpSender if kind == "dctcp" else None
+    transport = "dctcp" if kind == "dctcp" else "tcp"
     hosts, tracker = make_hosts(net, ADDRS)
 
     # Background: permutation of long flows on all other hosts.
@@ -67,8 +66,7 @@ def run_fct(kind: str):
     ]
     mapping = host_permutation(background_addrs, random.Random(3))
     start_permutation_flows(
-        hosts, mapping,
-        sender_cls=sender_cls, mss=9000 - 40,
+        hosts, mapping, transport=transport, mss=9000 - 40,
     )
 
     sizes = flow_size_distribution("web")
@@ -86,17 +84,14 @@ def run_fct(kind: str):
             start_ns=net.sim.now + PROBE_GAP_NS,
         )
         probes.append(flow)
-        kwargs = dict(
+        start_flow(
+            hosts, flow, transport,
+            delay_ns=PROBE_GAP_NS,
             mss=1460,
-            start_delay_ns=PROBE_GAP_NS,
             on_complete=lambda: net.sim.schedule(
                 PROBE_GAP_NS, launch_next
             ),
         )
-        if sender_cls is not None:
-            hosts[probe_src].start_flow(flow, sender_cls=sender_cls, **kwargs)
-        else:
-            hosts[probe_src].start_flow(flow, **kwargs)
 
     net.sim.schedule(100 * MICROSECOND, launch_next)  # after bg warm-up
 

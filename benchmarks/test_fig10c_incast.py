@@ -8,10 +8,9 @@ far better, and no packets drop inside the Stardust fabric.
 
 from harness import print_series, push_network, stardust_network
 
-from repro.core.network import OneTierSpec
+from repro.fabrics import OneTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import KB, MB, MILLISECOND, gbps
-from repro.transport.dctcp import DctcpSender
 from repro.transport.host import make_hosts
 from repro.workloads.incast import run_incast
 
@@ -28,7 +27,6 @@ def run_one(kind: str, n_backends: int):
             SPEC, RATE, cell_bytes=256, ingress_buffer_bytes=32 * MB
         )
         drops = net.fabric_cell_drops
-        sender_cls = None
     else:
         net = push_network(
             SPEC, RATE,
@@ -36,14 +34,13 @@ def run_one(kind: str, n_backends: int):
             ecn_threshold_bytes=30_000 if kind == "dctcp" else None,
         )
         drops = net.total_drops
-        sender_cls = DctcpSender if kind == "dctcp" else None
     hosts, tracker = make_hosts(net, ADDRS)
     return run_incast(
         net, hosts, tracker,
         frontend=ADDRS[0],
         backends=ADDRS[1 : n_backends + 1],
         response_bytes=RESPONSE,
-        sender_cls=sender_cls,
+        transport="dctcp" if kind == "dctcp" else "tcp",
         timeout_ns=400 * MILLISECOND,
         fabric_drops_fn=drops,
     )

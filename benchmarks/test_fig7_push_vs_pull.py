@@ -11,7 +11,7 @@ Stardust still delivers both.
 
 from harness import print_series, push_network, stardust_network
 
-from repro.core.network import OneTierSpec
+from repro.fabrics import OneTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 from repro.sim.entity import Entity

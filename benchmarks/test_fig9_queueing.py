@@ -13,7 +13,7 @@ from harness import print_series
 
 from repro.analysis.mdq import md1_tail_probability
 from repro.core.config import StardustConfig
-from repro.core.network import StardustNetwork, TwoTierSpec
+from repro.fabrics import StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
 from repro.workloads.generator import UniformRandomTraffic

@@ -11,7 +11,7 @@ same protocol parameters.
 from harness import print_series
 
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 from repro.sim.entity import Entity

@@ -11,7 +11,7 @@ scaled 8-FA / 4-FE single-tier system at 10G.
 from harness import print_series
 
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
 from repro.workloads.generator import UniformRandomTraffic

@@ -21,9 +21,9 @@ Subpackages:
 
 __version__ = "1.0.0"
 
-from repro.core import (
+from repro.core import StardustConfig
+from repro.fabrics import (
     OneTierSpec,
-    StardustConfig,
     StardustNetwork,
     ThreeTierSpec,
     TwoTierSpec,

@@ -6,25 +6,14 @@ ECN marking.
 
 :class:`PushFabricNetwork` — a "push" data center fabric built from
 those switches on the same topologies as Stardust (§5.2's comparison)
-— now lives in :mod:`repro.fabrics.push` and re-exports from here
-(resolved lazily so that package can import the switch module above
-without a cycle).
+— lives in :mod:`repro.fabrics.push`.
 """
 
 from repro.baselines.ethernet import EthConfig, EthernetSwitch, EthPort
-
-
-def __getattr__(name):
-    if name == "PushFabricNetwork":
-        from repro.fabrics.push import PushFabricNetwork
-
-        return PushFabricNetwork
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
     "EthernetSwitch",
     "EthPort",
     "EthConfig",
-    "PushFabricNetwork",  # noqa: F822 — lazy re-export from repro.fabrics
 ]

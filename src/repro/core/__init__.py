@@ -6,9 +6,9 @@ Public surface:
 * :class:`FabricAdapter` / :class:`FabricElement` — the two device types.
 * Cells, VOQs, packing, credits, spray, reassembly, reachability — the
   mechanisms, individually importable and testable.
-* :class:`StardustNetwork` and the topology specs re-export from
-  :mod:`repro.fabrics`, their new home (resolved lazily so that
-  package can import the device modules above without a cycle).
+
+:class:`StardustNetwork` and the topology specs live in
+:mod:`repro.fabrics`.
 """
 
 from repro.core.cell import Cell, CellFragment, CellKind, VoqId
@@ -28,23 +28,6 @@ from repro.core.reassembly import ReassemblyEngine
 from repro.core.spray import SprayArbiter
 from repro.core.voq import SharedBufferPool, Voq
 
-#: Names that now live in repro.fabrics, resolved on first access.
-_FABRIC_EXPORTS = (
-    "OneTierSpec",
-    "TwoTierSpec",
-    "ThreeTierSpec",
-    "StardustNetwork",
-)
-
-
-def __getattr__(name: str) -> object:
-    if name in _FABRIC_EXPORTS:
-        from repro.core import network
-
-        return getattr(network, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Cell",
     "CellFragment",
@@ -59,10 +42,6 @@ __all__ = [
     "FabricAdapter",
     "FabricElement",
     "FabricPort",
-    "OneTierSpec",  # noqa: F822 — lazy re-export from repro.fabrics
-    "TwoTierSpec",  # noqa: F822
-    "ThreeTierSpec",  # noqa: F822
-    "StardustNetwork",  # noqa: F822
     "pack_burst",
     "cells_for_bytes",
     "burst_wire_bytes",

@@ -3,22 +3,29 @@
 :func:`run_spec` executes one :class:`~repro.experiments.spec.ScenarioSpec`
 hermetically (fresh simulator, fresh flow-id space) and returns a typed
 :class:`RunResult`.  :func:`run_matrix` executes a list of specs,
-serving completed cells from a :class:`~repro.experiments.store.ResultStore`
-and fanning the misses out over ``multiprocessing`` shards (with an
-in-process fallback, used automatically when ``shards <= 1`` or the
-platform cannot fork/spawn workers).
+serving completed cells from the store it is handed (a
+:class:`~repro.store.cells.RecordStore`, or a legacy
+:class:`~repro.experiments.store.ResultStore`) and fanning the misses
+out over ``multiprocessing`` shards (in-process when ``shards <= 1`` or
+the platform cannot give it workers).
 
 Because every run is hermetic, the same spec produces bit-identical
 results in-process, in a worker process, and across repeated sweeps —
 which is what makes the content-hash cache sound.
 
-Fabric accounting comes from the unified
-:meth:`~repro.fabrics.base.FabricNetwork.collect_metrics` surface —
-the executors never sniff which fabric they were handed.
+Each decision lives once.  How a flow starts under a transport is
+:func:`repro.transport.table.start_flow`'s; the executors only say
+*which* transport (:func:`_flow_kwargs`).  Every executor ends in
+:func:`_result`, which takes fabric accounting from the unified
+:meth:`~repro.fabrics.base.FabricNetwork.collect_metrics` surface — no
+executor sniffs which fabric it was handed.  Inline and sharded sweeps
+run the same :func:`_worker_run` through the same loop in
+:func:`_execute`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -32,9 +39,8 @@ from repro.experiments.spec import (
     plain_fields,
 )
 from repro.net.flow import Flow, reset_flow_ids
-from repro.transport.dcqcn import DcqcnNotificationPoint, DcqcnSender
-from repro.transport.dctcp import DctcpSender
 from repro.transport.host import make_hosts
+from repro.transport.table import start_flow
 from repro.workloads.distributions import (
     flow_size_distribution,
     packet_size_distribution,
@@ -101,41 +107,42 @@ _RESULT_NAMES = frozenset(name for name, _, _ in _RESULT_FIELDS)
 
 
 # ----------------------------------------------------------------------
-# Transport dispatch
+# What every executor shares
 # ----------------------------------------------------------------------
 
 
-def _sender_kwargs(spec: ScenarioSpec) -> Dict[str, Any]:
-    """start_flow keyword arguments for the spec's transport."""
-    kwargs: Dict[str, Any] = dict(mss=spec.mss)
-    if spec.transport == "dctcp":
-        kwargs["sender_cls"] = DctcpSender
-    elif spec.transport == "dcqcn":
-        kwargs["sender_cls"] = DcqcnSender
-        kwargs["line_rate_bps"] = spec.link_rate_bps
-    return kwargs
+def _flow_kwargs(spec: ScenarioSpec) -> Dict[str, Any]:
+    """The spec's share of a ``start_flow`` call: which transport, and
+    the values its table row may ask for."""
+    return dict(
+        transport=spec.transport,
+        mss=spec.mss,
+        line_rate_bps=spec.link_rate_bps,
+        mptcp_subflows=spec.workload.get("mptcp_subflows", 8),
+    )
 
 
-def _start_single_flow(hosts, flow: Flow, spec: ScenarioSpec) -> None:
-    """Start one flow under the spec's transport (incl. mptcp/dcqcn)."""
-    host = hosts[flow.src]
-    if spec.transport == "mptcp":
-        from repro.transport.mptcp import MptcpConnection
-
-        subflows = spec.workload.get("mptcp_subflows", 8)
-        conn = MptcpConnection(host, flow, n_subflows=subflows, mss=spec.mss)
-        if flow.start_ns:
-            host.sim.call_later(flow.start_ns, conn.start)
-        else:
-            conn.start()
-        return
-    kwargs = _sender_kwargs(spec)
-    if spec.transport == "dcqcn":
-        receiver = hosts[flow.dst]
-        receiver.install_receiver(
-            DcqcnNotificationPoint(receiver, flow.flow_id)
-        )
-    host.start_flow(flow, start_delay_ns=flow.start_ns, **kwargs)
+def _result(
+    spec: ScenarioSpec, net, fabric_metrics, metrics: Dict[str, Any], **fields
+) -> RunResult:
+    """The tail of every executor: identity from the spec, drops and the
+    queue / resilience summaries from the fabric's metrics snapshot,
+    ``fields`` (rates, FCTs, delivered bytes) from the workload."""
+    return RunResult(
+        spec_hash=spec.content_hash(),
+        scenario=spec.scenario,
+        fabric=spec.fabric,
+        transport=spec.transport,
+        seed=spec.seed,
+        drops=fabric_metrics.total_drops,
+        sim_time_ns=net.sim.now,
+        metrics={
+            **metrics,
+            **fabric_metrics.queue_summary(),
+            **fabric_metrics.resilience_summary(),
+        },
+        **fields,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -144,11 +151,7 @@ def _start_single_flow(hosts, flow: Flow, spec: ScenarioSpec) -> None:
 
 
 def _run_permutation(spec: ScenarioSpec, net) -> RunResult:
-    """One permutation-throughput run (the Fig 10(a) shape).
-
-    Mirrors the historical ``benchmarks/harness.py`` implementation
-    step for step, so identical seeds give identical per-flow rates.
-    """
+    """One permutation-throughput run (the Fig 10(a) shape)."""
     wl_addrs = spec.workload.get("addrs")
     if wl_addrs is not None:
         from repro.net.addressing import PortAddress
@@ -159,24 +162,7 @@ def _run_permutation(spec: ScenarioSpec, net) -> RunResult:
     mapping = host_permutation(addrs, random.Random(spec.seed))
     hosts, tracker = make_hosts(net, addrs)
 
-    kwargs = _sender_kwargs(spec)
-    if spec.transport == "mptcp":
-        flows = start_permutation_flows(
-            hosts, mapping,
-            mptcp_subflows=spec.workload.get("mptcp_subflows", 8),
-            mss=spec.mss,
-        )
-    elif spec.transport == "dcqcn":
-        flows = start_permutation_flows(
-            hosts, mapping,
-            receiver_factory=lambda host, flow: DcqcnNotificationPoint(
-                host, flow.flow_id
-            ),
-            **kwargs,
-        )
-    else:
-        flows = start_permutation_flows(hosts, mapping, **kwargs)
-
+    flows = start_permutation_flows(hosts, mapping, **_flow_kwargs(spec))
     net.run(spec.warmup_ns)
     marks = {
         f.flow_id: tracker.get(f.flow_id).bytes_delivered for f in flows
@@ -192,25 +178,14 @@ def _run_permutation(spec: ScenarioSpec, net) -> RunResult:
         tracker.get(f.flow_id).bytes_delivered - marks[f.flow_id]
         for f in flows
     )
-    fabric_metrics = net.collect_metrics()
     metrics = {
         "mean_gbps": sum(rates) / len(rates),
         "min_gbps": rates[0],
         "max_gbps": rates[-1],
-        **fabric_metrics.queue_summary(),
-        **fabric_metrics.resilience_summary(),
     }
-    return RunResult(
-        spec_hash=spec.content_hash(),
-        scenario=spec.scenario,
-        fabric=spec.fabric,
-        transport=spec.transport,
-        seed=spec.seed,
-        flow_rates_gbps=rates,
-        delivered_bytes=delivered,
-        drops=fabric_metrics.total_drops,
-        sim_time_ns=net.sim.now,
-        metrics=metrics,
+    return _result(
+        spec, net, net.collect_metrics(), metrics,
+        flow_rates_gbps=rates, delivered_bytes=delivered,
     )
 
 
@@ -227,47 +202,23 @@ def _run_incast(spec: ScenarioSpec, net) -> RunResult:
         )
     frontend, backends = addrs[0], addrs[1 : 1 + n_backends]
     hosts, tracker = make_hosts(net, addrs)
-    receiver_factory = None
-    if spec.transport == "dcqcn":
-        def receiver_factory(host, flow):
-            return DcqcnNotificationPoint(host, flow.flow_id)
-    # run_incast asks for drops once, at end of run; snapshot the full
-    # metrics there so the histogram merge happens exactly once.
-    snapshot = {}
-
-    def _total_drops() -> int:
-        snapshot["end"] = net.collect_metrics()
-        return snapshot["end"].total_drops
-
     result = run_incast(
         net, hosts, tracker, frontend, backends,
         response_bytes=spec.workload.get("response_bytes", 200_000),
         timeout_ns=spec.measure_ns,
-        fabric_drops_fn=_total_drops,
-        receiver_factory=receiver_factory,
-        **_sender_kwargs(spec),
+        **_flow_kwargs(spec),
     )
-    fcts = sorted(tracker.fcts_ns())
     metrics = {
         "first_fct_ns": result.first_fct_ns,
         "last_fct_ns": result.last_fct_ns,
         "fairness_spread": result.fairness_spread,
         "completed": result.completed,
         "all_completed": result.all_completed,
-        **snapshot["end"].queue_summary(),
-        **snapshot["end"].resilience_summary(),
     }
-    return RunResult(
-        spec_hash=spec.content_hash(),
-        scenario=spec.scenario,
-        fabric=spec.fabric,
-        transport=spec.transport,
-        seed=spec.seed,
-        fcts_ns=fcts,
+    return _result(
+        spec, net, net.collect_metrics(), metrics,
+        fcts_ns=sorted(tracker.fcts_ns()),
         delivered_bytes=sum(s.bytes_delivered for s in tracker.all()),
-        drops=result.fabric_drops,
-        sim_time_ns=net.sim.now,
-        metrics=metrics,
     )
 
 
@@ -278,6 +229,7 @@ def _run_many_to_many(spec: ScenarioSpec, net) -> RunResult:
     rng = random.Random(spec.seed)
     flow_bytes = spec.workload.get("flow_bytes", 200 * 1024)
     jitter_ns = spec.workload.get("start_jitter_ns", 10_000)
+    flow_kwargs = _flow_kwargs(spec)
     flows: List[Flow] = []
     for src in addrs:
         for dst in addrs:
@@ -287,28 +239,19 @@ def _run_many_to_many(spec: ScenarioSpec, net) -> RunResult:
                 src=src, dst=dst, size_bytes=flow_bytes,
                 start_ns=rng.randrange(jitter_ns) if jitter_ns else 0,
             )
-            _start_single_flow(hosts, flow, spec)
+            # start_ns is the delay from t=0 here (nothing has run yet).
+            start_flow(hosts, flow, delay_ns=flow.start_ns, **flow_kwargs)
             flows.append(flow)
     net.run(spec.measure_ns)
-    fabric_metrics = net.collect_metrics()
     fcts = sorted(tracker.fcts_ns())
     metrics = {
         "offered_flows": len(flows),
         "completed": len(fcts),
-        **fabric_metrics.queue_summary(),
-        **fabric_metrics.resilience_summary(),
     }
-    return RunResult(
-        spec_hash=spec.content_hash(),
-        scenario=spec.scenario,
-        fabric=spec.fabric,
-        transport=spec.transport,
-        seed=spec.seed,
+    return _result(
+        spec, net, net.collect_metrics(), metrics,
         fcts_ns=fcts,
         delivered_bytes=sum(s.bytes_delivered for s in tracker.all()),
-        drops=fabric_metrics.total_drops,
-        sim_time_ns=net.sim.now,
-        metrics=metrics,
     )
 
 
@@ -335,24 +278,13 @@ def _run_uniform_random(spec: ScenarioSpec, net) -> RunResult:
     sent = traffic.total_sent() - sent0
     received = traffic.total_received() - recv0
     delivered = sum(i.bytes_received for i in traffic.injectors) - bytes0
-    fabric_metrics = net.collect_metrics()
     metrics = {
         "packets_sent": sent,
         "packets_received": received,
         "delivery_ratio": received / sent if sent else 0.0,
-        **fabric_metrics.queue_summary(),
-        **fabric_metrics.resilience_summary(),
     }
-    return RunResult(
-        spec_hash=spec.content_hash(),
-        scenario=spec.scenario,
-        fabric=spec.fabric,
-        transport=spec.transport,
-        seed=spec.seed,
-        delivered_bytes=delivered,
-        drops=fabric_metrics.total_drops,
-        sim_time_ns=net.sim.now,
-        metrics=metrics,
+    return _result(
+        spec, net, net.collect_metrics(), metrics, delivered_bytes=delivered
     )
 
 
@@ -375,6 +307,7 @@ def _run_mixed(spec: ScenarioSpec, net) -> RunResult:
     )
     bytes_per_ns = spec.link_rate_bps * load / 8 / 1e9
     flows_per_ns = bytes_per_ns / mean_size
+    flow_kwargs = _flow_kwargs(spec)
 
     flows: List[Flow] = []
     truncated = 0
@@ -396,38 +329,30 @@ def _run_mixed(spec: ScenarioSpec, net) -> RunResult:
                 size_bytes=max(1, dist.sample_int(rng)),
                 start_ns=int(t),
             )
-            _start_single_flow(hosts, flow, spec)
+            # start_ns is the delay from t=0 here (nothing has run yet).
+            start_flow(hosts, flow, delay_ns=flow.start_ns, **flow_kwargs)
             flows.append(flow)
             count += 1
     net.run(horizon_ns)
-    fabric_metrics = net.collect_metrics()
     fcts = sorted(tracker.fcts_ns())
     metrics = {
         "offered_flows": len(flows),
         "completed": len(fcts),
         "hosts_truncated": truncated,
-        **fabric_metrics.queue_summary(),
-        **fabric_metrics.resilience_summary(),
     }
+    result = _result(
+        spec, net, net.collect_metrics(), metrics,
+        fcts_ns=fcts,
+        delivered_bytes=sum(s.bytes_delivered for s in tracker.all()),
+    )
     # FCT split by size class — the paper's short-vs-long flow story.
     small = sorted(
         s.fct_ns for s in tracker.completed()
         if s.fct_ns is not None and (s.flow.size_bytes or 0) <= 10_000
     )
     if small:
-        metrics["small_flow_median_fct_ns"] = small[len(small) // 2]
-    return RunResult(
-        spec_hash=spec.content_hash(),
-        scenario=spec.scenario,
-        fabric=spec.fabric,
-        transport=spec.transport,
-        seed=spec.seed,
-        fcts_ns=fcts,
-        delivered_bytes=sum(s.bytes_delivered for s in tracker.all()),
-        drops=fabric_metrics.total_drops,
-        sim_time_ns=net.sim.now,
-        metrics=metrics,
-    )
+        result.metrics["small_flow_median_fct_ns"] = small[len(small) // 2]
+    return result
 
 
 _EXECUTORS = {
@@ -499,19 +424,14 @@ def run_spec(spec: ScenarioSpec, hermetic: bool = True) -> RunResult:
     return run_spec_with_network(spec, hermetic=hermetic)[0]
 
 
-def _worker_run(payload: str) -> Dict[str, Any]:
-    """Shard entry point: JSON spec in, result dict out (picklable)."""
-    spec = ScenarioSpec.from_json(payload)
-    return run_spec(spec).to_dict()
-
-
-def _worker_run_indexed(item) -> tuple:
-    """Shard entry point for live sweeps: keeps the input index (the
-    pool returns completions out of order) and measures the cell's own
-    wall time so the parent can report events/s per shard."""
+def _worker_run(item) -> tuple:
+    """Cell entry point, in a shard or inline: ``(index, JSON spec)`` in,
+    ``(index, result dict, wall seconds)`` out (picklable).  The index
+    rides along because a pool returns completions out of order; the
+    wall time is the cell's own, for the events/s readout."""
     index, payload = item
     start = time.perf_counter()
-    result = _worker_run(payload)
+    result = run_spec(ScenarioSpec.from_json(payload)).to_dict()
     return index, result, time.perf_counter() - start
 
 
@@ -606,36 +526,26 @@ def _execute(
     """Run serialized specs, fanning out when it can help."""
     total = len(payloads)
     started_at = time.perf_counter()
+    items = list(enumerate(payloads))
+    pool = None
     if shards > 1 and total > 1:
+        # Only a platform that cannot give us workers falls back to
+        # inline; an exception a cell raises propagates, once.
         try:
             import multiprocessing
 
-            workers = min(shards, total)
-            notify(f"running {total} cells on {workers} shards")
-            results: List[Optional[RunResult]] = [None] * total
-            done = 0
-            with multiprocessing.Pool(processes=workers) as pool:
-                for index, data, wall_s in pool.imap_unordered(
-                    _worker_run_indexed, list(enumerate(payloads))
-                ):
-                    results[index] = RunResult.from_dict(data)
-                    done += 1
-                    if live:
-                        notify(_progress_line(
-                            results[index], done, total, wall_s,
-                            started_at,
-                        ))
-            return [r for r in results if r is not None]
+            pool = multiprocessing.Pool(processes=min(shards, total))
         except (ImportError, OSError) as exc:
             notify(f"multiprocessing unavailable ({exc}); running inline")
-    inline: List[RunResult] = []
-    for index, payload in enumerate(payloads):
-        cell_start = time.perf_counter()
-        result = RunResult.from_dict(_worker_run(payload))
-        inline.append(result)
-        if live:
-            notify(_progress_line(
-                result, index + 1, total,
-                time.perf_counter() - cell_start, started_at,
-            ))
-    return inline
+    results: List[Optional[RunResult]] = [None] * total
+    with pool if pool is not None else contextlib.nullcontext():
+        if pool is not None:
+            notify(f"running {total} cells on {min(shards, total)} shards")
+            completions = pool.imap_unordered(_worker_run, items)
+        else:
+            completions = map(_worker_run, items)
+        for done, (index, data, wall_s) in enumerate(completions, 1):
+            result = results[index] = RunResult.from_dict(data)
+            if live:
+                notify(_progress_line(result, done, total, wall_s, started_at))
+    return [r for r in results if r is not None]

@@ -17,9 +17,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.fabrics.registry import get_fabric, known_fabric_names
+from repro.fabrics.registry import get_fabric
 from repro.fabrics.wiring import OneTierSpec, ThreeTierSpec, TwoTierSpec
 from repro.sim.units import MILLISECOND, gbps
+from repro.transport.table import TRANSPORT_TABLE
 
 #: Topology kind -> the concrete spec dataclass it materializes into.
 TOPOLOGY_KINDS = {
@@ -41,17 +42,9 @@ KIND_PRESETS: Dict[str, Tuple[str, str]] = {
     "dcqcn": ("push", "dcqcn"),
 }
 
-TRANSPORTS = ("tcp", "dctcp", "mptcp", "dcqcn", "none")
-
-
-def __getattr__(name):
-    # Back-compat constant, computed per access so fabrics registered
-    # after this module was imported still show up.  The source of
-    # truth is the fabric registry, which ScenarioSpec validates
-    # against.
-    if name == "FABRICS":
-        return tuple(known_fabric_names())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: What ``ScenarioSpec.transport`` may name: every row of the transport
+#: table, plus ``"none"`` for workloads that inject packets directly.
+TRANSPORTS = (*TRANSPORT_TABLE, "none")
 
 
 def resolve_kind(kind: str) -> Tuple[str, str]:

@@ -1,10 +1,9 @@
 """Explicit fat-tree graphs (networkx) for structural analysis.
 
-The event-level builders in :mod:`repro.core.network` and
-:mod:`repro.baselines.push_fabric` wire simulator entities; this module
-builds the same shapes as annotated graphs so tests and analyses can
-check structural invariants (path counts, bisection, diameter) without
-running a simulation.
+The event-level fabrics in :mod:`repro.fabrics` wire simulator
+entities; this module builds the same shapes as annotated graphs so
+tests and analyses can check structural invariants (path counts,
+bisection, diameter) without running a simulation.
 """
 
 from __future__ import annotations

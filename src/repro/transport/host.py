@@ -193,9 +193,9 @@ class Host(Entity):
 def make_hosts(network, addresses, tracker: Optional[FlowTracker] = None):
     """Create and attach one :class:`Host` per address on ``network``.
 
-    Works with both :class:`~repro.core.network.StardustNetwork` and
-    :class:`~repro.baselines.push_fabric.PushFabricNetwork` (anything
-    with ``sim`` and ``attach_host``).  All hosts share one tracker.
+    Works with every :class:`~repro.fabrics.base.FabricNetwork`
+    (anything with ``sim`` and ``attach_host``).  All hosts share one
+    tracker.
     """
     tracker = tracker or FlowTracker()
     hosts = {}

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.units import MILLISECOND
+from repro.transport.table import start_flow
 
 
 @dataclass
@@ -47,33 +48,26 @@ def run_incast(
     frontend: PortAddress,
     backends: Sequence[PortAddress],
     response_bytes: int = 450_000,
-    sender_cls=None,
+    transport: str = "tcp",
     timeout_ns: int = 2_000 * MILLISECOND,
     fabric_drops_fn=None,
-    receiver_factory=None,
-    **sender_kwargs,
+    **flow_kwargs,
 ) -> IncastResult:
     """Run one incast round and collect first/last FCTs.
 
     The request fan-out is abstracted away (requests are tiny); all
     backends start their responses at t=now, which is the worst case.
-    ``receiver_factory(frontend_host, flow)`` may pre-install a custom
-    receiver on the frontend per flow (DCQCN's notification point).
+    ``flow_kwargs`` go to :func:`~repro.transport.table.start_flow`
+    with every response.
     """
     flows: List[Flow] = []
     for backend in backends:
+        # start_ns is the absolute stamp here; the start is undelayed.
         flow = Flow(
             src=backend, dst=frontend, size_bytes=response_bytes,
             start_ns=network.sim.now,
         )
-        host = hosts[backend]
-        if receiver_factory is not None:
-            sink = hosts[frontend]
-            sink.install_receiver(receiver_factory(sink, flow))
-        if sender_cls is not None:
-            host.start_flow(flow, sender_cls=sender_cls, **sender_kwargs)
-        else:
-            host.start_flow(flow, **sender_kwargs)
+        start_flow(hosts, flow, transport, **flow_kwargs)
         flows.append(flow)
 
     network.run(timeout_ns)

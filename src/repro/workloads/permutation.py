@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
+from repro.transport.table import start_flow
 
 
 def derangement(
@@ -51,34 +52,15 @@ def start_permutation_flows(
     hosts: Dict[PortAddress, object],
     mapping: Dict[PortAddress, PortAddress],
     size_bytes: Optional[int] = None,
-    sender_cls=None,
-    mptcp_subflows: Optional[int] = None,
-    receiver_factory=None,
-    **sender_kwargs,
+    transport: str = "tcp",
+    **flow_kwargs,
 ) -> List[Flow]:
-    """Start one flow per mapping entry; returns the flow descriptors.
-
-    ``receiver_factory(dst_host, flow)`` may build a custom receiver to
-    pre-install on the destination before the sender starts — DCQCN's
-    notification point, for instance — so transports that need one
-    share this flow-start path instead of hand-rolling their own loop.
-    """
+    """Start one flow per mapping entry under ``transport``; returns the
+    flow descriptors.  ``flow_kwargs`` go to
+    :func:`~repro.transport.table.start_flow` with every flow."""
     flows = []
     for src, dst in mapping.items():
         flow = Flow(src=src, dst=dst, size_bytes=size_bytes)
-        host = hosts[src]
-        if receiver_factory is not None:
-            receiver = hosts[dst]
-            receiver.install_receiver(receiver_factory(receiver, flow))
-        if mptcp_subflows is not None:
-            from repro.transport.mptcp import MptcpConnection
-
-            MptcpConnection(
-                host, flow, n_subflows=mptcp_subflows, **sender_kwargs
-            ).start()
-        elif sender_cls is not None:
-            host.start_flow(flow, sender_cls=sender_cls, **sender_kwargs)
-        else:
-            host.start_flow(flow, **sender_kwargs)
+        start_flow(hosts, flow, transport, **flow_kwargs)
         flows.append(flow)
     return flows

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.network import OneTierSpec, StardustNetwork, TwoTierSpec
+from repro.fabrics import OneTierSpec, StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator

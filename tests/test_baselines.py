@@ -3,8 +3,7 @@
 import pytest
 
 from repro.baselines.ethernet import EthConfig
-from repro.baselines.push_fabric import PushFabricNetwork
-from repro.core.network import OneTierSpec, TwoTierSpec
+from repro.fabrics import OneTierSpec, PushFabricNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MICROSECOND, MILLISECOND, gbps
 

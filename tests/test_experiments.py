@@ -29,7 +29,7 @@ from repro.experiments.summarize import Summary, aggregate
 from repro.faults.plan import FaultPlan, link_down
 from repro.store import spec_key_from_dict
 from repro.telemetry.probes import TelemetryConfig
-from repro.core.network import OneTierSpec, TwoTierSpec
+from repro.fabrics import OneTierSpec, TwoTierSpec
 from repro.sim.units import MICROSECOND
 
 #: A deliberately tiny topology so runner tests stay fast.
@@ -388,6 +388,62 @@ class TestRunner:
         # Different seeds give different permutations -> different runs.
         assert inline[0] != inline[1]
 
+    def test_cell_error_in_a_shard_propagates_once(self, monkeypatch):
+        """An OSError raised by a cell inside a worker is the cell's
+        error: no "multiprocessing unavailable" notice, no inline re-run
+        of the whole matrix."""
+        import multiprocessing
+
+        from repro.experiments import runner
+
+        ran = []
+
+        class PoolWhoseCellFails:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items):
+                first, *_ = items
+                ran.append(first[0])
+                yield fn(first)
+                raise OSError("disk full inside a cell")
+
+        monkeypatch.setattr(multiprocessing, "Pool", PoolWhoseCellFails)
+        inline_runs = []
+        real_run_spec = runner.run_spec
+        monkeypatch.setattr(
+            runner, "run_spec",
+            lambda spec: inline_runs.append(spec.seed) or real_run_spec(spec),
+        )
+        specs = [tiny_permutation("tcp", seed=s) for s in (3, 4, 5)]
+        notices = []
+        with pytest.raises(OSError, match="disk full inside a cell"):
+            run_matrix(specs, shards=2, progress=notices.append)
+        assert ran == [0] and inline_runs == [3]
+        assert not any("unavailable" in line for line in notices)
+
+    def test_pool_that_cannot_start_falls_back_inline(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(processes):
+            raise OSError("no semaphores on this platform")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        specs = [tiny_permutation("tcp", seed=s) for s in (3, 4)]
+        notices = []
+        results = run_matrix(specs, shards=2, progress=notices.append)
+        assert results == run_matrix(specs, shards=1)
+        assert any(
+            "multiprocessing unavailable (no semaphores" in line
+            for line in notices
+        )
+
     def test_incast_backend_overflow_rejected(self):
         spec = build_scenario("incast", kind="tcp", n_backends=2)
         spec.workload["n_backends"] = 99
@@ -469,9 +525,10 @@ class TestWorkloads:
 
     def test_incast_dcqcn_installs_notification_points(self):
         # DCQCN only reacts to CNPs, which only a notification point
-        # emits; the incast executor must install one per flow.
+        # emits; the transport table's dcqcn row must install one per
+        # flow, under the DCQCN sender, through run_incast.
         from repro.experiments.builders import build_network
-        from repro.transport.dcqcn import DcqcnNotificationPoint
+        from repro.transport.dcqcn import DcqcnNotificationPoint, DcqcnSender
         from repro.transport.host import make_hosts
         from repro.workloads.incast import run_incast
 
@@ -485,9 +542,7 @@ class TestWorkloads:
             net, hosts, tracker, addrs[0], addrs[1:3],
             response_bytes=20_000,
             timeout_ns=5_000_000,
-            receiver_factory=lambda host, flow: DcqcnNotificationPoint(
-                host, flow.flow_id
-            ),
+            transport="dcqcn",
         )
         frontend = hosts[addrs[0]]
         installed = [
@@ -497,6 +552,10 @@ class TestWorkloads:
         assert len(installed) == 2
         assert all(
             isinstance(r, DcqcnNotificationPoint) for r in installed
+        )
+        assert all(
+            isinstance(hosts[s.flow.src].sender(s.flow.flow_id), DcqcnSender)
+            for s in tracker.all()
         )
 
     def test_incast_dcqcn_runs_end_to_end(self):

@@ -2,7 +2,7 @@
 
 
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec
+from repro.fabrics import OneTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MICROSECOND, MILLISECOND
 

@@ -6,7 +6,7 @@ exhaustion, and degraded-but-alive operation.
 
 
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, TwoTierSpec
+from repro.fabrics import OneTierSpec, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import KB, MICROSECOND, MILLISECOND, gbps
 

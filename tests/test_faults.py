@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.network import OneTierSpec
+from repro.fabrics import OneTierSpec
 from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec, run_spec_with_network
 from repro.experiments.spec import ScenarioSpec, TopologySpec, kind_for_fabric

@@ -5,7 +5,7 @@ import pytest
 from repro.core.cell import VoqId
 from repro.core.config import StardustConfig
 from repro.core.credit import EgressScheduler
-from repro.core.network import OneTierSpec
+from repro.fabrics import OneTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.engine import Simulator
@@ -125,7 +125,7 @@ class TestHostFlowControl:
             host_link_rate_bps=gbps(10),
         )
         spec = OneTierSpec(num_fas=3, uplinks_per_fa=2, hosts_per_fa=2)
-        from repro.core.network import StardustNetwork
+        from repro.fabrics import StardustNetwork
 
         net = StardustNetwork(spec, config=cfg)
         addrs = [PortAddress(f, p) for f in range(3) for p in range(2)]

@@ -18,7 +18,7 @@ from repro.analysis.resilience import (
     recovery_time_ns,
 )
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.faults import FaultPlan, attach_plan, expected_recovery_ns, link_down
 from repro.net.addressing import PortAddress
 from repro.sim.units import MICROSECOND, gbps

@@ -197,7 +197,7 @@ class TestInstrumentedRuns:
         # multiprocessing shard does.
         spec = quick_spec(telemetry=TELEM)
         inline = run_spec(spec).telemetry
-        sharded = _worker_run(spec.to_json())["telemetry"]
+        sharded = _worker_run((0, spec.to_json()))[1]["telemetry"]
         assert artifact_minus_meta(
             json.loads(json.dumps(artifact_minus_meta(inline)))
         ) == artifact_minus_meta(sharded)

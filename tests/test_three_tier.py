@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.network import ThreeTierSpec
+from repro.fabrics import ThreeTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MICROSECOND, MILLISECOND
 

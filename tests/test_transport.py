@@ -3,9 +3,8 @@
 import pytest
 
 from repro.baselines.ethernet import EthConfig
-from repro.baselines.push_fabric import PushFabricNetwork
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, PushFabricNetwork, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.units import KB, MILLISECOND, gbps
@@ -13,6 +12,7 @@ from repro.transport.dcqcn import DcqcnNotificationPoint, DcqcnSender
 from repro.transport.dctcp import DctcpSender
 from repro.transport.host import make_hosts
 from repro.transport.mptcp import MptcpConnection
+from repro.transport.table import TRANSPORT_TABLE, start_flow
 
 SPEC = OneTierSpec(num_fas=4, uplinks_per_fa=4, hosts_per_fa=2)
 ADDRS = [PortAddress(f, p) for f in range(4) for p in range(2)]
@@ -242,3 +242,69 @@ class TestMptcp:
         flow = Flow(src=ADDRS[0], dst=ADDRS[5], size_bytes=1000)
         with pytest.raises(ValueError):
             MptcpConnection(hosts[ADDRS[0]], flow, n_subflows=0)
+
+
+class TestTransportTable:
+    def test_table_and_spec_transports_name_the_same_things(self):
+        from repro.experiments.spec import TRANSPORTS
+
+        assert set(TRANSPORTS) - {"none"} == set(TRANSPORT_TABLE)
+        assert "none" in TRANSPORTS and "none" not in TRANSPORT_TABLE
+
+    def test_unknown_transport_lists_the_known_ones(self):
+        net = push()
+        hosts, _ = make_hosts(net, ADDRS)
+        flow = Flow(src=ADDRS[0], dst=ADDRS[5], size_bytes=1000)
+        with pytest.raises(ValueError) as err:
+            start_flow(hosts, flow, "quic")
+        assert str(err.value) == (
+            "unknown transport 'quic'; registered: dcqcn, dctcp, mptcp, tcp"
+        )
+
+    @pytest.mark.parametrize("transport", sorted(TRANSPORT_TABLE))
+    def test_every_row_starts_a_flow_that_completes(self, transport):
+        net = push(ecn_threshold_bytes=30_000)
+        hosts, tracker = make_hosts(net, ADDRS)
+        flow = Flow(src=ADDRS[0], dst=ADDRS[5], size_bytes=100 * KB)
+        started = start_flow(
+            hosts, flow, transport, line_rate_bps=gbps(50), mptcp_subflows=2
+        )
+        row = TRANSPORT_TABLE[transport]
+        if row.multipath:
+            assert isinstance(started, MptcpConnection)
+            assert len(started.subflows) == 2
+        else:
+            assert type(started) is row.sender_cls
+            assert hosts[ADDRS[0]].sender(flow.flow_id) is started
+        receiver = hosts[ADDRS[5]]._receivers.get(flow.flow_id)
+        assert (receiver is not None) == (row.receiver_cls is not None)
+        if row.paced:
+            assert started.line_rate_bps == gbps(50)
+        net.run(50 * MILLISECOND)
+        assert tracker.get(flow.flow_id).completed_ns is not None
+
+    @pytest.mark.parametrize("transport", ["tcp", "mptcp"])
+    def test_delay_is_what_the_caller_says_not_flow_start_ns(self, transport):
+        """``flow.start_ns`` is a stamp the table never reads; the start
+        happens ``delay_ns`` from now."""
+        net = push()
+        hosts, tracker = make_hosts(net, ADDRS)
+        stamped = Flow(
+            src=ADDRS[0], dst=ADDRS[5], size_bytes=10 * KB,
+            start_ns=40 * MILLISECOND,
+        )
+        delayed = Flow(src=ADDRS[1], dst=ADDRS[4], size_bytes=10 * KB)
+        start_flow(hosts, stamped, transport)
+        start_flow(hosts, delayed, transport, delay_ns=2 * MILLISECOND)
+        net.run(1 * MILLISECOND)
+        assert tracker.get(stamped.flow_id).completed_ns is not None
+        assert tracker.get(delayed.flow_id).bytes_delivered == 0
+        net.run(4 * MILLISECOND)
+        assert tracker.get(delayed.flow_id).completed_ns is not None
+
+    def test_incast_over_mptcp_is_rejected(self):
+        from repro.experiments import build_scenario, run_spec
+
+        spec = build_scenario("incast", kind="mptcp", n_backends=2)
+        with pytest.raises(ValueError, match="mptcp is not supported"):
+            run_spec(spec)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.config import StardustConfig
-from repro.core.network import OneTierSpec, StardustNetwork
+from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
 from repro.workloads.distributions import (
