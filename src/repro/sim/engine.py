@@ -23,7 +23,7 @@ earlier single global binary heap:
 
 * The wheel is :data:`~Simulator.WHEEL_SLOTS` time buckets of
   :data:`~Simulator.WHEEL_SLOT_NS` nanoseconds each.  The fast paths
-  :meth:`Simulator.schedule_at` / :meth:`Simulator.call_later` append
+  :meth:`Simulator.call_later` / :meth:`Simulator.rearm_at` append
   into the bucket for ``time_ns >> WHEEL_SHIFT`` in O(1) — the dominant
   case, because link serialization and propagation events land
   nanoseconds-to-microseconds ahead.  A bucket is sorted once, when the
@@ -63,6 +63,16 @@ delivery, so :meth:`Simulator.run` is built around those two:
   dispatches on the tag: a completion is one ``Link._tx_done`` frame,
   a delivery is the destination's ``receive`` and nothing else.  Every
   other entry's third element is a callable and is simply called.
+* **Two fire sites, so two copies of that dispatch.**  The *exact* site
+  takes whichever of wheel head and spill head is earlier in
+  ``(time_ns, seq)`` under every check (corpse, horizon, budget, probe),
+  pops it from the structure that held it, and after a spill fire goes
+  round again because the cursor may now sit on an unsorted bucket.
+  The *drained* site is the same dispatch with the checks folded into
+  one bound; sharing a helper would put a Python call on every event.
+  The wheel-or-spill insert likewise exists twice, once per caller
+  shape: :meth:`Simulator.call_later` (fresh entry, relative delay) and
+  :meth:`Simulator.rearm_at` (recycled entry, absolute time).
 * **Batched bucket drain.**  Once the cursor's bucket is sorted, an
   inner loop drains it against a single precomputed bound (the minimum
   of horizon, next probe deadline and spill-head time) and re-reads the
@@ -108,7 +118,7 @@ from typing import Callable, List, Optional, Union
 _NEVER = 1 << 62
 
 #: ``entry[2]`` of a link-armed ``[time_ns, seq, TAG, link]`` entry.
-#: Ints, so the run loop's dispatch is ``fn.__class__ is int`` — and a
+#: Ints, so the run loop dispatches on the class of ``entry[2]`` — and a
 #: *fired* entry still reads ``entry[2] is None`` like every other spent
 #: entry, which is what the link's re-arm guards check.
 TAG_TX = 1
@@ -330,28 +340,14 @@ class Simulator:
         return self.at(self._now + delay_ns, fn)
 
     def schedule_at(self, time_ns: int, fn: Callable[[], None]) -> None:
-        """Fast path: schedule at absolute ``time_ns``, no Event handle.
+        """Schedule at absolute ``time_ns``, no Event handle: near-future
+        times are one bucket append.  Not cancellable.
 
-        For fire-and-forget events (the per-frame serialization and
-        propagation events dominating every run): near-future times are
-        one bucket append, no handle allocation.  Not cancellable.
+        :meth:`rearm_at` on a fresh entry — nothing on a hot path calls
+        this (links re-arm their own entries, timers use
+        :meth:`call_later`), so it carries no insert copy of its own.
         """
-        if time_ns < self._now:
-            raise SimError(
-                f"cannot schedule at t={time_ns}ns, now is {self._now}ns"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        slot = time_ns >> _WHEEL_SHIFT
-        if slot - self._cursor >= _WHEEL_SLOTS:
-            heappush(self._spill, [time_ns, seq, fn])
-        else:
-            bucket = self._buckets[slot & _WHEEL_MASK]
-            if slot == self._sorted_slot:
-                _insort_desc(bucket, [time_ns, seq, fn])
-            else:
-                bucket.append([time_ns, seq, fn])
-            self._wheel_live += 1
+        self.rearm_at(time_ns, [time_ns, 0, None], fn)
 
     def call_later(self, delay_ns: int, fn: Callable[[], None]) -> None:
         """Fast path: schedule ``delay_ns`` from now, no Event handle."""
@@ -498,9 +494,9 @@ class Simulator:
         at ``until`` are executed; later ones stay queued so the run can
         be resumed — as is the first event past a ``max_events`` stop.
 
-        The outer loop selects the next entry exactly (wheel head
-        against spill head, horizon, budget, probe deadline); after each
-        wheel event it fires, the inner loop keeps draining the
+        The outer loop selects and fires the next entry exactly (wheel
+        head against spill head, horizon, budget, probe deadline); after
+        each wheel event it fires, the inner loop keeps draining the
         now-sorted bucket while one precomputed bound proves the next
         entry is safe, and falls back to the outer loop for every
         boundary case (spill head due or tied, probe deadline, horizon,
@@ -574,56 +570,16 @@ class Simulator:
 
                 # ---- merge with the spill heap, skipping corpses ----
                 if spill:
-                    spill_entry = spill[0]
-                    if wheel_entry is None or spill_entry < wheel_entry:
-                        fn = spill_entry[2]
-                        if fn is None:
+                    entry = spill[0]
+                    if wheel_entry is None or entry < wheel_entry:
+                        if entry[2] is None:
                             # Lazy-deleted corpse: drop it without
                             # charging events_fired or the budget.
                             heappop(spill)
                             self._cancelled -= 1
                             continue
-                        time_ns = spill_entry[0]
-                        if time_ns > horizon and until is not None:
-                            # (`horizon` may be the _NEVER sentinel; an
-                            # event beyond even that is still live and
-                            # fires when no horizon was requested.)
-                            self._now = until
-                            cursor = until >> shift
-                            break
-                        if fired >= limit:
-                            cursor = self._now >> shift
-                            break
-                        heappop(spill)
-                        # Neutralize before firing: cancelling an
-                        # already-fired event's handle (stale RTO
-                        # guards do this) must not be booked as a
-                        # corpse — and spent entries are what
-                        # ``rearm_at`` callers recycle.
-                        spill_entry[2] = None
-                        self._now = time_ns
-                        slot = time_ns >> shift
-                        if slot != cursor:
-                            cursor = self._cursor = slot
-                            due = buckets[slot & mask]
-                        if time_ns >= probe_due:
-                            probe_due = self._probe_fire(time_ns)
-                        if fn.__class__ is int:
-                            link = spill_entry[3]
-                            if fn == TAG_TX:
-                                link._tx_done()
-                            elif link.up:
-                                link._dst_receive(
-                                    link._in_flight.popleft(), link
-                                )
-                            else:
-                                link._in_flight.popleft()
-                                link.dropped_frames += 1
-                        else:
-                            fn()
-                        self._events_fired += 1
-                        fired += 1
-                        continue
+                    else:
+                        entry = wheel_entry
                 elif wheel_entry is None:
                     # Both structures drained: advance the clock to the
                     # horizon if one was given.
@@ -631,25 +587,41 @@ class Simulator:
                         self._now = until
                     cursor = self._now >> shift
                     break
+                else:
+                    entry = wheel_entry
 
-                # ---- fire the wheel candidate (full edge checks) ----
-                time_ns = wheel_entry[0]
+                # ---- fire the earlier candidate (full edge checks) ----
+                time_ns = entry[0]
                 if time_ns > horizon and until is not None:
+                    # (`horizon` may be the _NEVER sentinel; an event
+                    # beyond even that is still live and fires when no
+                    # horizon was requested.)
                     self._now = until
                     cursor = until >> shift
                     break
                 if fired >= limit:
                     cursor = self._now >> shift
                     break
-                due.pop()
-                self._wheel_live -= 1
-                fn = wheel_entry[2]
-                wheel_entry[2] = None
+                if entry is wheel_entry:
+                    due.pop()
+                    self._wheel_live -= 1
+                else:
+                    heappop(spill)
+                    slot = time_ns >> shift
+                    if slot != cursor:
+                        cursor = self._cursor = slot
+                        due = buckets[slot & mask]
+                fn = entry[2]
+                # Neutralize before firing: cancelling an already-fired
+                # event's handle (stale RTO guards do this) must not be
+                # booked as a corpse — and spent entries are what
+                # ``rearm_at`` callers recycle.
+                entry[2] = None
                 self._now = time_ns
                 if time_ns >= probe_due:
                     probe_due = self._probe_fire(time_ns)
                 if fn.__class__ is int:
-                    link = wheel_entry[3]
+                    link = entry[3]
                     if fn == TAG_TX:
                         link._tx_done()
                     elif link.up:
@@ -661,6 +633,10 @@ class Simulator:
                     fn()
                 self._events_fired += 1
                 fired += 1
+                if entry is not wheel_entry:
+                    # A spill fire may have moved the cursor to a bucket
+                    # nobody sorted yet; the top of the loop re-derives.
+                    continue
 
                 # ---- batched drain of the rest of this bucket ----
                 # Bound: the drain may fire any entry strictly before
