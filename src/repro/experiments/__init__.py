@@ -39,7 +39,7 @@ from repro.experiments.spec import (
     resolve_kind,
 )
 from repro.experiments.store import ResultStore
-from repro.experiments.summarize import Summary, aggregate, summarize
+from repro.experiments.summarize import Summary, aggregate
 
 __all__ = [
     "KIND_PRESETS",
@@ -60,5 +60,4 @@ __all__ = [
     "scenario",
     "scenario_names",
     "stardust_network",
-    "summarize",
 ]

@@ -68,11 +68,6 @@ class GroupSummary:
         return f"{self.fabric}+{self.transport}"
 
 
-def summarize(values: Sequence[float]) -> Optional[Summary]:
-    """Convenience alias for :meth:`Summary.of`."""
-    return Summary.of(values)
-
-
 def aggregate(results: Sequence[RunResult]) -> List[GroupSummary]:
     """Fold the seed axis: one row per (scenario, fabric, transport).
 

@@ -31,7 +31,7 @@ from repro.lint.analyzer import (
     analyze_paths,
 )
 from repro.lint.baseline import diff_against_baseline, load_baseline, write_baseline
-from repro.lint.rules import RULES, RuleInfo, rule, rule_ids
+from repro.lint.rules import RULES, RuleInfo, rule
 from repro.lint.zones import DETERMINISTIC_PACKAGES, RELAXED_PACKAGES, zone_for_path
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "RULES",
     "RuleInfo",
     "rule",
-    "rule_ids",
     "DETERMINISTIC_PACKAGES",
     "RELAXED_PACKAGES",
     "zone_for_path",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.rules import RULES, ModuleContext
+from repro.lint.rules import RULES, LoadSites, ModuleContext
 
 # Suppression comment grammar: "allow=ID[,ID...] -- reason" (line scope)
 # or "allow-file=..." (module scope), after the marker prefix.
@@ -166,12 +166,18 @@ def _fingerprint(rule_id: str, path: str, snippet: str, occurrence: int) -> str:
     return digest.hexdigest()[:16]
 
 
-def analyze_file(path: Path, root: Optional[Path] = None) -> Tuple[List[Finding], int]:
+def analyze_file(
+    path: Path,
+    root: Optional[Path] = None,
+    package_sites: Optional[Dict[Path, LoadSites]] = None,
+) -> Tuple[List[Finding], int]:
     """Run every applicable rule over one file.
 
     Returns ``(findings, parsed)`` where ``parsed`` is 1 when the file
     was analyzable (0 on an unreadable file, which is itself a LINT002
     finding — an unparseable deterministic-zone file must not pass).
+    ``package_sites`` carries the cross-module scans of one run (see
+    :class:`~repro.lint.rules.ModuleContext`).
     """
     display = _display_path(path, root)
     occurrence: Dict[Tuple[str, str], int] = {}
@@ -200,7 +206,7 @@ def analyze_file(path: Path, root: Optional[Path] = None) -> Tuple[List[Finding]
         return [make("LINT002", 1, 0, f"file could not be analyzed: {exc}")], 0
 
     sup = _Suppressions.parse(source)
-    ctx = ModuleContext.build(str(path), tree, lines)
+    ctx = ModuleContext.build(str(path), tree, lines, package_sites)
 
     findings: List[Finding] = []
     for lineno, message in sup.problems:
@@ -244,8 +250,9 @@ def analyze_paths(
     """Analyze every ``*.py`` under ``paths``; ``root`` relativizes output."""
     findings: List[Finding] = []
     checked = 0
+    package_sites: Dict[Path, LoadSites] = {}
     for path in iter_python_files(paths):
-        file_findings, parsed = analyze_file(path, root)
+        file_findings, parsed = analyze_file(path, root, package_sites)
         findings.extend(file_findings)
         checked += parsed
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

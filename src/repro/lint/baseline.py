@@ -2,10 +2,12 @@
 
 The baseline lets a new rule land before every historical finding is
 fixed: CI fails only on findings whose fingerprint is *not* in the
-committed file.  The intended steady state is an empty baseline — this
-repo fixes or inline-suppresses everything — and ``tests/test_lint.py``
-has a meta-test holding the file to that: every entry must still match
-a live finding, so the baseline can only shrink.
+committed file.  The intended steady state is an empty baseline;
+today the file is the debt list DEAD001 landed with (definitions only
+their own unit tests keep alive, waiting for a change allowed to
+retire those tests).  ``tests/test_lint.py`` has a meta-test holding
+the file to its contract: every entry must still match a live finding,
+so the baseline can only shrink.
 """
 
 from __future__ import annotations

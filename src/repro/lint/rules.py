@@ -12,7 +12,7 @@ Shipped rules:
 ========  ==========  =====================================================
 ID        Zone        Contract
 ========  ==========  =====================================================
-DET001    all         randomness must flow through seeded ``RandomStreams``
+DET001    all         randomness is a seeded ``random.Random(<seed>)``
 DET002    det         no wall-clock reads inside simulations
 DET003    det         no set/dict-keys iteration feeding the scheduler
 DET004    det         no ``id()``/``hash()`` in ordering or as dict keys
@@ -21,6 +21,7 @@ DET006    all         no OS entropy (``os.urandom``/``uuid4``/``secrets``)
 HOT001    hot pkgs    hot-path classes declare ``__slots__`` (both fabrics)
 HOT002    hot table   no closure allocation inside known hot methods
 API001    all         ``heapq``/``bisect`` only in ``sim/engine.py``
+DEAD001   src/repro   public top-level defs are loaded somewhere in the package
 ========  ==========  =====================================================
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -35,12 +37,16 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
 from repro.lint.zones import DETERMINISTIC, module_parts, zone_for_path
 
 RuleHit = Tuple[ast.AST, str]
+#: ``name -> {(file, index of the top-level statement)}``: where a
+#: package loads each name (see :func:`_load_sites`).
+LoadSites = Dict[str, Set[Tuple[str, int]]]
 
 
 @dataclass
@@ -58,15 +64,22 @@ class ModuleContext:
     imported_names: Dict[str, str] = field(default_factory=dict)
     #: child AST node -> parent AST node, for ancestor walks.
     parents: Dict[ast.AST, ast.AST] = field(default_factory=dict)
+    #: package root -> its :data:`LoadSites`, shared by every module of
+    #: one analyzer run so each package is scanned once per run.
+    package_sites: Dict[Path, LoadSites] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, path: str, tree: ast.Module, lines: List[str]) -> "ModuleContext":
+    def build(
+        cls, path: str, tree: ast.Module, lines: List[str],
+        package_sites: Optional[Dict[Path, LoadSites]] = None,
+    ) -> "ModuleContext":
         ctx = cls(
             path=path,
             rel=module_parts(path),
             zone=zone_for_path(path),
             tree=tree,
             lines=lines,
+            package_sites={} if package_sites is None else package_sites,
         )
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
@@ -150,11 +163,6 @@ def rule(
     return decorate
 
 
-def rule_ids() -> List[str]:
-    """Registered rule IDs, in registration order."""
-    return list(RULES)
-
-
 # ----------------------------------------------------------------------
 # DET001: unseeded module-level randomness
 # ----------------------------------------------------------------------
@@ -170,18 +178,12 @@ _RANDOM_MODULE_FNS = frozenset(
 )
 
 
-def _is_randomness_home(ctx: ModuleContext) -> bool:
-    return ctx.rel[-2:] == ("sim", "randomness.py")
-
-
 @rule(
     "DET001",
-    "randomness must come from seeded streams (sim/randomness.py), not "
-    "module-level random.* / numpy.random",
+    "construct random.Random(<seed>); module-level random.* / "
+    "numpy.random and unseeded constructors are flagged",
 )
 def _det001(ctx: ModuleContext) -> Iterator[RuleHit]:
-    if _is_randomness_home(ctx):
-        return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -193,7 +195,7 @@ def _det001(ctx: ModuleContext) -> Iterator[RuleHit]:
             if tail in _RANDOM_MODULE_FNS:
                 yield node, (
                     f"module-level random.{tail}() shares global state; "
-                    "draw from a seeded RandomStreams stream instead"
+                    "draw from a random.Random(<seed>) instance instead"
                 )
             elif tail == "Random" and not node.args and not node.keywords:
                 yield node, (
@@ -446,7 +448,7 @@ def _det006(ctx: ModuleContext) -> Iterator[RuleHit]:
         if dotted in _ENTROPY_CALLS or dotted.startswith(_ENTROPY_PREFIXES):
             yield node, (
                 f"{dotted}() draws OS entropy; derive identifiers from the "
-                "run seed (sim/randomness.py) so runs replay"
+                "run seed so runs replay"
             )
 
 
@@ -664,3 +666,84 @@ def _api001(ctx: ModuleContext) -> Iterator[RuleHit]:
                     f"{dotted}() outside sim/engine.py; event/order "
                     "maintenance goes through the Simulator API"
                 )
+
+
+# ----------------------------------------------------------------------
+# DEAD001: public top-level definitions nothing in the package loads
+# ----------------------------------------------------------------------
+
+#: Paper-model surfaces: closed forms and device models that exist *for*
+#: ``benchmarks/test_fig*`` / ``test_sec*`` / ``test_table2*``.  Those
+#: live outside the package, so "no caller under src/repro" is these
+#: modules' normal state, not debt.
+_DEAD_ALLOWED = (("analysis",), ("pipeline",), ("topology",), ("core", "nic.py"))
+
+
+def _is_reexport(stmt: ast.stmt) -> bool:
+    """An ``__init__`` statement that only republishes names."""
+    if isinstance(stmt, ast.Assign):
+        return any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        )
+    return isinstance(stmt, (ast.Import, ast.ImportFrom))
+
+
+def _load_sites(root: Path) -> LoadSites:
+    """Every place under ``root`` that loads a name: a ``Name`` read, an
+    attribute, an import alias or an identifier-valued string (``getattr``
+    targets, ``__all__``) — re-export statements of ``__init__`` modules
+    excepted, since republishing a name is not using it."""
+    sites: LoadSites = {}
+    for path in sorted(root.rglob("*.py")):
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+        except (OSError, SyntaxError, ValueError):
+            continue  # the analyzer reports the file itself (LINT002)
+        for index, stmt in enumerate(tree.body):
+            if path.name == "__init__.py" and _is_reexport(stmt):
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value
+                else:
+                    continue
+                if name.isidentifier():
+                    sites.setdefault(name, set()).add((str(path), index))
+    return sites
+
+
+@rule(
+    "DEAD001",
+    "a public, undecorated top-level def/class under src/repro must be "
+    "loaded somewhere in the package (outside its own body and "
+    "__init__ re-exports)",
+)
+def _dead001(ctx: ModuleContext) -> Iterator[RuleHit]:
+    rel = ctx.rel
+    if rel[0] != "repro" or rel[-1] in ("__init__.py", "__main__.py"):
+        return
+    if any(rel[1 : 1 + len(allowed)] == allowed for allowed in _DEAD_ALLOWED):
+        return
+    path = Path(ctx.path).resolve()
+    root = path.parents[len(rel) - 2]
+    sites = ctx.package_sites.get(root)
+    if sites is None:
+        sites = ctx.package_sites[root] = _load_sites(root)
+    for index, stmt in enumerate(ctx.tree.body):
+        if (
+            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.decorator_list
+            and not stmt.name.startswith("_")
+            and not sites.get(stmt.name, set()) - {(str(path), index)}
+        ):
+            yield stmt, (
+                f"{stmt.name} is loaded nowhere under {root.name}/ outside "
+                "its own body and __init__ re-exports; delete it or give "
+                "it a caller"
+            )

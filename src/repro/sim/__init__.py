@@ -4,8 +4,7 @@ This package is the foundation every Stardust experiment runs on.  It
 provides an integer-nanosecond event engine (:mod:`repro.sim.engine`),
 point-to-point links with serialization and propagation delay
 (:mod:`repro.sim.link`), drop-accounting FIFO queues
-(:mod:`repro.sim.queue`), seeded random streams
-(:mod:`repro.sim.randomness`) and measurement helpers
+(:mod:`repro.sim.queue`) and measurement helpers
 (:mod:`repro.sim.stats`).
 """
 
@@ -13,7 +12,6 @@ from repro.sim.engine import Simulator, Event, SimError
 from repro.sim.entity import Entity
 from repro.sim.link import Link, LinkDown
 from repro.sim.queue import FifoQueue, QueueStats
-from repro.sim.randomness import RandomStreams
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -44,7 +42,6 @@ __all__ = [
     "LinkDown",
     "FifoQueue",
     "QueueStats",
-    "RandomStreams",
     "Counter",
     "Histogram",
     "RateMeter",

@@ -76,7 +76,7 @@ class TestRegistry:
     def test_shipped_rules_present(self):
         expected = {
             "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-            "HOT001", "HOT002", "API001",
+            "HOT001", "HOT002", "API001", "DEAD001",
         }
         assert expected <= set(RULES)
 
@@ -104,11 +104,6 @@ class TestDet001:
     def test_seeded_random_ok(self, tmp_path):
         src = "import random\nrng = random.Random(7)\ny = rng.random()\n"
         assert "DET001" not in rules_hit(tmp_path, "repro/sim/ok.py", src)
-
-    def test_randomness_module_exempt(self, tmp_path):
-        src = "import random\nx = random.random()\n"
-        hits = rules_hit(tmp_path, "repro/sim/randomness.py", src)
-        assert "DET001" not in hits
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +349,48 @@ class TestApi001:
 
 
 # ----------------------------------------------------------------------
+# DEAD001: public top-level definitions nothing loads
+# ----------------------------------------------------------------------
+class TestDead001:
+    UNUSED = "def helper():\n    return helper\n\ndef _private():\n    pass\n"
+
+    def test_unloaded_public_def_flagged(self, tmp_path):
+        # Its own body (the recursion) does not count as a load, and a
+        # private name is nobody's business.
+        hits = findings_for(tmp_path, "repro/net/orphan.py", self.UNUSED)
+        assert [(f.rule, f.line) for f in hits] == [("DEAD001", 1)]
+        assert "helper is loaded nowhere under repro/" in hits[0].message
+
+    @pytest.mark.parametrize("user", [
+        "from repro.net.orphan import helper\n",
+        "import repro.net.orphan as o\nx = o.helper\n",
+        "def get(mod):\n    return getattr(mod, 'helper')\n",
+    ])
+    def test_loaded_from_another_module_is_clean(self, tmp_path, user):
+        write_module(tmp_path, "repro/core/user.py", user)
+        assert "DEAD001" not in rules_hit(
+            tmp_path, "repro/net/orphan.py", self.UNUSED
+        )
+
+    def test_init_reexport_alone_is_not_a_load(self, tmp_path):
+        write_module(
+            tmp_path, "repro/net/__init__.py",
+            "from repro.net.orphan import helper\n__all__ = ['helper']\n",
+        )
+        assert "DEAD001" in rules_hit(
+            tmp_path, "repro/net/orphan.py", self.UNUSED
+        )
+
+    @pytest.mark.parametrize("rel", [
+        "repro/analysis/orphan.py", "repro/pipeline/orphan.py",
+        "repro/topology/orphan.py", "repro/core/nic.py",
+        "repro/net/__main__.py", "notrepro/net/orphan.py",
+    ])
+    def test_paper_model_paths_and_entry_points_are_exempt(self, tmp_path, rel):
+        assert "DEAD001" not in rules_hit(tmp_path, rel, self.UNUSED)
+
+
+# ----------------------------------------------------------------------
 # Suppression hygiene
 # ----------------------------------------------------------------------
 class TestSuppressions:
@@ -452,7 +489,8 @@ class TestCli:
 
     def test_exit_zero_on_clean_file(self, tmp_path, monkeypatch):
         path = write_module(
-            tmp_path, "repro/sim/clean.py", "class C:\n    __slots__ = ()\n"
+            tmp_path, "repro/sim/clean.py",
+            "class C:\n    __slots__ = ()\n\n\nINSTANCE = C()\n",
         )
         monkeypatch.chdir(tmp_path)
         assert lint_main([str(path), "--no-baseline"]) == 0
