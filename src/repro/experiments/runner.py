@@ -526,24 +526,23 @@ def _execute(
     """Run serialized specs, fanning out when it can help."""
     total = len(payloads)
     started_at = time.perf_counter()
-    items = list(enumerate(payloads))
     pool = None
     if shards > 1 and total > 1:
+        workers = min(shards, total)
         # Only a platform that cannot give us workers falls back to
         # inline; an exception a cell raises propagates, once.
         try:
             import multiprocessing
 
-            pool = multiprocessing.Pool(processes=min(shards, total))
+            pool = multiprocessing.Pool(processes=workers)
         except (ImportError, OSError) as exc:
             notify(f"multiprocessing unavailable ({exc}); running inline")
+        else:
+            notify(f"running {total} cells on {workers} shards")
     results: List[Optional[RunResult]] = [None] * total
     with pool if pool is not None else contextlib.nullcontext():
-        if pool is not None:
-            notify(f"running {total} cells on {min(shards, total)} shards")
-            completions = pool.imap_unordered(_worker_run, items)
-        else:
-            completions = map(_worker_run, items)
+        run = map if pool is None else pool.imap_unordered
+        completions = run(_worker_run, list(enumerate(payloads)))
         for done, (index, data, wall_s) in enumerate(completions, 1):
             result = results[index] = RunResult.from_dict(data)
             if live:

@@ -1,7 +1,5 @@
 """The transport table: how a flow starts under each named transport.
-
-The one place that knows; adding a transport is one row here.
-"""
+The one place that knows; adding a transport is one row here."""
 
 from typing import Dict, NamedTuple, Optional
 
