@@ -9,6 +9,8 @@ last-stage (FE -> FA) links in cells, as in the paper, and compared
 against the M/D/1 model of §4.2.1.
 """
 
+import functools
+
 from harness import print_series
 
 from repro.analysis.mdq import md1_tail_probability
@@ -29,8 +31,15 @@ LOADS = [0.66, 0.8, 0.92, 0.95]
 DURATION = 2 * MILLISECOND
 
 
+@functools.cache
 def run_load(load: float, oversubscribed: bool = False):
-    """One Fig 9 run; returns (latency_hist, queue_hist, network)."""
+    """One Fig 9 run; returns (latency_hist, queue_hist, network).
+
+    Memoised for the module: both figures read the same five
+    simulations (the latency and the queue side of one run), so each is
+    simulated once.  Nothing here draws from process-global state (no
+    ``Flow`` is created), so a second run would reproduce the first.
+    """
     # The paper's "fabric utilization" is raw wire utilization after
     # cell-header overhead (§6.2).  The injector paces by host-wire
     # bytes (1020B for a 1000B packet), and the fabric carries the
@@ -68,6 +77,13 @@ def run_load(load: float, oversubscribed: bool = False):
     net.run(DURATION)
     traffic.stop()
     return net.cell_latency(), net.fabric_queue_depth(), net
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_runs():
+    """Drop the five memoised networks (~200 MiB) when the module ends."""
+    yield
+    run_load.cache_clear()
 
 
 def test_fig9_latency_distribution(benchmark):

@@ -26,7 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.core.cell import VoqId
 from repro.core.config import StardustConfig
 from repro.net.addressing import DeviceId
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import SECOND
 
 #: A VOQ as the scheduler sees it: who holds it and which VOQ it is.
@@ -43,7 +43,7 @@ class EgressScheduler:
     __slots__ = (
         "sim", "config", "name", "port_rate_bps", "_grant_fn",
         "_credit_rate_bps", "_enqueued", "_granted", "_rings", "_in_ring",
-        "_pump_event", "_paused", "_throttled_until_ns",
+        "_armed", "_stopped", "_paused", "_throttled_until_ns",
         "_wrr_cursor", "_wrr_cached",
         "credits_granted", "credit_bytes_granted", "fci_marks_seen",
     )
@@ -76,8 +76,11 @@ class EgressScheduler:
         ]
         self._in_ring: set[RemoteVoq] = set()
 
-        # Self-clocking pump.
-        self._pump_event: Optional[Event] = None
+        # Self-clocking pump: at most one ``_pump`` event pending
+        # (``_armed``), laid without a handle — a paused or stopped
+        # pump lets it fire and return, so nothing ever cancels it.
+        self._armed = False
+        self._stopped = False
         self._paused = False
         self._throttled_until_ns = -1
 
@@ -164,11 +167,14 @@ class EgressScheduler:
     # The pump
     # ------------------------------------------------------------------
     def _kick(self) -> None:
-        if self._pump_event is None and not self._paused and self._in_ring:
-            self._pump_event = self.sim.call_soon(self._pump)
+        if not self._armed and not self._paused and self._in_ring:
+            self._armed = True
+            self.sim.call_later(0, self._pump)
 
     def _pump(self) -> None:
-        self._pump_event = None
+        if self._stopped:
+            return  # still armed, so nothing lays another event
+        self._armed = False
         if self._paused:
             return
         ring = self._next_ring()
@@ -195,7 +201,8 @@ class EgressScheduler:
         gap_ns = max(1, int(grant * 8 * SECOND / self._credit_rate_bps))  # repro-lint: allow=DET005 -- credit speedup is fractional; f64 rounding is deterministic and golden-pinned
         if self.sim.now <= self._throttled_until_ns:
             gap_ns = int(gap_ns * self.config.fci_throttle_factor)  # repro-lint: allow=DET005 -- FCI throttle factor is fractional by design; same f64 determinism argument
-        self._pump_event = self.sim.schedule(gap_ns, self._pump)
+        self._armed = True
+        self.sim.call_later(gap_ns, self._pump)
 
     def _next_ring(self) -> Optional[Deque[RemoteVoq]]:
         """Next traffic-class ring: strict priority or WRR (§4.1)."""
@@ -234,7 +241,5 @@ class EgressScheduler:
 
     def stop(self) -> None:
         """Stop the grant pump permanently (teardown)."""
-        if self._pump_event is not None:
-            self._pump_event.cancel()
-            self._pump_event = None
+        self._stopped = True
         self._paused = True

@@ -26,6 +26,7 @@ run the same :func:`_worker_run` through the same loop in
 from __future__ import annotations
 
 import contextlib
+import gc
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from repro.experiments.spec import (
     plain_fields,
 )
 from repro.net.flow import Flow, reset_flow_ids
+from repro.sim.engine import deferred_gc
 from repro.transport.host import make_hosts
 from repro.transport.table import start_flow
 from repro.workloads.distributions import (
@@ -420,8 +422,17 @@ def run_spec(spec: ScenarioSpec, hermetic: bool = True) -> RunResult:
     ``hermetic`` (the default) resets the global flow-id space first so
     the result is independent of whatever ran earlier in this process —
     required for the content-hash cache and cross-process determinism.
+
+    This call owns the network, so the cell's memory dies with the cell:
+    cyclic GC is deferred from build to result, which keeps all the cell
+    allocated in the youngest generation, and once the network is dropped
+    one pass over that generation frees it without walking the older heap.
     """
-    return run_spec_with_network(spec, hermetic=hermetic)[0]
+    with deferred_gc() as deferred:
+        result = run_spec_with_network(spec, hermetic=hermetic)[0]
+        if deferred:
+            gc.collect(0)
+    return result
 
 
 def _worker_run(item) -> tuple:

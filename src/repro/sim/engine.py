@@ -86,7 +86,8 @@ delivery, so :meth:`Simulator.run` is built around those two:
   heavily but acyclically (cells, frames, list entries), so reference
   counting already reclaims it; generation-0 passes were close to half
   the wall time of a permutation cell.  Order, counters and results are
-  unaffected; a collection simply happens later.
+  unaffected; a collection simply happens later (:func:`deferred_gc`;
+  ``run_spec`` holds one around a whole cell and this one nests in it).
 
 Counters stay eager: ``events_fired`` and the occupancy meta-metrics
 are exact at every callback and probe.
@@ -110,8 +111,9 @@ deadline — sampling rides the event stream, so an idle simulation is
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 #: "No horizon/budget" sentinel — a time/count no simulation reaches,
 #: kept as an int so the hot loop's compares stay int-vs-int.
@@ -156,6 +158,21 @@ def _insort_desc(bucket: list, entry: list) -> None:
         else:
             hi = mid
     bucket.insert(lo, entry)
+
+
+@contextmanager
+def deferred_gc() -> Iterator[bool]:
+    """Switch the cyclic collector off for the block, back on however it
+    exits.  Yields whether this call switched it: nested in another
+    deferral, or under a caller who runs with it off, it does nothing."""
+    owned = gc.isenabled()
+    if owned:
+        gc.disable()
+    try:
+        yield owned
+    finally:
+        if owned:
+            gc.enable()
 
 
 class SimError(RuntimeError):
@@ -206,6 +223,7 @@ class Simulator:
         "_buckets", "_cursor", "_wheel_live", "_sorted_slot", "_spill",
         "_now", "_seq", "_events_fired", "_cancelled", "_running",
         "_probe", "_probe_interval", "_probe_due", "topology_epoch",
+        "tx_ns_by_rate",
     )
 
     #: Width of one calendar-wheel bucket.  64ns means any delay of at
@@ -259,6 +277,10 @@ class Simulator:
         #: lists are exact, so the per-cell forwarding path skips the
         #: list rebuild it used to pay on every hop.
         self.topology_epoch: int = 0
+        #: Rate -> (frame size -> serialization time): a pure function
+        #: of both, so the thousands of same-rate links of a fabric
+        #: share one memo instead of carrying a dict each.
+        self.tx_ns_by_rate: Dict[int, Dict[int, int]] = {}
 
     @property
     def now(self) -> int:
@@ -532,172 +554,168 @@ class Simulator:
         due = buckets[cursor & mask]
         # Defer cyclic GC while the loop owns the process (restored on
         # exit, even via exceptions); see the module docstring.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while True:
-                # ---- wheel candidate: head of the cursor's bucket ----
-                if due:
-                    if sorted_slot != cursor:
-                        # First look at this bucket (or appends landed
-                        # while it was not the drain target): establish
-                        # descending order once, then trust the tail —
-                        # pops and insorts both preserve it.
-                        due.sort(reverse=True)
-                        sorted_slot = self._sorted_slot = cursor
-                    wheel_entry = due[-1]
-                elif self._wheel_live:
-                    # Scan forward for the next non-empty bucket, but
-                    # never past the spill head's slot (firing it must
-                    # not strand the cursor ahead of insert targets).
-                    bound = spill[0][0] >> shift if spill else cursor + nslots
-                    if bound > cursor + nslots:
-                        bound = cursor + nslots
-                    scan = cursor + 1
-                    while scan < bound and not buckets[scan & mask]:
-                        scan += 1
-                    cursor = self._cursor = scan
-                    due = buckets[scan & mask]
+        with deferred_gc():
+            try:
+                while True:
+                    # ---- wheel candidate: head of the cursor's bucket ----
                     if due:
-                        due.sort(reverse=True)
-                        sorted_slot = self._sorted_slot = scan
+                        if sorted_slot != cursor:
+                            # First look at this bucket (or appends landed
+                            # while it was not the drain target): establish
+                            # descending order once, then trust the tail —
+                            # pops and insorts both preserve it.
+                            due.sort(reverse=True)
+                            sorted_slot = self._sorted_slot = cursor
                         wheel_entry = due[-1]
+                    elif self._wheel_live:
+                        # Scan forward for the next non-empty bucket, but
+                        # never past the spill head's slot (firing it must
+                        # not strand the cursor ahead of insert targets).
+                        bound = spill[0][0] >> shift if spill else cursor + nslots
+                        if bound > cursor + nslots:
+                            bound = cursor + nslots
+                        scan = cursor + 1
+                        while scan < bound and not buckets[scan & mask]:
+                            scan += 1
+                        cursor = self._cursor = scan
+                        due = buckets[scan & mask]
+                        if due:
+                            due.sort(reverse=True)
+                            sorted_slot = self._sorted_slot = scan
+                            wheel_entry = due[-1]
+                        else:
+                            wheel_entry = None
                     else:
                         wheel_entry = None
-                else:
-                    wheel_entry = None
 
-                # ---- merge with the spill heap, skipping corpses ----
-                if spill:
-                    entry = spill[0]
-                    if wheel_entry is None or entry < wheel_entry:
-                        if entry[2] is None:
-                            # Lazy-deleted corpse: drop it without
-                            # charging events_fired or the budget.
-                            heappop(spill)
-                            self._cancelled -= 1
-                            continue
+                    # ---- merge with the spill heap, skipping corpses ----
+                    if spill:
+                        entry = spill[0]
+                        if wheel_entry is None or entry < wheel_entry:
+                            if entry[2] is None:
+                                # Lazy-deleted corpse: drop it without
+                                # charging events_fired or the budget.
+                                heappop(spill)
+                                self._cancelled -= 1
+                                continue
+                        else:
+                            entry = wheel_entry
+                    elif wheel_entry is None:
+                        # Both structures drained: advance the clock to the
+                        # horizon if one was given.
+                        if until is not None and until > self._now:
+                            self._now = until
+                        cursor = self._now >> shift
+                        break
                     else:
                         entry = wheel_entry
-                elif wheel_entry is None:
-                    # Both structures drained: advance the clock to the
-                    # horizon if one was given.
-                    if until is not None and until > self._now:
+
+                    # ---- fire the earlier candidate (full edge checks) ----
+                    time_ns = entry[0]
+                    if time_ns > horizon and until is not None:
+                        # (`horizon` may be the _NEVER sentinel; an event
+                        # beyond even that is still live and fires when no
+                        # horizon was requested.)
                         self._now = until
-                    cursor = self._now >> shift
-                    break
-                else:
-                    entry = wheel_entry
-
-                # ---- fire the earlier candidate (full edge checks) ----
-                time_ns = entry[0]
-                if time_ns > horizon and until is not None:
-                    # (`horizon` may be the _NEVER sentinel; an event
-                    # beyond even that is still live and fires when no
-                    # horizon was requested.)
-                    self._now = until
-                    cursor = until >> shift
-                    break
-                if fired >= limit:
-                    cursor = self._now >> shift
-                    break
-                if entry is wheel_entry:
-                    due.pop()
-                    self._wheel_live -= 1
-                else:
-                    heappop(spill)
-                    slot = time_ns >> shift
-                    if slot != cursor:
-                        cursor = self._cursor = slot
-                        due = buckets[slot & mask]
-                fn = entry[2]
-                # Neutralize before firing: cancelling an already-fired
-                # event's handle (stale RTO guards do this) must not be
-                # booked as a corpse — and spent entries are what
-                # ``rearm_at`` callers recycle.
-                entry[2] = None
-                self._now = time_ns
-                if time_ns >= probe_due:
-                    probe_due = self._probe_fire(time_ns)
-                if fn.__class__ is int:
-                    link = entry[3]
-                    if fn == TAG_TX:
-                        link._tx_done()
-                    elif link.up:
-                        link._dst_receive(link._in_flight.popleft(), link)
-                    else:
-                        link._in_flight.popleft()
-                        link.dropped_frames += 1
-                else:
-                    fn()
-                self._events_fired += 1
-                fired += 1
-                if entry is not wheel_entry:
-                    # A spill fire may have moved the cursor to a bucket
-                    # nobody sorted yet; the top of the loop re-derives.
-                    continue
-
-                # ---- batched drain of the rest of this bucket ----
-                # Bound: the drain may fire any entry strictly before
-                # the next probe deadline, at or before the horizon, and
-                # strictly before the spill head (ties go to the outer
-                # loop's exact (time, seq) compare).  The spill head
-                # *entry* is cached and the bound recomputed whenever a
-                # callback installed a different head object — watching
-                # ``len`` is not enough, because a compaction (removing
-                # N corpses) plus N pushes leaves the length unchanged
-                # while the new head may be earlier.  Identity is exact:
-                # pushes, pops and compaction all swap the head object,
-                # and an in-heap entry's (time, seq) key is never
-                # mutated (rearm requires a popped, spent entry).  A
-                # cancellation nulls head[2] in place but keeps its key,
-                # so the stale bound is merely conservative and the
-                # outer loop drops the corpse.  ``<=``, not ``<``: a spill
-                # head *at* the horizon/probe bound is still a tie the
-                # drain must not jump.
-                lim = probe_due - 1
-                if horizon < lim:
-                    lim = horizon
-                head = spill[0] if spill else None
-                if head is not None and head[0] <= lim:
-                    lim = head[0] - 1
-                while due:
-                    e = due[-1]
-                    time_ns = e[0]
-                    if time_ns > lim or fired >= limit:
+                        cursor = until >> shift
                         break
-                    due.pop()
-                    self._wheel_live -= 1
-                    fn = e[2]
-                    e[2] = None
+                    if fired >= limit:
+                        cursor = self._now >> shift
+                        break
+                    if entry is wheel_entry:
+                        due.pop()
+                        self._wheel_live -= 1
+                    else:
+                        heappop(spill)
+                        slot = time_ns >> shift
+                        if slot != cursor:
+                            cursor = self._cursor = slot
+                            due = buckets[slot & mask]
+                    fn = entry[2]
+                    # Neutralize before firing: cancelling an already-fired
+                    # event's handle (stale RTO guards do this) must not be
+                    # booked as a corpse — and spent entries are what
+                    # ``rearm_at`` callers recycle.
+                    entry[2] = None
                     self._now = time_ns
+                    if time_ns >= probe_due:
+                        probe_due = self._probe_fire(time_ns)
                     if fn.__class__ is int:
-                        link = e[3]
+                        link = entry[3]
                         if fn == TAG_TX:
                             link._tx_done()
                         elif link.up:
-                            link._dst_receive(link._in_flight.popleft(), link)
+                            link._dst_receive(link._in_flight.pop(0), link)
                         else:
-                            link._in_flight.popleft()
+                            link._in_flight.pop(0)
                             link.dropped_frames += 1
                     else:
                         fn()
                     self._events_fired += 1
                     fired += 1
-                    h = spill[0] if spill else None
-                    if h is not head:
-                        head = h
-                        lim = probe_due - 1
-                        if horizon < lim:
-                            lim = horizon
-                        if h is not None and h[0] <= lim:
-                            lim = h[0] - 1
-        finally:
-            self._cursor = cursor
-            self._running = False
-            if gc_was_enabled:
-                gc.enable()
+                    if entry is not wheel_entry:
+                        # A spill fire may have moved the cursor to a bucket
+                        # nobody sorted yet; the top of the loop re-derives.
+                        continue
+
+                    # ---- batched drain of the rest of this bucket ----
+                    # Bound: the drain may fire any entry strictly before
+                    # the next probe deadline, at or before the horizon, and
+                    # strictly before the spill head (ties go to the outer
+                    # loop's exact (time, seq) compare).  The spill head
+                    # *entry* is cached and the bound recomputed whenever a
+                    # callback installed a different head object — watching
+                    # ``len`` is not enough, because a compaction (removing
+                    # N corpses) plus N pushes leaves the length unchanged
+                    # while the new head may be earlier.  Identity is exact:
+                    # pushes, pops and compaction all swap the head object,
+                    # and an in-heap entry's (time, seq) key is never
+                    # mutated (rearm requires a popped, spent entry).  A
+                    # cancellation nulls head[2] in place but keeps its key,
+                    # so the stale bound is merely conservative and the
+                    # outer loop drops the corpse.  ``<=``, not ``<``: a spill
+                    # head *at* the horizon/probe bound is still a tie the
+                    # drain must not jump.
+                    lim = probe_due - 1
+                    if horizon < lim:
+                        lim = horizon
+                    head = spill[0] if spill else None
+                    if head is not None and head[0] <= lim:
+                        lim = head[0] - 1
+                    while due:
+                        e = due[-1]
+                        time_ns = e[0]
+                        if time_ns > lim or fired >= limit:
+                            break
+                        due.pop()
+                        self._wheel_live -= 1
+                        fn = e[2]
+                        e[2] = None
+                        self._now = time_ns
+                        if fn.__class__ is int:
+                            link = e[3]
+                            if fn == TAG_TX:
+                                link._tx_done()
+                            elif link.up:
+                                link._dst_receive(link._in_flight.pop(0), link)
+                            else:
+                                link._in_flight.pop(0)
+                                link.dropped_frames += 1
+                        else:
+                            fn()
+                        self._events_fired += 1
+                        fired += 1
+                        h = spill[0] if spill else None
+                        if h is not head:
+                            head = h
+                            lim = probe_due - 1
+                            if horizon < lim:
+                                lim = horizon
+                            if h is not None and h[0] <= lim:
+                                lim = h[0] - 1
+            finally:
+                self._cursor = cursor
+                self._running = False
         return self._now
 
     def run_for(self, duration_ns: int) -> int:

@@ -28,7 +28,7 @@ would schedule, delivery first, then the next completion.  (Event
 cost, never event count.)
 
 Trains split correctly under mid-train disturbances because each step
-re-derives its state from the live link: ``set_rate`` flushes the
+re-derives its state from the live link: ``set_rate`` swaps the
 memoized serialization times, so the next cell takes the new rate;
 ``fail()`` drops the queued remainder and lets the cell on the
 serializer finish into a dead link (counted lost); a post-``restore``
@@ -38,7 +38,9 @@ right frame.  Those corners, and a link with an ``on_transmit`` hook,
 take the scalar :meth:`Link._start_next` instead of the train step.
 
 Deliveries share one constant delay, so they fire in append order and a
-pure FIFO (``_in_flight``) matches payloads exactly.  They dispatch
+pure FIFO (``_in_flight``) matches payloads exactly — a plain list, as
+is ``_ser_extra``: a few frames deep at most, and an empty ``deque`` is
+760 bytes on each of a fabric's thousands of links.  They dispatch
 through ``dst.receive`` as bound at construction — endpoints are fixed
 at wiring time; rebinding ``receive`` on a wired device is unsupported.
 """
@@ -103,14 +105,15 @@ class Link:
         self._ser_payload: Any = None
         self._ser_size = 0
         self._ser_done = -1
-        self._ser_extra: deque[tuple[Any, int, int]] = deque()
+        self._ser_extra: list[tuple[Any, int, int]] = []
         #: Payloads on the wire (serialized, not yet delivered).  Pure
         #: FIFO is exact here: entries are appended in simulation-time
         #: order and all delivery events share one propagation delay,
         #: so they fire in append order.
-        self._in_flight: deque[Any] = deque()
-        #: Frame size -> serialization time at this link's rate.
-        self._tx_ns: Dict[int, int] = {}
+        self._in_flight: list[Any] = []
+        #: Frame size -> serialization time at this link's rate (the
+        #: simulation's one table for that rate).
+        self._tx_ns: Dict[int, int] = sim.tx_ns_by_rate.setdefault(rate_bps, {})
         #: The train entry: one reusable engine entry stepping through
         #: back-to-back serialization completions.  ``entry[2] is None``
         #: means spent (fired or never armed) and safe to re-arm.
@@ -360,7 +363,10 @@ class Link:
         return lost
 
     def restore(self) -> None:
-        """Bring the link back up (queue starts empty)."""
+        """Bring a failed link back up (queue starts empty).  No-op on a
+        live link: clearing ``_busy`` mid-train would start a second one."""
+        if self.up:
+            return
         self.up = True
         self.sim.topology_epoch += 1
         self._busy = False
@@ -370,13 +376,13 @@ class Link:
 
         Takes effect from the next frame to start serializing — an
         in-progress train splits here, because every step re-derives its
-        serialization time from the (now flushed) memo table.
+        serialization time from the (now swapped) memo table.
         """
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps}")
         if rate_bps != self.rate_bps:
             self.rate_bps = rate_bps
-            self._tx_ns = {}
+            self._tx_ns = self.sim.tx_ns_by_rate.setdefault(rate_bps, {})
 
 
 def duplex(

@@ -10,7 +10,8 @@ allocated at the completion, before the next frame's.
 
 The property drives both through the same generated program — bursts of
 mixed sizes, ``set_rate``, ``fail`` / ``restore`` (stale pre-fail
-serializations beside fresh trains), ``on_transmit`` / ``on_idle``
+serializations beside fresh trains; ``restore`` on a link that is up,
+mid-train, is a no-op), ``on_transmit`` / ``on_idle``
 installed and removed mid-train, an ``on_idle`` that refills the link
 from inside the completion, and propagation delays both equal to a
 serialization time (a delivery and a completion tie on ``time_ns``, so
@@ -108,7 +109,8 @@ class ReferenceLink:
         self.queued_bytes = 0
 
     def restore(self):
-        self.up, self.busy = True, False
+        if not self.up:  # a live link keeps serializing: nothing to reset
+            self.up, self.busy = True, False
 
     def set_rate(self, rate_bps):
         self.rate_bps = rate_bps
@@ -176,10 +178,10 @@ class World(Entity):
             if link.up:
                 link.fail()
         elif op == "restore":
-            # Only a down link: restore() resets serializer state, and
-            # callers (repro.faults) never aim it at a live link.
-            if not link.up:
-                link.restore()
+            # On a live link too, mid-train included: it must change
+            # nothing (it used to clear ``busy`` under the serializer,
+            # and the next send started a second, concurrent one).
+            link.restore()
         elif op == "flap":
             # An outage shorter than a frame: the serialization in
             # progress outlives it and goes stale beside the next train.
