@@ -424,9 +424,9 @@ def run_spec(spec: ScenarioSpec, hermetic: bool = True) -> RunResult:
     required for the content-hash cache and cross-process determinism.
 
     This call owns the network, so the cell's memory dies with the cell:
-    cyclic GC is deferred from build to result, which keeps all the cell
-    allocated in the youngest generation, and once the network is dropped
-    one pass over that generation frees it without walking the older heap.
+    cyclic GC is deferred from build to result, so everything the cell
+    allocates stays in the youngest generation, and once the network is
+    dropped one pass over that generation frees it, older heap unwalked.
     """
     with deferred_gc() as deferred:
         result = run_spec_with_network(spec, hermetic=hermetic)[0]

@@ -160,8 +160,14 @@ def test_fresh_link_owns_about_a_kibibyte_of_containers():
     assert len(containers) == 5  # _queue, _ser_extra, _in_flight, two entries
     # 2 520 bytes when all three FIFOs were deques (760 each, empty).
     assert sum(sys.getsizeof(c) for c in containers) <= 1100
+
+
+def test_links_of_one_rate_share_the_simulations_memo():
+    sim = Simulator()
+    link = Link(sim, Entity(sim, "a"), Entity(sim, "b"), gbps(10), 100)
     other = Link(sim, Entity(sim, "c"), Entity(sim, "d"), gbps(10), 100)
     assert other._tx_ns is link._tx_ns
     other.set_rate(gbps(5))
     assert other._tx_ns is not link._tx_ns
     assert other._tx_ns is sim.tx_ns_by_rate[gbps(5)]
+    assert Link(Simulator(), link.src, link.dst, gbps(10))._tx_ns is not link._tx_ns
