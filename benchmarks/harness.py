@@ -5,19 +5,19 @@ simulations are scaled-down versions of the paper's setups (documented
 per benchmark); the *shape* of each result — who wins, by what rough
 factor, where crossovers sit — is asserted, not absolute numbers.
 
-Since the ``repro.experiments`` subsystem landed, this module is a thin
-compatibility veneer: networks are built by
-:mod:`repro.experiments.builders` (which resolves fabrics through the
-:mod:`repro.fabrics` registry) and permutation runs execute through
-:func:`repro.experiments.runner.run_spec`, so benchmarks and declarative
-sweeps share one implementation.
+What is left here is what the figures share: the standard
+permutation topology, one Fig 10(a) run through
+:func:`repro.experiments.runner.run_spec` (so benchmarks and
+declarative sweeps share one implementation), and the table printer.
+Figures that need a network build it with the fabric class's own
+``for_experiment`` — ``StardustNetwork.for_experiment(PERM_SPEC,
+PERM_RATE, ...)`` — the constructor scenario specs resolve to.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments import builders
 from repro.experiments.registry import PERM_TOPOLOGY
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec, TopologySpec, resolve_kind
@@ -34,27 +34,6 @@ PERM_ADDRS = [
     for p in range(PERM_SPEC.hosts_per_fa)
 ]
 PERM_RATE = gbps(10)
-
-
-def stardust_network(
-    spec=PERM_SPEC,
-    rate=PERM_RATE,
-    cell_bytes: int = 512,
-    **overrides,
-):
-    """A Stardust fabric at benchmark scale.
-
-    512B cells / 4KB credits follow the paper's own htsim shortcut
-    ("intended to reduce simulation time", Appendix G).
-    """
-    return builders.stardust_network(
-        spec, rate=rate, cell_bytes=cell_bytes, **overrides
-    )
-
-
-def push_network(spec=PERM_SPEC, rate=PERM_RATE, **eth_overrides):
-    """The Ethernet ECMP fabric on the same topology."""
-    return builders.push_network(spec, rate=rate, **eth_overrides)
 
 
 def permutation_throughput(

@@ -47,11 +47,12 @@ def run_speedup(speedup: float):
     delivered_bps = sum(
         i.bytes_received for i in traffic.injectors
     ) * 8 / (1.5 * DURATION / 1e9)
+    metrics = net.collect_metrics()
     return {
         "delivered_gbps": delivered_bps / 1e9,
-        "latency_p99_us": net.cell_latency().pct(99) / 1000,
-        "queue_p99": net.fabric_queue_depth().pct(99),
-        "drops": net.fabric_cell_drops(),
+        "latency_p99_us": metrics.cell_latency_ns.pct(99) / 1000,
+        "queue_p99": metrics.queue_depth.pct(99),
+        "drops": metrics.fabric_drops,
     }
 
 

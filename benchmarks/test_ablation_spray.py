@@ -48,12 +48,13 @@ def run_mode(mode: str):
     # Per-uplink imbalance at one loaded Fabric Adapter.
     counts = [up.tx_frames for up in net.fas[0].uplinks]
     imbalance = (max(counts) - min(counts)) / max(max(counts), 1)
-    queues = net.fabric_queue_depth()
+    metrics = net.collect_metrics()
+    queues = metrics.queue_depth
     return {
         "imbalance": imbalance,
         "queue_p99": queues.pct(99),
         "queue_max": queues.maximum(),
-        "latency_p99_us": net.cell_latency().pct(99) / 1000,
+        "latency_p99_us": metrics.cell_latency_ns.pct(99) / 1000,
         "delivered": traffic.total_received(),
     }
 

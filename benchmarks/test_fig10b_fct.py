@@ -10,9 +10,9 @@ finishing in under a millisecond, far ahead of DCTCP/DCQCN/MPTCP.
 
 import random
 
-from harness import print_series, push_network, stardust_network
+from harness import print_series
 
-from repro.fabrics import TwoTierSpec
+from repro.fabrics import PushFabricNetwork, StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
 from repro.sim.units import MICROSECOND, MILLISECOND
@@ -53,9 +53,9 @@ def run_fct(kind: str):
     queueing behind sibling probes.
     """
     if kind == "stardust":
-        net = stardust_network(SPEC)
+        net = StardustNetwork.for_experiment(SPEC)
     else:
-        net = push_network(SPEC)
+        net = PushFabricNetwork.for_experiment(SPEC)
     transport = "dctcp" if kind == "dctcp" else "tcp"
     hosts, tracker = make_hosts(net, ADDRS)
 

@@ -9,9 +9,9 @@ class and B with a low class: the pushed fabric still destroys B, and
 Stardust still delivers both.
 """
 
-from harness import print_series, push_network, stardust_network
+from harness import print_series
 
-from repro.fabrics import OneTierSpec
+from repro.fabrics import OneTierSpec, PushFabricNetwork, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 from repro.sim.entity import Entity
@@ -46,12 +46,12 @@ class BlastHost(Entity):
 
 def scenario(kind: str, with_classes: bool):
     if kind == "stardust":
-        net = stardust_network(
+        net = StardustNetwork.for_experiment(
             SPEC, RATE, cell_bytes=256,
             traffic_classes=2 if with_classes else 1,
         )
     else:
-        net = push_network(
+        net = PushFabricNetwork.for_experiment(
             SPEC, RATE, port_buffer_bytes=30_000, ecn_threshold_bytes=None
         )
     hosts = {}

@@ -76,7 +76,8 @@ def run_load(load: float, oversubscribed: bool = False):
     traffic.start()
     net.run(DURATION)
     traffic.stop()
-    return net.cell_latency(), net.fabric_queue_depth(), net
+    metrics = net.collect_metrics()
+    return metrics.cell_latency_ns, metrics.queue_depth, net
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -95,14 +96,14 @@ def test_fig9_latency_distribution(benchmark):
                 "p50": lat.pct(50) / 1000,
                 "p99": lat.pct(99) / 1000,
                 "max": lat.maximum() / 1000,
-                "drops": net.fabric_cell_drops(),
+                "drops": net.fabric_drop_count(),
             }
         lat, _q, net = run_load(1.2, oversubscribed=True)
         results[1.2] = {
             "p50": lat.pct(50) / 1000,
             "p99": lat.pct(99) / 1000,
             "max": lat.maximum() / 1000,
-            "drops": net.fabric_cell_drops(),
+            "drops": net.fabric_drop_count(),
         }
         return results
 

@@ -50,7 +50,8 @@ def run_size(packet_bytes: int, utilization: float = 0.95):
     net.run(DURATION)
     traffic.stop()
     net.run(DURATION // 4)  # drain
-    lat = net.packet_latency()
+    metrics = net.collect_metrics()
+    lat = metrics.packet_latency_ns
     delivered = traffic.total_received()
     sent = traffic.total_sent()
     return {
@@ -59,8 +60,8 @@ def run_size(packet_bytes: int, utilization: float = 0.95):
         "lat_avg_us": lat.mean() / 1000,
         "lat_max_us": lat.maximum() / 1000,
         "lat_stdev_us": lat.stdev() / 1000,
-        "fabric_drops": net.fabric_cell_drops(),
-        "ingress_drops": net.ingress_drops(),
+        "fabric_drops": metrics.fabric_drops,
+        "ingress_drops": metrics.ingress_drops,
     }
 
 

@@ -45,9 +45,9 @@ def main() -> None:
         1 for f in flows if tracker.get(f.flow_id).completed_ns is not None
     )
     print(f"\ntransfers completed: {done}/8; "
-          f"fabric cell drops: {net.fabric_cell_drops()}")
+          f"fabric cell drops: {net.fabric_drop_count()}")
     assert done == 8
-    assert net.fabric_cell_drops() == 0
+    assert net.fabric_drop_count() == 0
     print("OK: the all-cell-switch network behaves exactly like the "
           "ToR-based one — which is §8's entire argument")
 

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.addressing import DeviceId
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.entity import Entity
+from repro.sim.entity import Device
 from repro.sim.link import Link
 from repro.sim.stats import Histogram
 
@@ -98,7 +98,7 @@ def _flow_hash(flow_id: int, salt: int, buckets: int) -> int:
     return int.from_bytes(digest[:4], "big") % buckets
 
 
-class EthernetSwitch(Entity):
+class EthernetSwitch(Device):
     """Output-queued packet switch with ECMP."""
 
     __slots__ = (
@@ -107,7 +107,7 @@ class EthernetSwitch(Entity):
         "_hash_memo", "_spray_cursor", "_rehash_ns",
         "forwarded", "dropped", "ecn_marked", "no_route_drops",
         "delivered_host_bytes", "queue_depth", "sample_queues",
-        "blackholed", "blackholed_flow_ids", "alive", "dead_drops",
+        "blackholed", "blackholed_flow_ids",
     )
 
     def __init__(
@@ -152,8 +152,6 @@ class EthernetSwitch(Entity):
         self._rehash_ns = config.ecmp_rehash_ns
         self.blackholed = 0
         self.blackholed_flow_ids: set = set()
-        self.alive = True
-        self.dead_drops = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -192,24 +190,10 @@ class EthernetSwitch(Entity):
         """All attached ports."""
         return list(self._ports)
 
-    # ------------------------------------------------------------------
-    # Failure injection (§5.10 device death)
-    # ------------------------------------------------------------------
-    def fail(self) -> int:
-        """Kill this switch: all output links down, arrivals dropped.
-
-        Returns frames lost from the output queues.  Links *into* a
-        dead switch belong to its neighbors; the fault injector fails
-        those too.
-        """
-        self.alive = False
-        return sum(port.out.fail() for port in self._ports)
-
-    def restore(self) -> None:
-        """Bring the switch (and its output links) back up."""
-        self.alive = True
-        for port in self._ports:
-            port.out.restore()
+    def out_links(self) -> List[Link]:
+        """Every port's output link (host ports included), in
+        attachment order."""
+        return [port.out for port in self._ports]
 
     # ------------------------------------------------------------------
     # Forwarding

@@ -35,7 +35,7 @@ from repro.core.spray import SprayArbiter
 from repro.net.addressing import DeviceId
 from repro.net.packet import Packet, PauseFrame
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.entity import Entity
+from repro.sim.entity import Device
 from repro.sim.link import Link
 from repro.sim.stats import Histogram, RateMeter
 
@@ -54,7 +54,7 @@ class EgressPort:
     drops: int = 0
 
 
-class FabricAdapter(Entity):
+class FabricAdapter(Device):
     """A Stardust edge device (ToR role)."""
 
     __slots__ = (
@@ -66,7 +66,7 @@ class FabricAdapter(Entity):
         "cells_sent", "cells_received", "packets_in", "packets_out",
         "ingress_drops",
         "local_switched", "low_latency_cells", "hosts_paused",
-        "pause_frames_sent", "alive", "dead_drops",
+        "pause_frames_sent",
     )
 
     def __init__(
@@ -140,10 +140,6 @@ class FabricAdapter(Entity):
         #: Host flow-control state (§5.4): True while PAUSE is asserted.
         self.hosts_paused = False
         self.pause_frames_sent = 0
-        #: Device-death state: a failed FA neither accepts host packets
-        #: nor egresses cells; whatever still reaches it is counted.
-        self.alive = True
-        self.dead_drops = 0
 
     # ------------------------------------------------------------------
     # Wiring (builder API)
@@ -179,12 +175,18 @@ class FabricAdapter(Entity):
         """The fabric-facing links, in attachment order."""
         return list(self._uplinks)
 
+    def out_links(self) -> List[Link]:
+        """A dying FA takes its uplinks with it (host links stay up)."""
+        return self._uplinks
+
     def set_static_reachability(self) -> None:
         """All live uplinks reach every destination (healthy fat-tree)."""
         self._static_reach = True
 
-    def enable_protocol(self) -> None:
-        """Learn uplink reachability from FE advertisements."""
+    def enable_protocol(self) -> ReachabilityMonitor:
+        """Learn uplink reachability from FE advertisements.
+
+        Returns the monitor, whose counters the network reports."""
         self._static_reach = False
         self._monitor = ReachabilityMonitor(
             self.sim,
@@ -202,6 +204,7 @@ class FabricAdapter(Entity):
             phase_ns=(self.fa_id % 5 + 1)
             * (self.config.reachability_period_ns // 8 + 1),
         )
+        return self._monitor
 
     def _advertise(self) -> None:
         size = self.config.reachability_cell_bytes
@@ -244,25 +247,6 @@ class FabricAdapter(Entity):
                 result.append(up)
         self._elig_cache[dst_fa] = result
         return result
-
-    # ------------------------------------------------------------------
-    # Failure injection (§5.10 device death)
-    # ------------------------------------------------------------------
-    def fail(self) -> int:
-        """Kill this FA: uplinks go down, arriving traffic is dropped.
-
-        Returns frames lost from the uplink transmit queues.  Links
-        *into* a dead FA (FE down-links, host up-links) belong to its
-        neighbors; the fault injector fails the fabric-side ones too.
-        """
-        self.alive = False
-        return sum(up.fail() for up in self._uplinks)
-
-    def restore(self) -> None:
-        """Bring the FA (and its uplinks) back up."""
-        self.alive = True
-        for up in self._uplinks:
-            up.restore()
 
     # ------------------------------------------------------------------
     # Ingress: host packets in

@@ -21,7 +21,7 @@ from repro.core.reachability import ReachabilityMonitor
 from repro.core.spray import SprayArbiter
 from repro.net.addressing import DeviceId
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.entity import Entity
+from repro.sim.entity import Device
 from repro.sim.link import Link
 from repro.sim.stats import Histogram
 
@@ -39,7 +39,7 @@ class FabricPort:
             raise ValueError(f"bad direction {self.direction!r}")
 
 
-class FabricElement(Entity):
+class FabricElement(Device):
     """A cell switch.  ``tier`` 1 is adjacent to Fabric Adapters."""
 
     __slots__ = (
@@ -48,7 +48,7 @@ class FabricElement(Entity):
         "_elig_epoch", "_spray", "_monitor", "_advertiser",
         "_tables_dirty", "_advertised",
         "down_queue_depth", "sample_down_queues", "cells_forwarded",
-        "cells_fci_marked", "no_route_drops", "alive", "dead_drops",
+        "cells_fci_marked", "no_route_drops",
         "_fci_threshold",
     )
 
@@ -114,10 +114,6 @@ class FabricElement(Entity):
         self.cells_forwarded = 0
         self.cells_fci_marked = 0
         self.no_route_drops = 0
-        #: Element-death state: a failed FE neither forwards nor
-        #: advertises; cells that still reach it are counted here.
-        self.alive = True
-        self.dead_drops = 0
         # The FCI threshold is consulted once per forwarded cell; keep
         # it off the config attribute chain.
         self._fci_threshold = config.fci_threshold_cells
@@ -139,6 +135,10 @@ class FabricElement(Entity):
     def fabric_ports(self) -> List[FabricPort]:
         """All attached ports, in attachment order."""
         return list(self._ports)
+
+    def out_links(self) -> List[Link]:
+        """Every port's outgoing link, in attachment order."""
+        return [port.out for port in self._ports]
 
     @property
     def up_ports(self) -> List[FabricPort]:
@@ -173,8 +173,10 @@ class FabricElement(Entity):
         self._advertised = None
         self.sim.topology_epoch += 1
 
-    def enable_protocol(self) -> None:
-        """Run the live reachability protocol (reachability='dynamic')."""
+    def enable_protocol(self) -> ReachabilityMonitor:
+        """Run the live reachability protocol (reachability='dynamic').
+
+        Returns the monitor, whose counters the network reports."""
         self._monitor = ReachabilityMonitor(
             self.sim,
             self.config.reachability_period_ns,
@@ -191,6 +193,7 @@ class FabricElement(Entity):
             phase_ns=(self.fe_id % 7 + 1)
             * (self.config.reachability_period_ns // 8 + 1),
         )
+        return self._monitor
 
     # ------------------------------------------------------------------
     # Reachability protocol
@@ -255,26 +258,6 @@ class FabricElement(Entity):
         index = self._inbound_index.get(in_link)
         if index is not None:
             self._monitor.heard(index, cell.reachable)
-
-    # ------------------------------------------------------------------
-    # Failure injection (§5.10 device death)
-    # ------------------------------------------------------------------
-    def fail(self) -> int:
-        """Kill this element: every outgoing link goes down, the
-        advertiser falls silent, and arriving cells are dropped.
-
-        Returns the number of frames lost from the outgoing queues.
-        Links *into* a dead element belong to its neighbors; callers
-        that model full device death fail those too (the injector does).
-        """
-        self.alive = False
-        return sum(port.out.fail() for port in self._ports)
-
-    def restore(self) -> None:
-        """Bring the element (and its outgoing links) back up."""
-        self.alive = True
-        for port in self._ports:
-            port.out.restore()
 
     # ------------------------------------------------------------------
     # Data path

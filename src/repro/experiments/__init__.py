@@ -23,7 +23,7 @@ or from the command line::
         --kinds stardust,dctcp --seeds 3 --shards 4
 """
 
-from repro.experiments.builders import build_network, push_network, stardust_network
+from repro.experiments.builders import build_network
 from repro.experiments.registry import (
     UnknownScenarioError,
     build_scenario,
@@ -53,11 +53,9 @@ __all__ = [
     "build_network",
     "build_scenario",
     "get_scenario",
-    "push_network",
     "resolve_kind",
     "run_matrix",
     "run_spec",
     "scenario",
     "scenario_names",
-    "stardust_network",
 ]

@@ -29,7 +29,7 @@ from repro.experiments.registry import (
 from repro.fabrics.registry import UnknownFabricError, fabric_names, get_fabric
 from repro.experiments.runner import run_matrix
 from repro.experiments.spec import ScenarioSpec, kind_for_fabric
-from repro.experiments.store import open_store
+from repro.experiments.store import ResultStore, open_store
 from repro.experiments.summarize import (
     aggregate,
     format_resilience,
@@ -119,10 +119,9 @@ def cmd_run(args) -> int:
     elapsed = time.monotonic() - started
 
     if args.telemetry and store is not None:
-        sidecar_for = getattr(store, "telemetry_path_for", None)
-        if sidecar_for is not None:
+        if isinstance(store, ResultStore):
             for spec in specs:
-                sidecar = sidecar_for(spec)
+                sidecar = store.telemetry_path_for(spec)
                 if sidecar.exists():
                     print(f"telemetry: {sidecar}")
         else:

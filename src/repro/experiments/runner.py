@@ -525,9 +525,7 @@ def run_matrix(
     if store is not None:
         # Record stores buffer puts into compressed blocks; make every
         # fresh cell durable before handing results back.
-        flush = getattr(store, "flush", None)
-        if flush is not None:
-            flush()
+        store.flush()
     return [r for r in results if r is not None]
 
 

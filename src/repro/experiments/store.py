@@ -136,6 +136,9 @@ class ResultStore:
             self.telemetry_path_for(spec).unlink(missing_ok=True)
         return path
 
+    def flush(self) -> None:
+        """Nothing to do: every :meth:`put` is already on disk."""
+
     def cells(self) -> List[Path]:
         """All stored cell files."""
         if not self.root.is_dir():

@@ -10,20 +10,39 @@ the same contract:
   :meth:`FabricNetwork.host_at`) and run control
   (:meth:`FabricNetwork.run` / :meth:`FabricNetwork.stop`);
 * one typed metrics surface, :meth:`FabricNetwork.collect_metrics`,
-  returning a :class:`FabricMetrics` with explicit units — no more
-  per-fabric ad-hoc method sets for callers to sniff with ``hasattr``.
+  returning a :class:`FabricMetrics` with explicit units, plus the two
+  counters cheap enough to poll (:meth:`FabricNetwork.delivered_bytes`,
+  :meth:`FabricNetwork.fabric_drop_count`);
+* the fault surface (devices and links by topology coordinate, every
+  device a :class:`~repro.sim.entity.Device`) and the resilience
+  surface (:meth:`FabricNetwork.protocol_links_down`,
+  :meth:`FabricNetwork.blackholed`,
+  :meth:`FabricNetwork.analytical_recovery_ns`).
+
+Consumers — ``repro.faults``, ``repro.workloads``, ``repro.telemetry``,
+``repro.experiments``, the benchmarks — talk to nothing else: no
+per-fabric method sets, nothing to sniff with ``hasattr``
+(``tests/test_fabrics_conformance.py`` keeps it that way).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    ClassVar,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.fabrics.wiring import AnyTopologySpec, WiringPlan, build_wiring_plan
 from repro.net.addressing import PortAddress
 from repro.sim.engine import Simulator
-from repro.sim.entity import Entity
+from repro.sim.entity import Device, Entity
 from repro.sim.link import Link
 from repro.sim.stats import Histogram
 from repro.sim.units import gbps
@@ -152,8 +171,8 @@ class FabricNetwork(ABC):
         """The edge device (FA / ToR) with edge id ``index``."""
 
     @abstractmethod
-    def _host_link(self) -> Tuple[int, int]:
-        """``(rate_bps, propagation_ns)`` for host attachment links."""
+    def host_link(self) -> Tuple[int, int]:
+        """``(rate_bps, propagation_ns)`` of host attachment links."""
 
     @abstractmethod
     def _register_host_port(
@@ -194,7 +213,7 @@ class FabricNetwork(ABC):
             raise ValueError(f"host already attached at {address}")
         device = self._edge_device(address.fa)
         self._check_host_attach(device, address)
-        rate_bps, propagation_ns = self._host_link()
+        rate_bps, propagation_ns = self.host_link()
         to_fabric, to_host = self._duplex_links(
             host, device, rate_bps, propagation_ns
         )
@@ -248,42 +267,49 @@ class FabricNetwork(ABC):
             raise ValueError("a fault injector is already attached")
         self.fault_injector = injector
 
-    def edge_devices(self) -> List[Entity]:
-        """Edge devices (FAs / ToRs) in attachment order.
+    @abstractmethod
+    def edge_devices(self) -> Sequence[Device]:
+        """Edge devices (FAs / ToRs) in edge-id order."""
 
-        Part of the fault surface: fabrics that support fault
-        injection override this plus :meth:`fabric_devices`,
-        :meth:`edge_uplinks` and :meth:`fabric_links`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose a fault surface"
-        )
-
-    def fabric_devices(self) -> List[Entity]:
+    @abstractmethod
+    def fabric_devices(self) -> Sequence[Device]:
         """Fabric elements/switches in wiring-plan (tier-major) order."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose a fault surface"
-        )
 
+    @abstractmethod
     def edge_uplinks(self, index: int) -> List[Link]:
         """Edge device ``index``'s fabric-facing links, in wiring order."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose a fault surface"
-        )
 
+    @abstractmethod
     def fabric_links(self) -> List[Link]:
         """Every fabric-side simplex link (host links excluded)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose a fault surface"
-        )
 
+    # ------------------------------------------------------------------
+    # Cheap counters: what samplers and probes poll mid-run
+    # ------------------------------------------------------------------
+    @abstractmethod
     def fabric_drop_count(self) -> int:
-        """Loss inside the fabric proper, as a cheap counter read.
+        """``collect_metrics().fabric_drops`` as a direct counter sum."""
 
-        Same value as ``collect_metrics().fabric_drops`` without the
-        histogram merges; subclasses override with a direct sum.
-        """
-        return self.collect_metrics().fabric_drops
+    @abstractmethod
+    def delivered_bytes(self) -> int:
+        """``collect_metrics().delivered_bytes`` as a direct counter sum."""
+
+    # ------------------------------------------------------------------
+    # Resilience surface: a fabric without the mechanism answers 0 / None
+    # ------------------------------------------------------------------
+    def protocol_links_down(self) -> int:
+        """Links a reachability protocol has declared down, cumulative."""
+        return 0
+
+    def blackholed(self) -> Tuple[int, int]:
+        """``(packets, distinct flows)`` forwarded onto a dead path
+        before routing caught up with a failure."""
+        return 0, 0
+
+    def analytical_recovery_ns(self) -> Optional[float]:
+        """Appendix E recovery time for this fabric's protocol
+        parameters (``None``: no self-healing protocol to predict)."""
+        return None
 
     # ------------------------------------------------------------------
     # Telemetry surface (see repro.telemetry)

@@ -10,7 +10,7 @@ Fig 7, Fig 10 and Fig 12 compare mechanism against mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.ethernet import EthConfig, EthernetSwitch, EthPort
 from repro.fabrics.base import FabricMetrics, FabricNetwork
@@ -24,6 +24,12 @@ from repro.sim.units import gbps
 
 #: Fabric switch ids start here so they never collide with ToR ids.
 _FABRIC_ID_BASE = 10_000
+
+
+def _lost(switches: List[EthernetSwitch]) -> int:
+    """Packets a row of switches lost: queue drops, plus blackholed
+    ECMP paths and dead-device drops (the latter two only under faults)."""
+    return sum(s.dropped + s.blackholed + s.dead_drops for s in switches)
 
 
 @fabric(
@@ -143,7 +149,7 @@ class PushFabricNetwork(FabricNetwork):
     def _edge_device(self, index: int) -> EthernetSwitch:
         return self.tors[index]
 
-    def _host_link(self):
+    def host_link(self):
         return self.host_link_rate_bps, self.host_propagation_ns
 
     def _register_host_port(
@@ -184,47 +190,25 @@ class PushFabricNetwork(FabricNetwork):
         The push fabric stamps no cells, so the latency histograms stay
         empty — flow completion times live with the transport trackers.
         """
+        queue_depth = Histogram("push.queue_bytes")
+        for sw in self.fabric:
+            queue_depth.merge(sw.queue_depth)
         return FabricMetrics(
             fabric=self.fabric_name,
             cell_latency_ns=Histogram("push.cell_latency_ns"),
             packet_latency_ns=Histogram("push.packet_latency_ns"),
-            queue_depth=self.fabric_queue_depth(),
+            queue_depth=queue_depth,
             queue_depth_unit="bytes",
-            ingress_drops=self.edge_drops(),
-            fabric_drops=self.fabric_drops(),
-            delivered_bytes=self.total_delivered_bytes(),
-        )
-
-    def total_drops(self) -> int:
-        """Packets dropped inside the network (ToRs + fabric)."""
-        return self.edge_drops() + self.fabric_drops()
-
-    def edge_drops(self) -> int:
-        """Packets lost at ToRs: queue drops, blackholed ECMP paths
-        and dead-device drops (the latter two only under faults)."""
-        return sum(
-            s.dropped + s.blackholed + s.dead_drops for s in self.tors
-        )
-
-    def fabric_drops(self) -> int:
-        """Packets lost in the fabric proper (§5.2's complaint):
-        queue drops plus fault-induced blackholing/device death."""
-        return sum(
-            s.dropped + s.blackholed + s.dead_drops for s in self.fabric
+            ingress_drops=_lost(self.tors),
+            fabric_drops=self.fabric_drop_count(),
+            delivered_bytes=self.delivered_bytes(),
         )
 
     def fabric_drop_count(self) -> int:
-        """Cheap counter read of in-fabric loss (no histogram merges)."""
-        return self.fabric_drops()
+        """Packets lost in the fabric proper (§5.2's complaint)."""
+        return _lost(self.fabric)
 
-    def fabric_queue_depth(self) -> Histogram:
-        """Merged queue-depth samples from fabric switches (bytes)."""
-        merged = Histogram("push.queue_bytes")
-        for sw in self.fabric:
-            merged.merge(sw.queue_depth)
-        return merged
-
-    def total_delivered_bytes(self) -> int:
+    def delivered_bytes(self) -> int:
         """Payload bytes handed to hosts across all ToR host ports.
 
         Counted in payload bytes (not wire bytes), matching the
@@ -233,6 +217,18 @@ class PushFabricNetwork(FabricNetwork):
         apples-to-apples.
         """
         return sum(tor.delivered_host_bytes for tor in self.tors)
+
+    # ------------------------------------------------------------------
+    # Resilience surface
+    # ------------------------------------------------------------------
+    def blackholed(self) -> Tuple[int, int]:
+        """Packets ECMP hashed onto a dead path during the rehash
+        window, and the distinct flows they belonged to."""
+        switches = (*self.tors, *self.fabric)
+        flows: Set[int] = set()
+        for sw in switches:
+            flows |= sw.blackholed_flow_ids
+        return sum(sw.blackholed for sw in switches), len(flows)
 
     # ------------------------------------------------------------------
     # Telemetry surface (see repro.telemetry)

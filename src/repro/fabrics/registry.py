@@ -8,9 +8,10 @@ a fabric class registers itself under a name (plus optional aliases)::
         ...
 
 and everything downstream — ``builders.build_network``, the experiments
-CLI, spec validation — resolves fabrics with :func:`get_fabric` /
-:func:`build_fabric`.  A third fabric drops in by registering itself;
-no runner or builder code changes.
+CLI, spec validation — resolves fabrics with :func:`get_fabric`
+(``get_fabric(name).cls`` is the class: construct it, or call its
+``for_experiment``).  A third fabric drops in by registering itself; no
+runner or builder code changes.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ def get_fabric(name: str) -> FabricEntry:
         return _REGISTRY[_ALIASES.get(name, name)]
     except KeyError:
         raise UnknownFabricError(name, known_fabric_names()) from None
-
-
-def build_fabric(name: str, topology, **kwargs):
-    """Construct the named fabric on ``topology`` (kwargs pass through)."""
-    return get_fabric(name).cls(topology, **kwargs)
 
 
 def fabric_names() -> List[str]:

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.analysis.resilience import ReachabilityParams, recovery_time_ns
 from repro.core.config import StardustConfig
 from repro.core.control import ControlPlane
 from repro.core.fabric_adapter import FabricAdapter
 from repro.core.fabric_element import FabricElement, FabricPort
+from repro.core.reachability import ReachabilityMonitor
 from repro.fabrics.base import FabricMetrics, FabricNetwork
 from repro.fabrics.registry import fabric
 from repro.fabrics.wiring import EDGE, EdgeNode, ElementNode, WiringPlan
@@ -49,6 +51,8 @@ class StardustNetwork(FabricNetwork):
         self.fas: List[FabricAdapter] = []
         self.fes: List[FabricElement] = []
         self._fes_by_id: Dict[DeviceId, FabricElement] = {}
+        #: Every device's reachability monitor (dynamic mode; else empty).
+        self._monitors: List[ReachabilityMonitor] = []
         super().__init__(spec, config=config or StardustConfig(), sim=sim)
 
     @classmethod
@@ -111,10 +115,9 @@ class StardustNetwork(FabricNetwork):
                     self._fes_by_id[op.lower[1]], self._fes_by_id[op.upper[1]]
                 )
         if self.reachability == "dynamic":
-            for fa in self.fas:
-                fa.enable_protocol()
-            for fe in self.fes:
-                fe.enable_protocol()
+            self._monitors = [
+                device.enable_protocol() for device in (*self.fas, *self.fes)
+            ]
         else:
             self._install_static_routes(plan)
             for fa in self.fas:
@@ -205,7 +208,7 @@ class StardustNetwork(FabricNetwork):
     def _edge_device(self, index: int) -> FabricAdapter:
         return self.fas[index]
 
-    def _host_link(self):
+    def host_link(self):
         return self.config.host_link_rate_bps, self.config.host_propagation_ns
 
     def _check_host_attach(self, fa: FabricAdapter, address: PortAddress) -> None:
@@ -254,58 +257,66 @@ class StardustNetwork(FabricNetwork):
 
     def _collect_metrics(self) -> FabricMetrics:
         """The unified metrics snapshot (queue depths are in cells)."""
+        cell_latency = Histogram("fabric.cell_latency_ns")
+        packet_latency = Histogram("fabric.packet_latency_ns")
+        for fa in self.fas:
+            cell_latency.merge(fa.cell_latency)
+            packet_latency.merge(fa.packet_latency)
+        # Depths seen at last-stage down-links (Fig 9).
+        queue_depth = Histogram("fabric.down_queue_cells")
+        for fe in self.fes:
+            queue_depth.merge(fe.down_queue_depth)
         return FabricMetrics(
             fabric=self.fabric_name,
-            cell_latency_ns=self.cell_latency(),
-            packet_latency_ns=self.packet_latency(),
-            queue_depth=self.fabric_queue_depth(),
+            cell_latency_ns=cell_latency,
+            packet_latency_ns=packet_latency,
+            queue_depth=queue_depth,
             queue_depth_unit="cells",
-            ingress_drops=self.ingress_drops(),
-            fabric_drops=self.fabric_cell_drops(),
-            delivered_bytes=self.total_delivered_bytes(),
+            ingress_drops=sum(fa.ingress_drops for fa in self.fas),
+            fabric_drops=self.fabric_drop_count(),
+            delivered_bytes=self.delivered_bytes(),
         )
 
-    def cell_latency(self) -> Histogram:
-        """Merged fabric-traversal latency histogram (ns)."""
-        merged = Histogram("fabric.cell_latency_ns")
-        for fa in self.fas:
-            merged.merge(fa.cell_latency)
-        return merged
-
-    def packet_latency(self) -> Histogram:
-        """Merged host-to-host packet latency histogram (ns)."""
-        merged = Histogram("fabric.packet_latency_ns")
-        for fa in self.fas:
-            merged.merge(fa.packet_latency)
-        return merged
-
-    def fabric_queue_depth(self) -> Histogram:
-        """Queue depths (cells) seen at last-stage down-links (Fig 9)."""
-        merged = Histogram("fabric.down_queue_cells")
-        for fe in self.fes:
-            merged.merge(fe.down_queue_depth)
-        return merged
-
-    def fabric_cell_drops(self) -> int:
+    def fabric_drop_count(self) -> int:
         """Cells lost inside the fabric (must be zero: lossless, §5.5 —
         except under injected element death, which is honest loss)."""
         return sum(fe.no_route_drops + fe.dead_drops for fe in self.fes)
 
-    def fabric_drop_count(self) -> int:
-        """Cheap counter read of in-fabric loss (no histogram merges)."""
-        return self.fabric_cell_drops()
-
-    def ingress_drops(self) -> int:
-        """Packets dropped at Fabric Adapter ingress buffers."""
-        return sum(fa.ingress_drops for fa in self.fas)
-
-    def total_delivered_bytes(self) -> int:
+    def delivered_bytes(self) -> int:
         """Bytes delivered to hosts across all egress ports."""
         return sum(
             port.delivered.total_bytes
             for fa in self.fas
             for port in fa.egress_ports
         )
+
+    # ------------------------------------------------------------------
+    # Resilience surface
+    # ------------------------------------------------------------------
+    def protocol_links_down(self) -> int:
+        """Links the reachability monitors have declared down."""
+        return sum(m.links_declared_down for m in self._monitors)
+
+    def analytical_recovery_ns(self) -> Optional[float]:
+        """Appendix E recovery time for the live protocol's parameters
+        (``None`` under static reachability: nothing to predict)."""
+        if self.reachability != "dynamic":
+            return None
+        cfg = self.config
+        hosts = max(1, self.host_count)
+        tiers = self.plan.tiers
+        return recovery_time_ns(ReachabilityParams(
+            # t' = c / f: pick f = 1GHz so cycles map 1:1 onto ns.
+            core_frequency_hz=1_000_000_000,
+            cycles_between_messages=cfg.reachability_period_ns,
+            message_bytes=cfg.reachability_cell_bytes,
+            hosts_per_fa=max(1, hosts // len(self.fas)),
+            total_hosts=hosts,
+            tiers=tiers,
+            confirm_threshold=cfg.reachability_miss_threshold,
+            link_rate_bps=cfg.fabric_link_rate_bps,
+            propagation_ns=(cfg.fabric_propagation_ns,) * (2 * tiers - 1),
+        ))
 
     # ------------------------------------------------------------------
     # Telemetry surface (see repro.telemetry)

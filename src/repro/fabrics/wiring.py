@@ -256,108 +256,59 @@ def _plan_one_tier(spec: OneTierSpec) -> WiringPlan:
     return plan
 
 
-def _plan_two_tier(spec: TwoTierSpec) -> WiringPlan:
-    plan = WiringPlan(spec, tiers=2, hosts_per_edge=spec.hosts_per_fa)
+def _plan_pods(
+    spec: Union[TwoTierSpec, ThreeTierSpec], rows: Tuple[int, ...]
+) -> WiringPlan:
+    """Pods under one global spine row; ``rows`` is the per-pod element
+    count of each tier below the spines, bottom-up.
+
+    Within a pod every node of a row links once to every element of the
+    row above (edges are row zero); every top-row element links once to
+    every spine.  A pod element reaches its own pod's edges through the
+    whole row below it and everything else through its up ports; a
+    spine reaches an edge through every top-row element of its pod.
+    """
+    plan = WiringPlan(
+        spec, tiers=len(rows) + 1, hosts_per_edge=spec.hosts_per_fa
+    )
     for fa in range(spec.num_fas):
         plan._add_edge(EdgeNode(fa, pod=fa // spec.fas_per_pod))
     element_id = 0
-    tier1_by_pod: List[List[int]] = []
+    top_by_pod: List[Tuple[NodeRef, ...]] = []
     for pod in range(spec.pods):
         pod_edges = range(
             pod * spec.fas_per_pod, (pod + 1) * spec.fas_per_pod
         )
-        pod_tier1: List[int] = []
-        for _ in range(spec.fes_per_pod):
-            plan._add_element(
-                ElementNode(element_id, tier=1, pod=pod, sample_queues=True)
+        below: Tuple[NodeRef, ...] = tuple((EDGE, fa) for fa in pod_edges)
+        down = tuple((fa, ((EDGE, fa),)) for fa in pod_edges)
+        for tier, size in enumerate(rows, start=1):
+            row = tuple(
+                (ELEMENT, element_id + i) for i in range(size)
             )
-            for fa in pod_edges:
-                plan._link((EDGE, fa), (ELEMENT, element_id))
-            plan.routes[element_id] = ElementRoutes(
-                up_reaches_everything=True,
-                down=tuple((fa, ((EDGE, fa),)) for fa in pod_edges),
-            )
-            pod_tier1.append(element_id)
-            element_id += 1
-        tier1_by_pod.append(pod_tier1)
-    spine_ids: List[int] = []
-    for _ in range(spec.spines):
-        plan._add_element(ElementNode(element_id, tier=2))
-        spine_ids.append(element_id)
-        element_id += 1
-    for tier1 in tier1_by_pod:
-        for low in tier1:
-            for spine in spine_ids:
-                plan._link((ELEMENT, low), (ELEMENT, spine))
-    # A spine reaches an edge through every tier-1 element of its pod.
+            for upper in row:
+                plan._add_element(ElementNode(
+                    upper[1], tier=tier, pod=pod, sample_queues=tier == 1
+                ))
+                for lower in below:
+                    plan._link(lower, upper)
+                plan.routes[upper[1]] = ElementRoutes(
+                    up_reaches_everything=True, down=down
+                )
+            element_id += size
+            below = row
+            down = tuple((fa, row) for fa in pod_edges)
+        top_by_pod.append(below)
+    spines = range(element_id, element_id + spec.spines)
+    for spine in spines:
+        plan._add_element(ElementNode(spine, tier=plan.tiers))
+    for top in top_by_pod:
+        for lower in top:
+            for spine in spines:
+                plan._link(lower, (ELEMENT, spine))
     spine_down = tuple(
-        (edge.edge_id,
-         tuple((ELEMENT, low) for low in tier1_by_pod[edge.pod]))
-        for edge in plan.edges
+        (edge.edge_id, top_by_pod[edge.pod]) for edge in plan.edges
     )
-    for spine in spine_ids:
-        plan.routes[spine] = ElementRoutes(
-            up_reaches_everything=False, down=spine_down
-        )
-    return plan
-
-
-def _plan_three_tier(spec: ThreeTierSpec) -> WiringPlan:
-    plan = WiringPlan(spec, tiers=3, hosts_per_edge=spec.hosts_per_fa)
-    for fa in range(spec.num_fas):
-        plan._add_edge(EdgeNode(fa, pod=fa // spec.fas_per_pod))
-    element_id = 0
-    tier2_by_pod: List[List[int]] = []
-    tier2_all: List[int] = []
-    for pod in range(spec.pods):
-        pod_edges = range(
-            pod * spec.fas_per_pod, (pod + 1) * spec.fas_per_pod
-        )
-        tier1: List[int] = []
-        for _ in range(spec.fes1_per_pod):
-            plan._add_element(
-                ElementNode(element_id, tier=1, pod=pod, sample_queues=True)
-            )
-            for fa in pod_edges:
-                plan._link((EDGE, fa), (ELEMENT, element_id))
-            plan.routes[element_id] = ElementRoutes(
-                up_reaches_everything=True,
-                down=tuple((fa, ((EDGE, fa),)) for fa in pod_edges),
-            )
-            tier1.append(element_id)
-            element_id += 1
-        # A tier-2 element reaches every edge of its own pod through
-        # every tier-1 element below it; anything else goes up.
-        tier2_down = tuple(
-            (fa, tuple((ELEMENT, low) for low in tier1)) for fa in pod_edges
-        )
-        pod_tier2: List[int] = []
-        for _ in range(spec.fes2_per_pod):
-            plan._add_element(ElementNode(element_id, tier=2, pod=pod))
-            for low in tier1:
-                plan._link((ELEMENT, low), (ELEMENT, element_id))
-            plan.routes[element_id] = ElementRoutes(
-                up_reaches_everything=True, down=tier2_down
-            )
-            pod_tier2.append(element_id)
-            element_id += 1
-        tier2_by_pod.append(pod_tier2)
-        tier2_all.extend(pod_tier2)
-    spine_ids: List[int] = []
-    for _ in range(spec.spines):
-        plan._add_element(ElementNode(element_id, tier=3))
-        spine_ids.append(element_id)
-        element_id += 1
-    for mid in tier2_all:
-        for spine in spine_ids:
-            plan._link((ELEMENT, mid), (ELEMENT, spine))
-    # A spine reaches an edge through every tier-2 element of its pod.
-    spine_down = tuple(
-        (edge.edge_id,
-         tuple((ELEMENT, mid) for mid in tier2_by_pod[edge.pod]))
-        for edge in plan.edges
-    )
-    for spine in spine_ids:
+    for spine in spines:
         plan.routes[spine] = ElementRoutes(
             up_reaches_everything=False, down=spine_down
         )
@@ -366,8 +317,10 @@ def _plan_three_tier(spec: ThreeTierSpec) -> WiringPlan:
 
 _PLANNERS = {
     OneTierSpec: _plan_one_tier,
-    TwoTierSpec: _plan_two_tier,
-    ThreeTierSpec: _plan_three_tier,
+    TwoTierSpec: lambda spec: _plan_pods(spec, (spec.fes_per_pod,)),
+    ThreeTierSpec: lambda spec: _plan_pods(
+        spec, (spec.fes1_per_pod, spec.fes2_per_pod)
+    ),
 }
 
 

@@ -10,7 +10,7 @@ lost in transit).
 """
 
 from repro.faults.injector import FaultInjector, FaultTargetError, attach_plan
-from repro.faults.metrics import ResilienceMetrics, expected_recovery_ns
+from repro.faults.metrics import ResilienceMetrics
 from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
@@ -36,7 +36,6 @@ __all__ = [
     "edge_up",
     "element_down",
     "element_up",
-    "expected_recovery_ns",
     "link_down",
     "link_up",
     "random_storm",

@@ -1,17 +1,18 @@
 """Compile a :class:`FaultPlan` into engine-scheduled fault events.
 
 The injector resolves the plan's topology coordinates against a built
-:class:`~repro.fabrics.base.FabricNetwork` (any registered fabric that
-exposes the fault surface: ``edge_devices`` / ``fabric_devices`` /
-``edge_uplinks`` / ``fabric_links``), schedules each action on the
-simulation engine, and measures resilience:
+:class:`~repro.fabrics.base.FabricNetwork` through its fault surface
+(``edge_devices`` / ``fabric_devices`` / ``edge_uplinks`` /
+``fabric_links``, every device a :class:`~repro.sim.entity.Device`),
+schedules each action on the simulation engine, and measures
+resilience through the same contract:
 
 * a periodic delivered-bytes sampler (faulted runs only — an unfaulted
   run schedules *nothing* extra, keeping golden traces bit-identical);
 * loss accounting over every link and device the faults touched;
 * recovery detection against the pre-fault throughput baseline,
-  reported next to the Appendix E analytical expectation via
-  :func:`~repro.faults.metrics.expected_recovery_ns`.
+  reported next to the network's own Appendix E expectation
+  (:meth:`~repro.fabrics.base.FabricNetwork.analytical_recovery_ns`).
 
 Determinism: actions are scheduled in sorted ``(at_ns, plan-order)``
 order at arm time, storms expand through a dedicated ``random.Random``
@@ -23,11 +24,16 @@ shard.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.faults.metrics import ResilienceMetrics, expected_recovery_ns
+from repro.faults.metrics import ResilienceMetrics
 from repro.faults.plan import DISRUPTIVE_KINDS, FaultEvent, FaultPlan
+from repro.sim.engine import PeriodicTask
+from repro.sim.entity import Device
 from repro.sim.link import Link
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fabrics.base import FabricNetwork
 
 
 class FaultTargetError(ValueError):
@@ -37,7 +43,7 @@ class FaultTargetError(ValueError):
 class FaultInjector:
     """Arms one plan against one built network (single use)."""
 
-    def __init__(self, plan: FaultPlan, net) -> None:
+    def __init__(self, plan: FaultPlan, net: FabricNetwork) -> None:
         self.plan = plan
         self.net = net
         self.sim = net.sim
@@ -57,7 +63,7 @@ class FaultInjector:
         #: (time_ns, delivered_bytes, protocol_downs) samples for
         #: recovery/detection measurement.
         self._samples: List[Tuple[int, int, int]] = []
-        self._sampler = None
+        self._sampler: Optional[PeriodicTask] = None
 
     # ------------------------------------------------------------------
     # Arming
@@ -85,12 +91,9 @@ class FaultInjector:
         for at_ns, event in actions:
             self._validate_target(event)
             self.sim.at(self._t0 + at_ns, lambda e=event: self._apply(e))
-        from repro.sim.engine import PeriodicTask
-
-        if hasattr(self.net, "total_delivered_bytes"):
-            self._sampler = PeriodicTask(
-                self.sim, self.plan.sample_period_ns, self._sample
-            )
+        self._sampler = PeriodicTask(
+            self.sim, self.plan.sample_period_ns, self._sample
+        )
         return self
 
     def _undegrade_event(self, event: FaultEvent) -> FaultEvent:
@@ -145,6 +148,7 @@ class FaultInjector:
             self._device("element", event.element)
         elif event.edge is not None:
             self._device("edge", event.edge)
+
     def _uplink_pair(self, edge: int, uplink: int) -> List[Link]:
         """Both simplex directions of one edge uplink."""
         try:
@@ -170,7 +174,7 @@ class FaultInjector:
             pair.append(reverses[ordinal])
         return pair
 
-    def _device(self, kind: str, index: int):
+    def _device(self, kind: str, index: int) -> Device:
         devices = (
             self.net.fabric_devices() if kind == "element"
             else self.net.edge_devices()
@@ -181,7 +185,7 @@ class FaultInjector:
             )
         return devices[index]
 
-    def _inbound_links(self, device) -> List[Link]:
+    def _inbound_links(self, device: Device) -> List[Link]:
         return [l for l in self.net.fabric_links() if l.dst is device]
 
     # ------------------------------------------------------------------
@@ -226,18 +230,10 @@ class FaultInjector:
             f"edge{event.edge}.uplink{event.uplink} x{event.factor}",
         )
 
-    def _element_links(self, device) -> List[Link]:
-        ports = getattr(device, "fabric_ports", None)
-        if ports is None:
-            ports = getattr(device, "eth_ports", None)
-        if ports is not None:
-            return [p.out for p in ports]
-        return list(getattr(device, "uplinks", ()))
-
-    def _device_down(self, device, event: FaultEvent) -> None:
+    def _device_down(self, device: Device, event: FaultEvent) -> None:
         """Full device death: its own links via device.fail(), plus
         every fabric link *into* it (those belong to its neighbors)."""
-        for link in self._element_links(device):
+        for link in device.out_links():
             self._touch(link)
         for link in self._inbound_links(device):
             self._touch(link)
@@ -245,7 +241,7 @@ class FaultInjector:
         device.fail()
         self._record(event, device.name)
 
-    def _device_up(self, device, event: FaultEvent) -> None:
+    def _device_up(self, device: Device, event: FaultEvent) -> None:
         device.restore()
         for link in self._inbound_links(device):
             link.restore()
@@ -269,20 +265,9 @@ class FaultInjector:
     def _sample(self) -> None:
         self._samples.append((
             self.sim.now,
-            self.net.total_delivered_bytes(),
-            self._protocol_downs(),
+            self.net.delivered_bytes(),
+            self.net.protocol_links_down(),
         ))
-
-    def _protocol_downs(self) -> int:
-        """Links declared down by reachability monitors, fabric-wide."""
-        total = 0
-        for device in (
-            *self.net.edge_devices(), *self.net.fabric_devices()
-        ):
-            monitor = getattr(device, "_monitor", None)
-            if monitor is not None:
-                total += monitor.links_declared_down
-        return total
 
     def _protocol_detect_ns(self) -> Optional[int]:
         """Sample-quantized time from first fault to first down
@@ -335,39 +320,28 @@ class FaultInjector:
             return -1, depth, duration, baseline_gbps  # never recovered
         return below[-1][0] - t_fault, depth, duration, baseline_gbps
 
-    def _device_sum(self, attr: str) -> int:
-        total = 0
-        for device in (
-            *self.net.edge_devices(), *self.net.fabric_devices()
-        ):
-            total += getattr(device, attr, 0)
-        return total
-
-    def _blackholed_flows(self) -> int:
-        flows: set = set()
-        for device in (
-            *self.net.edge_devices(), *self.net.fabric_devices()
-        ):
-            flows |= getattr(device, "blackholed_flow_ids", set())
-        return len(flows)
-
     def resilience_metrics(self) -> ResilienceMetrics:
         """Snapshot the resilience section (cumulative since t=0)."""
         recover_ns, depth, duration, baseline = self._recovery()
+        net = self.net
+        blackholed_packets, blackholed_flows = net.blackholed()
         return ResilienceMetrics(
             faults_injected=self.faults_applied,
             frames_lost_in_transit=sum(
                 link.dropped_frames for link in self._touched
             ),
-            dead_device_drops=self._device_sum("dead_drops"),
-            blackholed_flows=self._blackholed_flows(),
-            blackholed_packets=self._device_sum("blackholed"),
+            dead_device_drops=sum(
+                device.dead_drops
+                for device in (*net.edge_devices(), *net.fabric_devices())
+            ),
+            blackholed_flows=blackholed_flows,
+            blackholed_packets=blackholed_packets,
             time_to_recover_ns=recover_ns,
             dip_depth=depth,
             dip_duration_ns=duration,
             baseline_gbps=baseline,
             protocol_detect_ns=self._protocol_detect_ns(),
-            analytical_recovery_ns=expected_recovery_ns(self.net),
+            analytical_recovery_ns=net.analytical_recovery_ns(),
         )
 
     def stop(self) -> None:
@@ -376,7 +350,7 @@ class FaultInjector:
             self._sampler.stop()
 
 
-def attach_plan(plan: FaultPlan, net) -> FaultInjector:
+def attach_plan(plan: FaultPlan, net: FabricNetwork) -> FaultInjector:
     """Create, register and arm an injector for ``plan`` on ``net``."""
     injector = FaultInjector(plan, net)
     net.attach_faults(injector)

@@ -4,20 +4,15 @@
 :class:`~repro.fabrics.base.FabricMetrics` — filled in only when a
 :class:`~repro.faults.injector.FaultInjector` is attached, ``None``
 otherwise, so unfaulted metrics keep their exact historical shape.
-
-:func:`expected_recovery_ns` bridges to the Appendix E analytical
-model (:mod:`repro.analysis.resilience`): it maps a live Stardust
-network's protocol parameters onto :class:`ReachabilityParams`, so a
-measured recovery time can be reported *alongside* the paper's
-formula instead of the formula standing in for the experiment.
+The measured recovery time is reported *alongside* the Appendix E
+formula (``FabricNetwork.analytical_recovery_ns``) instead of the
+formula standing in for the experiment.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
-
-from repro.analysis.resilience import ReachabilityParams, recovery_time_ns
 
 
 @dataclass
@@ -80,33 +75,3 @@ class ResilienceMetrics:
             data["analytical_recovery_ns"] = self.analytical_recovery_ns
         return data
 
-
-def expected_recovery_ns(net) -> Optional[float]:
-    """Appendix E recovery time for ``net``'s protocol parameters.
-
-    Only meaningful for a Stardust network running the live
-    reachability protocol; returns ``None`` for static reachability
-    and for fabrics without one (the push baseline has no self-healing
-    protocol to predict — that asymmetry is the point).
-    """
-    if getattr(net, "reachability", None) != "dynamic":
-        return None
-    cfg = net.config
-    if not hasattr(cfg, "reachability_period_ns"):
-        return None
-    fas = max(1, len(getattr(net, "fas", ())) or 1)
-    hosts = max(1, net.host_count)
-    tiers = net.plan.tiers
-    params = ReachabilityParams(
-        # t' = c / f: pick f = 1GHz so cycles map 1:1 onto ns.
-        core_frequency_hz=1_000_000_000,
-        cycles_between_messages=cfg.reachability_period_ns,
-        message_bytes=cfg.reachability_cell_bytes,
-        hosts_per_fa=max(1, hosts // fas),
-        total_hosts=hosts,
-        tiers=tiers,
-        confirm_threshold=cfg.reachability_miss_threshold,
-        link_rate_bps=cfg.fabric_link_rate_bps,
-        propagation_ns=(cfg.fabric_propagation_ns,) * (2 * tiers - 1),
-    )
-    return recovery_time_ns(params)

@@ -109,14 +109,13 @@ def fill_store(
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> int:
-    """Put ``n`` synthetic cells into any store speaking ``put()``."""
+    """Put ``n`` synthetic cells into any store speaking ``put()`` /
+    ``flush()``."""
     count = 0
     for spec, result in synthetic_cells(n, seed=seed):
         store.put(spec, result)  # type: ignore[attr-defined]
         count += 1
         if progress is not None and count % 1000 == 0:
             progress(f"{count}/{n} synthetic cells stored")
-    flush = getattr(store, "flush", None)
-    if flush is not None:
-        flush()
+    store.flush()  # type: ignore[attr-defined]
     return count

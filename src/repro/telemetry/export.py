@@ -68,7 +68,7 @@ def perfetto_trace(
             _meta(_PID_TRACE, "process_name", name="telemetry.trace")
         )
         for record in trace_records:
-            if hasattr(record, "to_dict"):
+            if not isinstance(record, dict):
                 record = record.to_dict()
             events.append({
                 "ph": "i",

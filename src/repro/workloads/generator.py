@@ -130,13 +130,7 @@ class UniformRandomTraffic:
         self.network = network
         self.injectors: List[RateInjector] = []
         rng_root = random.Random(seed)
-        line_rate = getattr(
-            network, "config", None
-        )
-        if line_rate is not None and hasattr(line_rate, "host_link_rate_bps"):
-            rate = line_rate.host_link_rate_bps
-        else:
-            rate = network.host_link_rate_bps
+        rate, _propagation_ns = network.host_link()
         for address in addresses:
             others = [a for a in addresses if a.fa != address.fa]
             injector = RateInjector(

@@ -50,7 +50,6 @@ def run_incast(
     response_bytes: int = 450_000,
     transport: str = "tcp",
     timeout_ns: int = 2_000 * MILLISECOND,
-    fabric_drops_fn=None,
     **flow_kwargs,
 ) -> IncastResult:
     """Run one incast round and collect first/last FCTs.
@@ -77,15 +76,11 @@ def run_incast(
         for f in flows
         if tracker.get(f.flow_id).fct_ns is not None
     )
-    if fabric_drops_fn is not None:
-        drops = fabric_drops_fn()
-    else:
-        drops = network.fabric_drop_count()
     return IncastResult(
         n_backends=len(backends),
         response_bytes=response_bytes,
         first_fct_ns=fcts[0] if fcts else None,
         last_fct_ns=fcts[-1] if fcts else None,
         completed=len(fcts),
-        fabric_drops=drops,
+        fabric_drops=network.fabric_drop_count(),
     )

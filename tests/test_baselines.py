@@ -101,7 +101,7 @@ class TestDropTailAndEcn:
                 src.send_to(dst, 1500, flow_id=src_fa)
         net.run(5 * MILLISECOND)
         got = len(hosts[dst].received)
-        assert net.total_drops() > 0
+        assert net.collect_metrics().total_drops > 0
         assert got < 400
 
     def test_ecn_marks_above_threshold(self):

@@ -36,7 +36,7 @@ class TestOneTier:
                 if other != addr:
                     host.send_to(other, 1200)
         net.run(2 * MILLISECOND)
-        assert net.fabric_cell_drops() == 0
+        assert net.fabric_drop_count() == 0
         total = sum(len(h.received) for h in hosts.values())
         assert total == len(hosts) * (len(hosts) - 1)
 
@@ -104,7 +104,7 @@ class TestTwoTier:
                 if other.fa != addr.fa:
                     host.send_to(other, 900)
         net.run(3 * MILLISECOND)
-        assert net.fabric_cell_drops() == 0
+        assert net.fabric_drop_count() == 0
         expected = sum(
             1
             for a in hosts
@@ -117,7 +117,7 @@ class TestTwoTier:
         net, hosts = small_two_tier
         hosts[PortAddress(0, 0)].send_to(PortAddress(7, 0), 2000)
         net.run(500 * MICROSECOND)
-        lat = net.cell_latency()
+        lat = net.collect_metrics().cell_latency_ns
         assert lat.count > 0
         # 4 fabric hops with 100ns propagation: latency must exceed
         # the bare propagation and stay well under a millisecond when idle.

@@ -23,7 +23,6 @@ from repro.fabrics import (
     PushFabricNetwork,
     StardustNetwork,
     UnknownFabricError,
-    build_fabric,
     fabric_names,
     get_fabric,
 )
@@ -102,7 +101,7 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ["stardust", "push", "ethernet"])
     def test_instantiates_through_registry(self, name):
-        net = build_fabric(name, TOPOLOGIES["two_tier"].build())
+        net = get_fabric(name).cls(TOPOLOGIES["two_tier"].build())
         assert isinstance(net, FabricNetwork)
         assert net.plan.tiers == 2
         _assert_metrics_schema(net.collect_metrics(), name)
@@ -140,7 +139,7 @@ class TestConformanceMatrix:
         assert result.sim_time_ns == spec.warmup_ns + spec.measure_ns
 
         # Build the same fabric directly and check the metrics schema.
-        net = build_fabric(fabric, spec.topology.build())
+        net = get_fabric(fabric).cls(spec.topology.build())
         _assert_metrics_schema(net.collect_metrics(), fabric)
 
     @pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
@@ -158,7 +157,7 @@ class TestConformanceMatrix:
         from repro.net.addressing import PortAddress
         from tests.conftest import RecordingHost
 
-        net = build_fabric("push", TOPOLOGIES["one_tier"].build())
+        net = PushFabricNetwork(TOPOLOGIES["one_tier"].build())
         hosts = {}
         for fa in range(4):
             for port in range(2):

@@ -108,7 +108,7 @@ class TestDeviceDeath:
             src.send_to(dst, 1000)
         net.run(3 * MILLISECOND)
         assert len(hosts[dst].received) == 40
-        assert net.fabric_cell_drops() == 0
+        assert net.fabric_drop_count() == 0
 
 
 class TestBufferExhaustion:
@@ -129,8 +129,8 @@ class TestBufferExhaustion:
                 for _ in range(300):  # ...offered 40G for a while
                     src.send_to(dst, 1400)
         net.run(5 * MILLISECOND)
-        assert net.ingress_drops() > 0
-        assert net.fabric_cell_drops() == 0  # the fabric itself: never
+        assert net.collect_metrics().ingress_drops > 0
+        assert net.fabric_drop_count() == 0  # the fabric itself: never
 
     def test_empty_voqs_use_no_buffer(self):
         spec = OneTierSpec(num_fas=2, uplinks_per_fa=2, hosts_per_fa=1)

@@ -252,7 +252,7 @@ class TestStardustInjection:
         # The FA still sprays onto the (alive) link toward the dead FE,
         # and the dead FE counts what it swallows.
         assert fe0.dead_drops > 0
-        assert net.fabric_cell_drops() >= fe0.dead_drops
+        assert net.fabric_drop_count() >= fe0.dead_drops
 
     def test_edge_death_cuts_its_hosts_only(self):
         net, hosts = build_network(ONE_TIER)

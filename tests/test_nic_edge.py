@@ -47,7 +47,7 @@ class TestNicEdgeNetwork:
         hosts[addrs[0]].start_flow(flow)
         net.run(20 * MILLISECOND)
         assert tracker.get(flow.flow_id).completed_ns is not None
-        assert net.fabric_cell_drops() == 0
+        assert net.fabric_drop_count() == 0
 
     def test_single_homed_nic_has_no_table(self):
         net = build_nic_edge_network(n_nics=3, uplinks_per_nic=1)

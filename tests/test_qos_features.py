@@ -111,7 +111,7 @@ class TestHostFlowControl:
         # on the wire), so overflow drops at the ingress — but every
         # admitted packet is delivered.
         delivered = len(hosts[PortAddress(2, 0)].received)
-        assert delivered + net.ingress_drops() == 120
+        assert delivered + net.collect_metrics().ingress_drops == 120
         assert delivered >= 60
 
     def test_tcp_host_honours_pause_losslessly(self):
@@ -143,7 +143,7 @@ class TestHostFlowControl:
         net.run(100 * MILLISECOND)
         for flow in flows:
             assert tracker.get(flow.flow_id).completed_ns is not None
-        assert net.ingress_drops() == 0  # flow control, not loss
+        assert net.collect_metrics().ingress_drops == 0  # flow control, not loss
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from repro.analysis.resilience import (
 )
 from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork
-from repro.faults import FaultPlan, attach_plan, expected_recovery_ns, link_down
+from repro.faults import FaultPlan, attach_plan, link_down
 from repro.net.addressing import PortAddress
 from repro.sim.units import MICROSECOND, gbps
 
@@ -105,7 +105,7 @@ class TestMeasuredVsAnalytical:
 
     def test_remote_exclusion_within_tolerance_of_formula(self):
         spec, net, _hosts = self._converged_net()
-        analytical = expected_recovery_ns(net)
+        analytical = net.analytical_recovery_ns()
         # Matched mapping: t' = period, M = 1 (4 hosts), th = miss
         # threshold, one hop at the fabric propagation delay.
         assert analytical == pytest.approx(
@@ -162,4 +162,4 @@ class TestMeasuredVsAnalytical:
     def test_static_reachability_has_no_analytical_prediction(self):
         spec = OneTierSpec(num_fas=2, uplinks_per_fa=2, hosts_per_fa=1)
         net = StardustNetwork(spec)
-        assert expected_recovery_ns(net) is None
+        assert net.analytical_recovery_ns() is None

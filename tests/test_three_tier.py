@@ -88,7 +88,7 @@ class TestThreeTierDataPath:
             1 for a in hosts for b in hosts if a.fa != b.fa
         )
         assert sum(len(h.received) for h in hosts.values()) == expected
-        assert net.fabric_cell_drops() == 0
+        assert net.fabric_drop_count() == 0
 
     def test_spray_uses_all_spine_paths(self, three_tier):
         net, hosts = three_tier

@@ -72,7 +72,7 @@ class TestTcpBasics:
             hosts[flow.src].start_flow(flow)
             flows.append(flow)
         net.run(200 * MILLISECOND)
-        assert net.total_drops() > 0
+        assert net.collect_metrics().total_drops > 0
         for flow in flows:
             assert tracker.get(flow.flow_id).completed_ns is not None
 
