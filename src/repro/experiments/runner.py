@@ -5,7 +5,8 @@ hermetically (fresh simulator, fresh flow-id space) and returns a typed
 :class:`RunResult`.  :func:`run_matrix` executes a list of specs,
 serving completed cells from the store it is handed (a
 :class:`~repro.store.cells.RecordStore`, or a legacy
-:class:`~repro.experiments.store.ResultStore`) and fanning the misses
+:class:`~repro.experiments.store.ResultStore`; both speak ``get`` /
+``put`` / ``flush``) and fanning the misses
 out over ``multiprocessing`` shards (in-process when ``shards <= 1`` or
 the platform cannot give it workers).
 
@@ -15,9 +16,11 @@ which is what makes the content-hash cache sound.
 
 Each decision lives once.  How a flow starts under a transport is
 :func:`repro.transport.table.start_flow`'s; the executors only say
-*which* transport (:func:`_flow_kwargs`).  Every executor ends in
-:func:`_result`, which takes fabric accounting from the unified
-:meth:`~repro.fabrics.base.FabricNetwork.collect_metrics` surface — no
+*which* transport (:func:`_flow_kwargs`).  How a fabric is built is
+:func:`~repro.experiments.builders.build_network`'s (the registered
+class's ``for_experiment``).  Every executor ends in :func:`_result`,
+which takes fabric accounting from the
+:meth:`~repro.fabrics.base.FabricNetwork.collect_metrics` snapshot — no
 executor sniffs which fabric it was handed.  Inline and sharded sweeps
 run the same :func:`_worker_run` through the same loop in
 :func:`_execute`.

@@ -250,10 +250,13 @@ class StardustNetwork(FabricNetwork):
 
     def fabric_links(self) -> List[Link]:
         """Every fabric-side simplex link: FA->FE plus all FE ports
-        (which covers FE->FA and both FE<->FE directions)."""
-        links = [up for fa in self.fas for up in fa.uplinks]
-        links.extend(p.out for fe in self.fes for p in fe.fabric_ports)
-        return links
+        (which covers FE->FA and both FE<->FE directions); an FA's
+        ``out_links`` leave its host links out."""
+        return [
+            link
+            for device in (*self.fas, *self.fes)
+            for link in device.out_links()
+        ]
 
     def _collect_metrics(self) -> FabricMetrics:
         """The unified metrics snapshot (queue depths are in cells)."""

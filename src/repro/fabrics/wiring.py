@@ -13,7 +13,11 @@ on that).
 operations plus per-element down-route descriptions.  Concrete fabrics
 replay the operations with their own device types and install routes
 from the plan instead of re-deriving the topology with per-tier special
-cases.  The operation order is part of the contract — replaying it
+cases.  There are two planners, because there are two op orders: the
+single row (:func:`_plan_one_tier`) and pods under a spine row
+(:func:`_plan_pods`, which two- and three-tier specs feed with their
+per-pod rows as data).  The operation order is part of the contract —
+replaying it
 reproduces the historical construction order bit for bit, which keeps
 seeded runs identical across refactors.
 

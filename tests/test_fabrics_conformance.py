@@ -6,12 +6,17 @@ attach hosts, run, and report a well-formed
 :class:`~repro.fabrics.base.FabricMetrics`.  Stardust additionally
 must stay lossless inside the fabric, and every fabric must be
 deterministic in-process (hermetic runs of the same spec are
-bit-identical).
+bit-identical).  The contract's own surfaces — device liveness, the
+two cheap counters, the resilience answers — are checked per
+registered fabric, and an AST walk keeps consumers from growing
+``hasattr`` probes back.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,8 @@ from repro.fabrics import (
     fabric_names,
     get_fabric,
 )
+from repro.net.addressing import PortAddress
+from repro.sim.entity import Device
 from repro.sim.stats import Histogram
 
 TOPOLOGIES = {
@@ -196,3 +203,176 @@ class TestConformanceMatrix:
         metrics = net.collect_metrics()
         assert metrics.fabric_drops == 0
         assert metrics.queue_depth_unit == "cells"
+
+
+def _net_with_hosts(fabric: str, topo: str = "two_tier"):
+    """A built fabric with a recording host at every address, plus
+    every simplex link in it (fabric links and both host directions)."""
+    from tests.conftest import RecordingHost
+
+    spec = TOPOLOGIES[topo]
+    net = get_fabric(fabric).cls(spec.build())
+    links = list(net.fabric_links())
+    for addr in spec.addresses():
+        host = RecordingHost(net.sim, f"h{addr.fa}.{addr.port}", addr)
+        links.extend(net.attach_host(addr, host))
+    return net, links
+
+
+class TestContractSurfaces:
+    @pytest.mark.parametrize("fabric", fabric_names())
+    def test_fail_takes_down_exactly_out_links_and_restore_undoes_it(
+        self, fabric
+    ):
+        net, links = _net_with_hosts(fabric)
+        devices = [*net.edge_devices(), *net.fabric_devices()]
+        assert devices and all(isinstance(d, Device) for d in devices)
+        for device in devices:
+            owned = device.out_links()
+            assert owned, f"{device.name} owns no links"
+            assert all(link.src is device for link in owned)
+            assert device.alive and device.dead_drops == 0
+            device.fail()
+            assert not device.alive
+            down = [link for link in links if not link.up]
+            assert sorted(map(id, down)) == sorted(map(id, owned))
+            device.restore()
+            assert device.alive
+            assert all(link.up for link in links)
+
+    @pytest.mark.parametrize("fabric", fabric_names())
+    def test_edge_out_links_cover_the_edge_uplinks(self, fabric):
+        net, _links = _net_with_hosts(fabric)
+        for index, device in enumerate(net.edge_devices()):
+            owned = set(map(id, device.out_links()))
+            assert set(map(id, net.edge_uplinks(index))) <= owned
+
+    def test_liveness_is_defined_once(self):
+        classes = set()
+        for fabric in fabric_names():
+            net, _links = _net_with_hosts(fabric)
+            classes.update(
+                type(d) for d in (*net.edge_devices(), *net.fabric_devices())
+            )
+        assert len(classes) >= 3
+        liveness = {"alive", "dead_drops", "fail", "restore"}
+        for cls in classes:
+            for klass in cls.__mro__:
+                if klass is Device:
+                    continue
+                defined = set(vars(klass)) | set(
+                    vars(klass).get("__slots__", ())
+                )
+                assert not liveness & defined, (
+                    f"{klass.__name__} redefines {liveness & defined}"
+                )
+
+    @pytest.mark.parametrize("fabric", fabric_names())
+    def test_cheap_counters_equal_the_snapshot_fields(self, fabric):
+        net, _links = _net_with_hosts(fabric)
+        # Kill one element without telling its neighbors (no injector):
+        # they keep sending into it, so in-fabric loss is non-zero on
+        # either fabric and neither counter is trivially 0.
+        net.fabric_devices()[0].fail()
+        addrs = TOPOLOGIES["two_tier"].addresses()
+        for src in addrs:
+            for dst in addrs:
+                if dst.fa != src.fa:
+                    net.host_at(src).send_to(dst, 1500)
+        net.run(500_000)
+        metrics = net.collect_metrics()
+        assert metrics.delivered_bytes > 0
+        assert metrics.fabric_drops > 0
+        assert net.delivered_bytes() == metrics.delivered_bytes
+        assert net.fabric_drop_count() == metrics.fabric_drops
+
+    @pytest.mark.parametrize("fabric", fabric_names())
+    def test_no_mechanism_answers_zero_or_none(self, fabric):
+        # Static Stardust runs no protocol; push has none to run.
+        net, _links = _net_with_hosts(fabric)
+        src = net.host_at(PortAddress(0, 0))
+        src.send_to(PortAddress(3, 1), 4000)
+        net.run(200_000)
+        assert net.delivered_bytes() == 4000
+        assert net.protocol_links_down() == 0
+        assert net.blackholed() == (0, 0)
+        assert net.analytical_recovery_ns() is None
+
+    def test_host_link_is_what_hosts_attach_at(self):
+        for fabric in fabric_names():
+            net, links = _net_with_hosts(fabric)
+            rate, propagation = net.host_link()
+            to_fabric, to_host = links[-2:]
+            assert (to_fabric.rate_bps, to_host.rate_bps) == (rate, rate)
+            assert to_host.propagation_ns == propagation
+
+
+# ----------------------------------------------------------------------
+# Consumers do not sniff: an AST walk over everything downstream
+# ----------------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+_CONSUMERS = ("faults", "workloads", "experiments", "telemetry")
+
+#: (file, enclosing function, getattr's literal name or None) — every
+#: dynamic attribute read the consumer packages are allowed, spelled
+#: out.  None is a computed name (a dispatch or a field walk over the
+#: module's *own* dataclass, not a probe of someone else's object).
+_ALLOWED = {
+    # FaultInjector dispatches `_do_<kind>` on itself.
+    ("faults/injector.py", "_apply", None),
+    # FaultEvent walks its own coordinate fields.
+    ("faults/plan.py", "__post_init__", None),
+    ("faults/plan.py", "to_dict", None),
+    # field_table walks the spec dataclasses' own fields.
+    ("experiments/spec.py", "plain_fields", None),
+    # argparse namespaces: sub-commands share one parser helper.
+    ("experiments/__main__.py", "_build_matrix", "fabric"),
+    ("experiments/__main__.py", "main", "kernel"),
+    # Hosts are not part of the fabric contract; open-loop injectors
+    # carry no flow tracker.
+    ("telemetry/collector.py", "attach_host", "tracker"),
+}
+
+
+def _dynamic_reads(path: Path):
+    """(function, literal-or-None, lineno) for each hasattr/getattr."""
+    tree = ast.parse(path.read_text())
+    parents = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("hasattr", "getattr")
+        ):
+            continue
+        scope = node
+        while scope in parents and not isinstance(
+            scope, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            scope = parents[scope]
+        function = getattr(scope, "name", "<module>")
+        name = node.args[1] if len(node.args) > 1 else None
+        literal = name.value if isinstance(name, ast.Constant) else None
+        yield node.func.id, function, literal, node.lineno
+
+
+def test_consumers_do_not_sniff_fabrics_or_devices():
+    offenders = []
+    seen = set()
+    for package in _CONSUMERS:
+        for path in sorted((_SRC / package).rglob("*.py")):
+            rel = path.relative_to(_SRC).as_posix()
+            for call, function, literal, lineno in _dynamic_reads(path):
+                key = (rel, function, literal)
+                if call == "getattr" and key in _ALLOWED:
+                    seen.add(key)
+                else:
+                    offenders.append(f"{rel}:{lineno} {call}(..., {literal!r})")
+    assert offenders == [], "consumer-side attribute probes: " + "; ".join(
+        offenders
+    )
+    assert seen == _ALLOWED, f"stale allow-list entries: {_ALLOWED - seen}"
