@@ -1,5 +1,7 @@
 """Tests for QoS features: low-latency VOQs, host flow control, WRR."""
 
+import random
+
 import pytest
 
 from repro.core.cell import VoqId
@@ -8,6 +10,7 @@ from repro.core.credit import EgressScheduler
 from repro.fabrics import OneTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
+from repro.perf.digest import values_hash
 from repro.sim.engine import Simulator
 from repro.sim.units import KB, MICROSECOND, MILLISECOND, gbps
 from repro.transport.host import make_hosts
@@ -150,6 +153,118 @@ class TestHostFlowControl:
             StardustConfig(
                 host_pause_threshold=0.3, host_resume_threshold=0.5
             )
+
+
+def _credit_loop_digest(
+    cfg: StardustConfig, seed: int, hot_fa: int | None = None
+) -> dict:
+    """Run seeded two-class random traffic and digest the event stream.
+
+    Every host sends 40 packets (64-1500 B, class 0 or 1) to random
+    remote ports at random instants in the first 40 µs — with
+    ``hot_fa``, every host off that FA sends only to its two ports, in
+    the first 10 µs, so both classes queue behind the credit loop; the
+    run lasts 400 µs.  ``events_fired`` pins the credit loop's
+    scheduling exactly (every status, grant and pump is an event), the
+    hashes pin what arrived where and when.
+    """
+    net, hosts = build_network(SPEC, config=cfg)
+    rng = random.Random(seed)
+    addrs = sorted(hosts)
+    window_ns = (40 if hot_fa is None else 10) * MICROSECOND
+    for src in addrs:
+        for _ in range(40):
+            dst = rng.choice([
+                a for a in addrs
+                if a.fa != src.fa
+                and (hot_fa in (None, src.fa) or a.fa == hot_fa)
+            ])
+            size = rng.randint(64, 1500)
+            prio = rng.randint(0, 1)
+            net.sim.call_later(
+                rng.randrange(window_ns),
+                lambda h=hosts[src], d=dst, s=size, p=prio: h.send_to(
+                    d, s, priority=p
+                ),
+            )
+    net.run(400 * MICROSECOND)
+    metrics = net.collect_metrics()
+    arrivals = [
+        (str(addr), t, p.size_bytes, getattr(p, "priority", -1))
+        for addr in addrs
+        for t, p in hosts[addr].received
+    ]
+    return {
+        "events_fired": net.sim.events_fired,
+        "delivered_bytes": metrics.delivered_bytes,
+        "ingress_drops": metrics.ingress_drops,
+        "arrivals_hash": values_hash(arrivals),
+        "cell_latency_hash": values_hash(metrics.cell_latency_ns.samples),
+        "credits_granted": [
+            port.scheduler.credits_granted
+            for fa in net.fas
+            for port in fa.egress_ports
+        ],
+        "low_latency_cells": [fa.low_latency_cells for fa in net.fas],
+        "pause_frames_sent": [fa.pause_frames_sent for fa in net.fas],
+    }
+
+
+class TestCreditLoopPins:
+    """Recorded digests of the credit-loop branches no golden reaches.
+
+    The goldens all run one traffic class, no low-latency class and no
+    host PAUSE; these three cells do, and must stay byte-identical
+    under any change that claims to keep the event stream.
+    """
+
+    def test_low_latency_class(self):
+        cfg = StardustConfig(traffic_classes=2, low_latency_classes=(0,))
+        assert _credit_loop_digest(cfg, seed=11) == {
+            "events_fired": 5191,
+            "delivered_bytes": 186391,
+            "ingress_drops": 0,
+            "arrivals_hash": "3a260682a6786f2d",
+            "cell_latency_hash": "4edcb28d4fcb7384",
+            "credits_granted": [17, 22, 18, 17, 8, 13],
+            "low_latency_cells": [42, 36, 35],
+            "pause_frames_sent": [0, 0, 0],
+        }
+
+    def test_host_pause(self):
+        cfg = StardustConfig(
+            traffic_classes=2,
+            ingress_buffer_bytes=24 * KB,
+            host_pause_threshold=0.6,
+            host_resume_threshold=0.3,
+            fabric_link_rate_bps=gbps(10),
+            host_link_rate_bps=gbps(10),
+        )
+        assert _credit_loop_digest(cfg, seed=12, hot_fa=2) == {
+            "events_fired": 4976,
+            "delivered_bytes": 176588,
+            "ingress_drops": 15,
+            "arrivals_hash": "3819603bb69b5a10",
+            "cell_latency_hash": "3d670556bcddd158",
+            "credits_granted": [19, 17, 10, 14, 24, 32],
+            "low_latency_cells": [0, 0, 0],
+            "pause_frames_sent": [4, 4, 0],
+        }
+
+    def test_wrr_two_active_classes(self):
+        cfg = StardustConfig(
+            traffic_classes=2, strict_priority=False, class_weights=(3, 1),
+        )
+        assert _credit_loop_digest(cfg, seed=13, hot_fa=2) == {
+            "events_fired": 5105,
+            "delivered_bytes": 195522,
+            "ingress_drops": 0,
+            "arrivals_hash": "5cd3602e20f68626",
+            "cell_latency_hash": "6b80585de5312211",
+            "credits_granted": [13, 5, 12, 11, 26, 27],
+            "low_latency_cells": [0, 0, 0],
+            "pause_frames_sent": [0, 0, 0],
+        }
 
 
 class TestWeightedRoundRobin:
