@@ -13,12 +13,7 @@ Public surface:
 
 from repro.core.cell import Cell, CellFragment, CellKind, VoqId
 from repro.core.config import StardustConfig
-from repro.core.control import (
-    ControlPlane,
-    CreditGrant,
-    VoqDrained,
-    VoqStatus,
-)
+from repro.core.control import ControlPlane
 from repro.core.credit import EgressScheduler
 from repro.core.fabric_adapter import FabricAdapter
 from repro.core.fabric_element import FabricElement, FabricPort
@@ -35,9 +30,6 @@ __all__ = [
     "VoqId",
     "StardustConfig",
     "ControlPlane",
-    "CreditGrant",
-    "VoqStatus",
-    "VoqDrained",
     "EgressScheduler",
     "FabricAdapter",
     "FabricElement",

@@ -33,8 +33,26 @@ from repro.sim.units import SECOND
 RemoteVoq = Tuple[DeviceId, VoqId]
 
 #: Delivers a credit grant back to the ingress FA:
-#: (ingress_fa, voq, credit_bytes) -> None.
+#: (ingress_fa, voq, credit_bytes) -> None.  A Fabric Adapter passes its
+#: control plane's ``grant`` with itself bound as the source: no hop.
 GrantFn = Callable[[DeviceId, VoqId, int], None]
+
+
+class _Demand:
+    """One remote VOQ's demand book (cumulative counters, drift-free).
+
+    The rings hold these books rather than :data:`RemoteVoq` keys, so a
+    pump reads and charges demand without hashing the VOQ's identity.
+    """
+
+    __slots__ = ("ingress_fa", "voq", "enqueued", "granted", "in_ring")
+
+    def __init__(self, ingress_fa: DeviceId, voq: VoqId) -> None:
+        self.ingress_fa = ingress_fa
+        self.voq = voq
+        self.enqueued = 0
+        self.granted = 0
+        self.in_ring = False
 
 
 class EgressScheduler:
@@ -42,10 +60,10 @@ class EgressScheduler:
 
     __slots__ = (
         "sim", "config", "name", "port_rate_bps", "_grant_fn",
-        "_credit_rate_bps", "_enqueued", "_granted", "_rings", "_in_ring",
+        "_credit_bytes", "_credit_rate_bps", "_books", "_rings", "_active",
         "_armed", "_stopped", "_paused", "_throttled_until_ns",
         "_wrr_cursor", "_wrr_cached",
-        "credits_granted", "credit_bytes_granted", "fci_marks_seen",
+        "credits_granted", "fci_marks_seen",
     )
 
     def __init__(
@@ -61,20 +79,21 @@ class EgressScheduler:
         self.name = name
         self.port_rate_bps = port_rate_bps
         self._grant_fn = grant_fn
+        self._credit_bytes = config.credit_size_bytes
 
         #: Credit issue rate in bits/sec (slightly above port rate).
         self._credit_rate_bps = port_rate_bps * (1.0 + config.credit_speedup)
 
-        # Demand bookkeeping (cumulative counters, drift-free).
-        self._enqueued: Dict[RemoteVoq, int] = {}
-        self._granted: Dict[RemoteVoq, int] = {}
+        # Demand bookkeeping, one book per remote VOQ ever reported.
+        self._books: Dict[RemoteVoq, _Demand] = {}
 
         # One FIFO ring of VOQs with outstanding demand per traffic
-        # class (strict priority: class 0 first).
-        self._rings: List[Deque[RemoteVoq]] = [
+        # class (strict priority: class 0 first); ``_active`` counts
+        # the books in them.
+        self._rings: List[Deque[_Demand]] = [
             deque() for _ in range(config.traffic_classes)
         ]
-        self._in_ring: set[RemoteVoq] = set()
+        self._active = 0
 
         # Self-clocking pump: at most one ``_pump`` event pending
         # (``_armed``), laid without a handle — a paused or stopped
@@ -90,7 +109,6 @@ class EgressScheduler:
 
         # Accounting.
         self.credits_granted = 0
-        self.credit_bytes_granted = 0
         self.fci_marks_seen = 0
 
     # ------------------------------------------------------------------
@@ -100,44 +118,40 @@ class EgressScheduler:
         self, ingress_fa: DeviceId, voq: VoqId, enqueued_bytes: int
     ) -> None:
         """A remote VOQ reports its cumulative enqueued byte count."""
-        key = (ingress_fa, voq)
-        current = self._enqueued.get(key, 0)
-        if enqueued_bytes > current:
-            self._enqueued[key] = enqueued_bytes
-        if self._demand(key) > 0 and key not in self._in_ring:
-            tc = min(voq.priority, len(self._rings) - 1)
-            self._rings[tc].append(key)
-            self._in_ring.add(key)
+        book = self._books.get((ingress_fa, voq)) or self._book(ingress_fa, voq)
+        if enqueued_bytes > book.enqueued:
+            book.enqueued = enqueued_bytes
+        if not book.in_ring and book.enqueued > book.granted:
+            self._rings[min(voq.priority, len(self._rings) - 1)].append(book)
+            book.in_ring = True
+            self._active += 1
         self._kick()
+
+    def _book(self, ingress_fa: DeviceId, voq: VoqId) -> _Demand:
+        key = (ingress_fa, voq)
+        book = self._books.get(key)
+        if book is None:
+            book = self._books[key] = _Demand(ingress_fa, voq)
+        return book
 
     # Back-compat alias used by a few tests/tools: a bare request is a
     # report of at least one credit's worth of demand.
     def request(self, ingress_fa: DeviceId, voq: VoqId) -> None:
         """Back-compat demand report: ask for effectively unlimited credits."""
-        key = (ingress_fa, voq)
-        baseline = self._granted.get(key, 0)
+        book = self._book(ingress_fa, voq)
         self.report(
-            ingress_fa, voq, baseline + self.config.credit_size_bytes * 2**20
+            ingress_fa, voq, book.granted + self.config.credit_size_bytes * 2**20
         )
 
     def withdraw(self, ingress_fa: DeviceId, voq: VoqId) -> None:
         """Cancel a VOQ's outstanding demand (drained / torn down)."""
-        key = (ingress_fa, voq)
-        self._enqueued[key] = self._granted.get(key, 0)
-
-    def _demand(self, key: RemoteVoq) -> int:
-        return self._enqueued.get(key, 0) - self._granted.get(key, 0)
+        book = self._book(ingress_fa, voq)
+        book.enqueued = book.granted
 
     @property
     def active_voqs(self) -> int:
         """VOQs currently holding outstanding demand."""
-        return len(self._in_ring)
-
-    def total_demand(self) -> int:
-        """Sum of outstanding (unreported-granted) bytes."""
-        return sum(
-            self._demand(key) for key in self._in_ring
-        )
+        return self._active
 
     # ------------------------------------------------------------------
     # Gating
@@ -167,11 +181,23 @@ class EgressScheduler:
     # The pump
     # ------------------------------------------------------------------
     def _kick(self) -> None:
-        if not self._armed and not self._paused and self._in_ring:
+        if not self._armed and not self._paused and self._active:
             self._armed = True
             self.sim.call_later(0, self._pump)
 
     def _pump(self) -> None:
+        """Grant one credit to the next VOQ in round-robin order.
+
+        A VOQ goes back to the tail of its ring after every grant, even
+        when that grant covered all of its demand: the pump does not
+        look at the demand left.  Unless a report refills it first, its
+        next turn finds nothing to grant, drops it from the ring and
+        re-kicks — one counted no-op ``_pump`` event per exhausted VOQ.
+        On the ``cells_uniform`` benchmark (seed 7) that is 10 284 of
+        22 010 pumps for 11 726 grants, 3.9 % of its 265 100 events.
+        Dropping the VOQ at its last grant would save them, but moves
+        ``events_fired`` and the round-robin order the goldens pin.
+        """
         if self._stopped:
             return  # still armed, so nothing lays another event
         self._armed = False
@@ -180,19 +206,18 @@ class EgressScheduler:
         ring = self._next_ring()
         if ring is None:
             return
-        key = ring.popleft()
-        demand = self._demand(key)
+        book = ring.popleft()
+        demand = book.enqueued - book.granted
         if demand <= 0:
-            self._in_ring.discard(key)
+            book.in_ring = False
+            self._active -= 1
             self._kick()
             return
-        ring.append(key)  # still hungry: back to the tail
-        grant = min(self.config.credit_size_bytes, demand)
-        self._granted[key] = self._granted.get(key, 0) + grant
+        ring.append(book)  # back to the tail, even if this grant empties it
+        grant = self._credit_bytes if demand > self._credit_bytes else demand
+        book.granted += grant
         self.credits_granted += 1
-        self.credit_bytes_granted += grant
-        ingress_fa, voq = key
-        self._grant_fn(ingress_fa, voq, grant)
+        self._grant_fn(book.ingress_fa, book.voq, grant)
         # Self-clock: the gap paid is proportional to the bytes granted.
         # The credit rate carries the fractional speedup (1.02x port
         # rate), so the gap is float math by construction; IEEE-754
@@ -204,7 +229,7 @@ class EgressScheduler:
         self._armed = True
         self.sim.call_later(gap_ns, self._pump)
 
-    def _next_ring(self) -> Optional[Deque[RemoteVoq]]:
+    def _next_ring(self) -> Optional[Deque[_Demand]]:
         """Next traffic-class ring: strict priority or WRR (§4.1)."""
         if self.config.strict_priority:
             for ring in self._rings:

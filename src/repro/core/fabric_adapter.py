@@ -16,31 +16,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, ItemsView, List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple, ValuesView
 
 from repro.core.cell import Cell, CellKind, VoqId
 from repro.core.config import StardustConfig
-from repro.core.control import (
-    ControlMessage,
-    ControlPlane,
-    CreditGrant,
-    VoqDrained,
-    VoqStatus,
-)
+from repro.core.control import ControlPlane
 from repro.core.credit import EgressScheduler
 from repro.core.packing import pack_burst
 from repro.core.reachability import ReachabilityMonitor
 from repro.core.reassembly import ReassemblyEngine
 from repro.core.spray import SprayArbiter
-from repro.net.addressing import DeviceId
+from repro.core.voq import SharedBufferPool, Voq
+from repro.net.addressing import DeviceId, PortAddress
 from repro.net.packet import Packet, PauseFrame
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.entity import Device
 from repro.sim.link import Link
 from repro.sim.stats import Histogram, RateMeter
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.voq import Voq
 
 
 @dataclass(slots=True)
@@ -58,7 +51,7 @@ class FabricAdapter(Device):
     """A Stardust edge device (ToR role)."""
 
     __slots__ = (
-        "config", "fa_id", "control", "_voq_cls", "buffer_pool", "_voqs",
+        "config", "fa_id", "control", "buffer_pool", "_voqs", "_flush_fns",
         "_report_flush_pending", "_uplinks",
         "_static_reach", "_elig_cache", "_elig_epoch", "_live_uplinks",
         "_spray", "egress_ports", "reassembly", "_monitor", "_advertiser",
@@ -85,12 +78,14 @@ class FabricAdapter(Device):
         self.control = control
         control.register(fa_id, self)
 
-        from repro.core.voq import SharedBufferPool, Voq
-
-        self._voq_cls = Voq
         self.buffer_pool = SharedBufferPool(config.ingress_buffer_bytes)
-        self._voqs: Dict[VoqId, "Voq"] = {}
-        self._report_flush_pending: set[VoqId] = set()
+        #: VOQs by (destination, class) — what a packet carries, so
+        #: ingress builds no VoqId; each Voq holds its interned one.
+        self._voqs: Dict[Tuple[PortAddress, int], Voq] = {}
+        #: Each VOQ's deferred report flush, bound once at creation, and
+        #: the VOQs with one pending (both keyed by the VOQ object).
+        self._flush_fns: Dict[Voq, partial] = {}
+        self._report_flush_pending: set[Voq] = set()
 
         # Fabric side.
         self._uplinks: List[Link] = []
@@ -157,7 +152,7 @@ class FabricAdapter(Device):
             self.sim,
             self.config,
             link.rate_bps,
-            grant_fn=lambda fa, voq, nb: self._send_grant(fa, voq, nb),
+            grant_fn=partial(self.control.grant, self.fa_id),
             name=f"{self.name}.p{index}.sched",
         )
         port = EgressPort(
@@ -167,7 +162,7 @@ class FabricAdapter(Device):
             delivered=RateMeter(f"{self.name}.p{index}.delivered"),
         )
         self.egress_ports.append(port)
-        link.on_transmit = lambda _p, port=port: self._egress_drained(port)
+        link.on_transmit = partial(self._egress_drained, port)
         return port
 
     @property
@@ -281,15 +276,14 @@ class FabricAdapter(Device):
             self._deliver_to_port(packet)
             return
         tc = min(packet.priority, self.config.traffic_classes - 1)
-        voq_id = VoqId(dst=packet.dst, priority=tc)
-        voq = self._voqs.get(voq_id)
+        voq = self._voqs.get((packet.dst, tc))
         if voq is None:
-            voq = self._voq_cls(voq_id, self.buffer_pool)
-            self._voqs[voq_id] = voq
+            voq = self._new_voq(packet.dst, tc)
         if not voq.push(packet):
             self.ingress_drops += 1
             return
-        self._check_host_pause()
+        if self.config.host_pause_threshold is not None:
+            self._check_host_pause()
         if tc in self.config.low_latency_classes:
             # §5.6: low-latency VOQs transmit immediately, without
             # waiting a credit round-trip.  (Their aggregate bandwidth
@@ -301,13 +295,17 @@ class FabricAdapter(Device):
             return
         self._maybe_report(voq)
 
+    def _new_voq(self, dst: PortAddress, tc: int) -> Voq:
+        voq = self._voqs[dst, tc] = Voq(VoqId(dst, tc), self.buffer_pool)
+        self._flush_fns[voq] = partial(self._flush_report, voq)
+        return voq
+
     # ------------------------------------------------------------------
     # Host flow control (§5.4)
     # ------------------------------------------------------------------
     def _check_host_pause(self) -> None:
+        """Callers skip this when host flow control is off (no threshold)."""
         threshold = self.config.host_pause_threshold
-        if threshold is None:
-            return
         occupancy = self.buffer_pool.occupancy
         if not self.hosts_paused and occupancy > threshold:
             self._signal_hosts(pause=True)
@@ -325,7 +323,7 @@ class FabricAdapter(Device):
                 self.pause_frames_sent += 1
                 port.link.send(frame, frame.size_bytes)
 
-    def _maybe_report(self, voq: "Voq") -> None:
+    def _maybe_report(self, voq: Voq) -> None:
         """Demand reporting: immediately past the threshold, otherwise a
         deferred flush so sub-threshold tails are reported too."""
         unreported = voq.enqueued_bytes - voq.last_reported_bytes
@@ -333,33 +331,23 @@ class FabricAdapter(Device):
             return
         if unreported >= self.config.voq_report_threshold_bytes:
             self._report_now(voq)
-        elif voq.id not in self._report_flush_pending:
-            self._report_flush_pending.add(voq.id)
+        elif voq not in self._report_flush_pending:
+            self._report_flush_pending.add(voq)
             self.sim.call_later(
-                self.config.voq_report_flush_ns,
-                lambda: self._flush_report(voq),
+                self.config.voq_report_flush_ns, self._flush_fns[voq]
             )
 
-    def _flush_report(self, voq: "Voq") -> None:
-        self._report_flush_pending.discard(voq.id)
+    def _flush_report(self, voq: Voq) -> None:
+        self._report_flush_pending.discard(voq)
         if voq.enqueued_bytes > voq.last_reported_bytes:
             self._report_now(voq)
 
-    def _report_now(self, voq: "Voq") -> None:
+    def _report_now(self, voq: Voq) -> None:
         voq.last_reported_bytes = voq.enqueued_bytes
-        self.control.send(
-            self.fa_id,
-            voq.id.dst.fa,
-            VoqStatus(
-                ingress_fa=self.fa_id,
-                voq=voq.id,
-                enqueued_bytes=voq.enqueued_bytes,
-            ),
+        voq_id = voq.id
+        self.control.status(
+            self.fa_id, voq_id.dst.fa, voq_id, voq.enqueued_bytes
         )
-
-    def voq(self, voq_id: VoqId) -> Optional["Voq"]:
-        """The VOQ for ``voq_id`` (tests/instrumentation)."""
-        return self._voqs.get(voq_id)
 
     @property
     def voq_count(self) -> int:
@@ -375,51 +363,41 @@ class FabricAdapter(Device):
         deficits) — the telemetry probes' credit-loop health signal."""
         return sum(v.credit_balance for v in self._voqs.values())
 
-    def voq_items(self) -> ItemsView[VoqId, "Voq"]:
-        """Live ``(VoqId, Voq)`` pairs, for per-VOQ telemetry probes.
+    def voqs(self) -> ValuesView[Voq]:
+        """Live VOQs (each carries its ``id``), for per-VOQ telemetry.
 
         VOQs appear lazily (first packet toward a destination), so
         per-VOQ samplers re-enumerate each tick rather than binding a
         fixed list at attach time.
         """
-        return self._voqs.items()
+        return self._voqs.values()
 
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    def on_control(self, message: ControlMessage) -> None:
-        """Handle a scheduler control message (status/grant)."""
-        if isinstance(message, VoqStatus):
-            port = self.egress_ports[message.voq.dst.port]
-            port.scheduler.report(
-                message.ingress_fa, message.voq, message.enqueued_bytes
-            )
-        elif isinstance(message, VoqDrained):
-            port = self.egress_ports[message.voq.dst.port]
-            port.scheduler.withdraw(message.ingress_fa, message.voq)
-        elif isinstance(message, CreditGrant):
-            self._apply_grant(message.voq, message.credit_bytes)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown control message {message!r}")
-
-    def _send_grant(
-        self, ingress_fa: DeviceId, voq: VoqId, nbytes: int
+    def on_status(
+        self, ingress_fa: DeviceId, voq: VoqId, enqueued_bytes: int
     ) -> None:
-        self.control.send(
-            self.fa_id, ingress_fa, CreditGrant(voq=voq, credit_bytes=nbytes)
+        """A remote VOQ's demand report, for its port's scheduler."""
+        self.egress_ports[voq.dst.port].scheduler.report(
+            ingress_fa, voq, enqueued_bytes
         )
 
     def _apply_grant(self, voq_id: VoqId, credit_bytes: int) -> None:
-        voq = self._voqs.get(voq_id)
+        voq = self._voqs.get((voq_id.dst, voq_id.priority))
         if voq is None:
             return
         burst = voq.grant(credit_bytes)
-        self._check_host_pause()  # pool drained: maybe resume hosts
+        if self.config.host_pause_threshold is not None:
+            self._check_host_pause()  # pool drained: maybe resume hosts
         if not burst:
             return
         self._emit_burst(voq, burst)
 
-    def _emit_burst(self, voq: "Voq", burst: List[Packet]) -> None:
+    #: The control plane's grant handler (:class:`ControlEndpoint`).
+    on_grant = _apply_grant
+
+    def _emit_burst(self, voq: Voq, burst: List[Packet]) -> None:
         """Chop a dequeued burst into cells and spray them (§3.4)."""
         voq_id = voq.id
         cells = pack_burst(
@@ -476,7 +454,8 @@ class FabricAdapter(Device):
         if port.link.queued_bytes > cap * self.config.egress_high_watermark:
             port.scheduler.pause()
 
-    def _egress_drained(self, port: EgressPort) -> None:
+    def _egress_drained(self, port: EgressPort, _packet: Packet) -> None:
+        """``on_transmit`` hook of a host link, bound to its port."""
         cap = self.config.egress_buffer_bytes
         if (
             port.scheduler.paused

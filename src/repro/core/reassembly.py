@@ -12,6 +12,7 @@ timeout skips ahead and discards the packets the gap corrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.cell import Cell, VoqId
@@ -24,6 +25,8 @@ from repro.sim.engine import Simulator
 class _Context:
     """Resequencing state for one (source FA, VOQ) stream."""
 
+    #: This context's timeout check, bound once (see ``_new_context``).
+    check_timeout: Callable[[], None]
     expected_seq: int = 0
     pending: Dict[int, Cell] = field(default_factory=dict)
     #: Bytes received so far for the packet currently being reassembled.
@@ -82,8 +85,7 @@ class ReassemblyEngine:
         key = (cell.src_fa, cell.voq)
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = _Context()
-            self._contexts[key] = ctx
+            ctx = self._new_context(key)
 
         if cell.seq < ctx.expected_seq:
             # Duplicate or late after a timeout skip — drop it.
@@ -93,9 +95,7 @@ class ReassemblyEngine:
             ctx.pending[cell.seq] = cell
             if ctx.stalled_since_ns is None:
                 ctx.stalled_since_ns = self.sim.now
-                self.sim.call_later(
-                    self._timeout_ns, lambda: self._check_timeout(key)
-                )
+                self.sim.call_later(self._timeout_ns, ctx.check_timeout)
             return
 
         self._consume(ctx, cell)
@@ -104,9 +104,12 @@ class ReassemblyEngine:
             self._consume(ctx, ctx.pending.pop(ctx.expected_seq))
         ctx.stalled_since_ns = self.sim.now if ctx.pending else None
         if ctx.pending:
-            self.sim.call_later(
-                self._timeout_ns, lambda: self._check_timeout(key)
-            )
+            self.sim.call_later(self._timeout_ns, ctx.check_timeout)
+
+    def _new_context(self, key: Tuple[DeviceId, VoqId]) -> _Context:
+        ctx = _Context(partial(self._check_timeout, key))
+        self._contexts[key] = ctx
+        return ctx
 
     def _consume(self, ctx: _Context, cell: Cell) -> None:
         ctx.expected_seq = cell.seq + 1
@@ -160,6 +163,4 @@ class ReassemblyEngine:
             self._consume(ctx, ctx.pending.pop(ctx.expected_seq))
         ctx.stalled_since_ns = self.sim.now if ctx.pending else None
         if ctx.pending:
-            self.sim.call_later(
-                self._timeout_ns, lambda: self._check_timeout(key)
-            )
+            self.sim.call_later(self._timeout_ns, ctx.check_timeout)

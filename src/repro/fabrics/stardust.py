@@ -385,9 +385,9 @@ class StardustNetwork(FabricNetwork):
             def _voq_depths() -> dict:
                 out = {}
                 for fa in fas:
-                    for voq_id, voq in fa.voq_items():
+                    for voq in fa.voqs():
                         nbytes, _packets, credit = voq.snapshot()
-                        key = f"fa{fa.fa_id}.{voq_id}"
+                        key = f"fa{fa.fa_id}.{voq.id}"
                         out[f"{key}.bytes"] = nbytes
                         out[f"{key}.credit"] = credit
                 return out

@@ -577,7 +577,16 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[str, FrozenSet[str]]] = {
         "FabricElement": frozenset({"receive", "eligible_ports"}),
     },
     ("core", "fabric_adapter.py"): {
-        "FabricAdapter": frozenset({"_spray_cells", "_egress_cell"}),
+        "FabricAdapter": frozenset({
+            "_spray_cells", "_egress_cell", "ingress_packet", "_apply_grant",
+            "_maybe_report", "_deliver_to_port",
+        }),
+    },
+    ("core", "credit.py"): {
+        "EgressScheduler": frozenset({"_pump"}),
+    },
+    ("core", "reassembly.py"): {
+        "ReassemblyEngine": frozenset({"receive"}),
     },
     ("baselines", "ethernet.py"): {
         "EthernetSwitch": frozenset({"receive", "forward"}),

@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.cell import VoqId
 from repro.core.config import StardustConfig
-from repro.core.control import (
-    ControlPlane,
-    CreditGrant,
-    VoqDrained,
-    VoqStatus,
-)
+from repro.core.control import ControlPlane
 from repro.core.reachability import ReachabilityMonitor
 from repro.net.addressing import PortAddress
 from repro.sim.engine import Simulator
@@ -22,8 +17,11 @@ class Endpoint:
     def __init__(self):
         self.messages = []
 
-    def on_control(self, message):
-        self.messages.append(message)
+    def on_status(self, ingress_fa, voq, enqueued_bytes):
+        self.messages.append(("status", ingress_fa, voq, enqueued_bytes))
+
+    def on_grant(self, voq, nbytes):
+        self.messages.append(("grant", voq, nbytes))
 
 
 class TestControlPlane:
@@ -32,11 +30,12 @@ class TestControlPlane:
         plane = ControlPlane(sim, lambda s, d: 500)
         ep = Endpoint()
         plane.register(1, ep)
-        plane.send(0, 1, CreditGrant(voq=VOQ, credit_bytes=4096))
+        plane.grant(0, 1, VOQ, 4096)
+        plane.status(0, 1, VOQ, 100)
         sim.run(until=499)
         assert ep.messages == []
         sim.run(until=500)
-        assert len(ep.messages) == 1
+        assert ep.messages == [("grant", VOQ, 4096), ("status", 0, VOQ, 100)]
 
     def test_delay_function_receives_endpoints(self):
         sim = Simulator()
@@ -48,13 +47,16 @@ class TestControlPlane:
 
         plane = ControlPlane(sim, delay)
         plane.register(7, Endpoint())
-        plane.send(3, 7, VoqDrained(ingress_fa=3, voq=VOQ))
+        plane.status(3, 7, VOQ, 100)
         assert seen == [(3, 7)]
 
     def test_unknown_destination_raises(self):
         plane = ControlPlane(Simulator(), lambda s, d: 1)
         with pytest.raises(KeyError):
-            plane.send(0, 9, VoqDrained(ingress_fa=0, voq=VOQ))
+            plane.status(0, 9, VOQ, 100)
+        with pytest.raises(KeyError):
+            plane.grant(0, 9, VOQ, 4096)
+        assert plane.messages_sent == 0
 
     def test_double_register_rejected(self):
         plane = ControlPlane(Simulator(), lambda s, d: 1)
@@ -67,9 +69,46 @@ class TestControlPlane:
         plane = ControlPlane(sim, lambda s, d: 1)
         plane.register(1, Endpoint())
         for _ in range(5):
-            plane.send(0, 1, VoqStatus(ingress_fa=0, voq=VOQ,
-                                       enqueued_bytes=100))
-        assert plane.messages_sent == 5
+            plane.status(0, 1, VOQ, 100)
+        plane.grant(0, 1, VOQ, 4096)
+        assert plane.messages_sent == 6
+
+    def test_delay_fn_called_once_per_pair(self):
+        sim = Simulator()
+        calls = []
+
+        def delay(src, dst):
+            calls.append((src, dst))
+            return 10 * src + dst
+
+        class Timed:
+            def __init__(self, fa):
+                self.fa = fa
+                self.arrivals = set()
+
+            def on_status(self, ingress_fa, voq, enqueued_bytes):
+                self.arrivals.add((ingress_fa, self.fa, sim.now))
+
+            def on_grant(self, voq, nbytes):
+                self.arrivals.add((nbytes, self.fa, sim.now))
+
+        plane = ControlPlane(sim, delay)
+        endpoints = [Timed(fa) for fa in range(3)]
+        for ep in endpoints:
+            plane.register(ep.fa, ep)
+        for _ in range(50):
+            for src in range(3):
+                for dst in range(3):
+                    plane.status(src, dst, VOQ, 100)
+                    plane.grant(src, dst, VOQ, src)
+        assert sorted(calls) == [(s, d) for s in range(3) for d in range(3)]
+        assert plane.messages_sent == 900
+        sim.run()
+        # Every message still took its own pair's delay.
+        for ep in endpoints:
+            assert ep.arrivals == {
+                (src, ep.fa, 10 * src + ep.fa) for src in range(3)
+            }
 
 
 class TestConfigValidation:

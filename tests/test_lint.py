@@ -322,6 +322,26 @@ class TestHot002:
         )
         assert "HOT002" in rules_hit(tmp_path, rel, src)
 
+    @pytest.mark.parametrize(
+        "rel, cls, method",
+        [
+            ("repro/core/credit.py", "EgressScheduler", "_pump"),
+            ("repro/core/fabric_adapter.py", "FabricAdapter", "ingress_packet"),
+            ("repro/core/fabric_adapter.py", "FabricAdapter", "_apply_grant"),
+            ("repro/core/fabric_adapter.py", "FabricAdapter", "_maybe_report"),
+            ("repro/core/fabric_adapter.py", "FabricAdapter", "_deliver_to_port"),
+            ("repro/core/reassembly.py", "ReassemblyEngine", "receive"),
+        ],
+    )
+    def test_credit_loop_hot_methods_are_covered(self, tmp_path, rel, cls, method):
+        src = (
+            f"class {cls}:\n"
+            "    __slots__ = ()\n"
+            f"    def {method}(self, x=None):\n"
+            "        return partial(print, x)\n"
+        )
+        assert "HOT002" in rules_hit(tmp_path, rel, src)
+
     def test_repo_hot_methods_are_closure_free(self):
         report = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
         assert [f for f in report.findings if f.rule == "HOT002"] == []
