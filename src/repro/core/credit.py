@@ -21,6 +21,7 @@ watermark and stretches its grant gaps while FCI-marked cells arrive.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.cell import VoqId
@@ -38,6 +39,7 @@ RemoteVoq = Tuple[DeviceId, VoqId]
 GrantFn = Callable[[DeviceId, VoqId, int], None]
 
 
+@dataclass(slots=True, eq=False)
 class _Demand:
     """One remote VOQ's demand book (cumulative counters, drift-free).
 
@@ -45,14 +47,11 @@ class _Demand:
     pump reads and charges demand without hashing the VOQ's identity.
     """
 
-    __slots__ = ("ingress_fa", "voq", "enqueued", "granted", "in_ring")
-
-    def __init__(self, ingress_fa: DeviceId, voq: VoqId) -> None:
-        self.ingress_fa = ingress_fa
-        self.voq = voq
-        self.enqueued = 0
-        self.granted = 0
-        self.in_ring = False
+    ingress_fa: DeviceId
+    voq: VoqId
+    enqueued: int = 0
+    granted: int = 0
+    in_ring: bool = False
 
 
 class EgressScheduler:

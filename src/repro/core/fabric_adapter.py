@@ -109,7 +109,7 @@ class FabricAdapter(Device):
 
         # Egress machinery.
         self.reassembly = ReassemblyEngine(
-            sim, self._packet_reassembled, config.reassembly_timeout_ns
+            sim, self._deliver_to_port, config.reassembly_timeout_ns
         )
 
         # Reachability protocol (dynamic mode).
@@ -437,9 +437,6 @@ class FabricAdapter(Device):
             port = self.egress_ports[cell.voq.dst.port]
             port.scheduler.fci_mark()
         self.reassembly.receive(cell)
-
-    def _packet_reassembled(self, packet: Packet, voq: VoqId) -> None:
-        self._deliver_to_port(packet)
 
     def _deliver_to_port(self, packet: Packet) -> None:
         port = self.egress_ports[packet.dst.port]

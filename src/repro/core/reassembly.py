@@ -51,7 +51,7 @@ class ReassemblyEngine:
     def __init__(
         self,
         sim: Simulator,
-        deliver: Callable[[Packet, VoqId], None],
+        deliver: Callable[[Packet], None],
         timeout_ns: int,
     ) -> None:
         self.sim = sim
@@ -137,8 +137,7 @@ class ReassemblyEngine:
                 ctx.partial_bytes = 0
                 if complete:
                     self.packets_completed += 1
-                    assert cell.voq is not None
-                    self._deliver(packet, cell.voq)
+                    self._deliver(packet)
                 else:
                     self.packets_discarded += 1
 

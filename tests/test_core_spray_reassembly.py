@@ -93,7 +93,7 @@ class TestReassembly:
         sim = Simulator()
         delivered = []
         engine = ReassemblyEngine(
-            sim, lambda pkt, voq: delivered.append(pkt), timeout
+            sim, delivered.append, timeout
         )
         return sim, engine, delivered
 

@@ -115,7 +115,7 @@ class TestReassemblyRoundTrip:
         sim = Simulator()
         delivered = []
         engine = ReassemblyEngine(
-            sim, lambda p, v: delivered.append(p), timeout_ns=10**9
+            sim, delivered.append, timeout_ns=10**9
         )
         for cell in shuffled:
             engine.receive(cell)
