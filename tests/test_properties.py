@@ -1,13 +1,15 @@
 """Property-based tests (hypothesis) on core data structures.
 
 Invariants checked:
-* packing conserves bytes, respects cell geometry, orders fragments;
+* packing conserves bytes, respects cell geometry, orders fragments,
+  and cuts cells exactly where a byte-stream reference does;
 * pack -> shuffle -> reassemble is the identity on packet streams;
 * spray arbitration is balanced within one round for any link set;
 * the FIFO queue never exceeds capacity and conserves items;
 * VOQ credit accounting conserves bytes.
 """
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -93,6 +95,62 @@ class TestPackingProperties:
     def test_seq_numbers_dense(self, sizes, payload, packing):
         cells = pack(mk_packets(sizes), payload, packing)
         assert [c.seq for c in cells] == list(range(len(cells)))
+
+    @given(
+        sizes=packet_sizes,
+        payload=payloads,
+        packing=st.booleans(),
+        first_seq=st.integers(min_value=0, max_value=10**6),
+        created_ns=st.integers(min_value=0, max_value=10**12),
+    )
+    def test_matches_byte_stream_reference(
+        self, sizes, payload, packing, first_seq, created_ns
+    ):
+        packets = mk_packets(sizes)
+        cells = pack_burst(
+            packets,
+            payload_bytes=payload,
+            header_bytes=16,
+            dst_fa=DST.fa,
+            src_fa=SRC.fa,
+            voq=VOQ,
+            first_seq=first_seq,
+            created_ns=created_ns,
+            packing=packing,
+        )
+        expected = reference_pack(packets, payload, packing)
+        assert [
+            [(f.packet.pkt_id, f.nbytes, f.end_of_packet) for f in c.fragments]
+            for c in cells
+        ] == expected
+        for seq, (cell, frags) in enumerate(zip(cells, expected), first_seq):
+            filled = sum(nbytes for _, nbytes, _ in frags)
+            assert cell.seq == seq
+            assert cell.payload_bytes == filled
+            assert cell.size_bytes == 16 + filled
+            assert cell.created_ns == created_ns
+            assert cell.voq == VOQ
+
+
+def reference_pack(packets, payload, packing):
+    """Cut the burst's byte stream (each packet's own stream when not
+    packing) at every ``payload`` bytes; one list of ``(pkt_id, nbytes,
+    end_of_packet)`` per cell, in transmission order."""
+    streams = [packets] if packing else [[p] for p in packets]
+    cells = []
+    for stream in streams:
+        # Byte offset one past each packet's last byte in the stream.
+        ends = list(itertools.accumulate(p.size_bytes for p in stream))
+        for lo in range(0, ends[-1], payload):
+            hi = min(lo + payload, ends[-1])
+            frags = []
+            for packet, end in zip(stream, ends):
+                start = max(lo, end - packet.size_bytes)
+                stop = min(hi, end)
+                if start < stop:
+                    frags.append((packet.pkt_id, stop - start, stop == end))
+            cells.append(frags)
+    return cells
 
 
 class TestReassemblyRoundTrip:
