@@ -244,7 +244,7 @@ class FabricAdapter(Device):
         return result
 
     # ------------------------------------------------------------------
-    # Ingress: host packets in
+    # Receive: cells from the fabric (egress), packets from hosts (ingress)
     # ------------------------------------------------------------------
     def receive(self, payload: Any, link: Link) -> None:
         """Dispatch arriving packets (host side) and cells (fabric side)."""
@@ -261,7 +261,12 @@ class FabricAdapter(Device):
                     if index is not None:
                         self._monitor.heard(index, payload.reachable)
                 return
-            self._egress_cell(payload)
+            # Egress: a data cell in, toward resequencing.
+            self.cells_received += 1
+            self.cell_latency.record(self.sim.now - payload.created_ns)
+            if payload.fci and payload.voq is not None:
+                self.egress_ports[payload.voq.dst.port].scheduler.fci_mark()
+            self.reassembly.receive(payload)
         elif isinstance(payload, Packet):
             self.ingress_packet(payload)
         else:  # pragma: no cover - wiring error
@@ -422,22 +427,14 @@ class FabricAdapter(Device):
             # whatever partially arrived).
             self.ingress_drops += len(cells)
             return
+        self.cells_sent += len(cells)
+        pick = self._spray.pick
         for cell in cells:
-            link = self._spray.pick(dst_fa, links)
-            self.cells_sent += 1
-            link.send(cell, cell.size_bytes)
+            pick(dst_fa, links).send(cell, cell.size_bytes)
 
     # ------------------------------------------------------------------
-    # Egress: cells in, packets out
+    # Egress: packets out (cells arrive through ``receive``)
     # ------------------------------------------------------------------
-    def _egress_cell(self, cell: Cell) -> None:
-        self.cells_received += 1
-        self.cell_latency.record(self.sim.now - cell.created_ns)
-        if cell.fci and cell.voq is not None:
-            port = self.egress_ports[cell.voq.dst.port]
-            port.scheduler.fci_mark()
-        self.reassembly.receive(cell)
-
     def _deliver_to_port(self, packet: Packet) -> None:
         port = self.egress_ports[packet.dst.port]
         cap = self.config.egress_buffer_bytes

@@ -37,66 +37,40 @@ def pack_burst(
     """
     if payload_bytes <= 0:
         raise ValueError("cell payload must be positive")
-    if not packets:
-        return []
-
     cells: List[Cell] = []
     seq = first_seq
-
-    def emit(fragments: List[CellFragment], filled: int) -> None:
-        """Close a cell carrying ``filled`` payload bytes (the packer
-        tracks the fill level, so the cell constructor need not re-sum
-        its fragments)."""
-        nonlocal seq
-        cells.append(
-            Cell.data(
-                dst_fa=dst_fa,
-                src_fa=src_fa,
-                header_bytes=header_bytes,
-                voq=voq,
-                seq=seq,
-                fragments=tuple(fragments),
-                created_ns=created_ns,
-                payload_bytes=filled,
+    current: List[CellFragment] = []
+    room = payload_bytes
+    # A cell closes when it is full or its stream ends: the burst's last
+    # packet when packing, every packet when not.
+    last = len(packets) - 1
+    new_tuple = tuple.__new__
+    new_cell = Cell.data
+    for index, packet in enumerate(packets):
+        remaining = packet.size_bytes
+        while remaining > 0:
+            take = room if room < remaining else remaining
+            remaining -= take
+            room -= take
+            # 0 < take <= packet.size_bytes by construction, so the
+            # validating CellFragment constructor is skipped.
+            current.append(
+                new_tuple(CellFragment, (packet, take, not remaining))
             )
-        )
-        seq += 1
-
-    if packing:
-        current: List[CellFragment] = []
-        room = payload_bytes
-        for packet in packets:
-            remaining = packet.size_bytes
-            while remaining > 0:
-                take = min(room, remaining)
-                remaining -= take
-                current.append(
-                    CellFragment(packet, take, end_of_packet=remaining == 0)
+            if not room or not remaining and (index == last or not packing):
+                cells.append(
+                    new_cell(
+                        dst_fa, src_fa, header_bytes, voq, seq,
+                        tuple(current), created_ns, payload_bytes - room,
+                    )
                 )
-                room -= take
-                if room == 0:
-                    emit(current, payload_bytes)
-                    current = []
-                    room = payload_bytes
-        if current:
-            emit(current, payload_bytes - room)
-    else:
-        for packet in packets:
-            remaining = packet.size_bytes
-            while remaining > 0:
-                take = min(payload_bytes, remaining)
-                remaining -= take
-                emit(
-                    [CellFragment(packet, take, end_of_packet=remaining == 0)],
-                    take,
-                )
-
+                seq += 1
+                current = []
+                room = payload_bytes
     return cells
 
 
-def cells_for_bytes(
-    nbytes: int, payload_bytes: int, packing: bool = True
-) -> int:
+def cells_for_bytes(nbytes: int, payload_bytes: int) -> int:
     """How many cells a contiguous burst of ``nbytes`` needs.
 
     For unpacked mode this is per-packet; callers sum per packet.

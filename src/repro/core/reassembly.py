@@ -113,25 +113,24 @@ class ReassemblyEngine:
 
     def _consume(self, ctx: _Context, cell: Cell) -> None:
         ctx.expected_seq = cell.seq + 1
-        for frag in cell.fragments:
-            if frag.packet is ctx.discarded_packet:
+        for packet, nbytes, end_of_packet in cell.fragments:
+            if packet is ctx.discarded_packet:
                 # Straggler fragment of a packet a timeout already
                 # discarded; swallow it silently.
-                if frag.end_of_packet:
+                if end_of_packet:
                     ctx.discarded_packet = None
                 continue
             if ctx.partial_packet is None:
-                ctx.partial_packet = frag.packet
+                ctx.partial_packet = packet
                 ctx.partial_bytes = 0
-            elif ctx.partial_packet is not frag.packet:
+            elif ctx.partial_packet is not packet:
                 # The stream skipped a packet boundary (only possible
                 # after a timeout discard); drop the stale partial.
                 self.packets_discarded += 1
-                ctx.partial_packet = frag.packet
+                ctx.partial_packet = packet
                 ctx.partial_bytes = 0
-            ctx.partial_bytes += frag.nbytes
-            if frag.end_of_packet:
-                packet = ctx.partial_packet
+            ctx.partial_bytes += nbytes
+            if end_of_packet:
                 complete = ctx.partial_bytes == packet.size_bytes
                 ctx.partial_packet = None
                 ctx.partial_bytes = 0

@@ -95,7 +95,3 @@ class SprayArbiter:
                 state[2] = 0
         state[1] = cursor
         return link
-
-    def forget(self, dst: Hashable) -> None:
-        """Drop per-destination state (device removed)."""
-        self._state.pop(dst, None)

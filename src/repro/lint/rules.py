@@ -19,7 +19,7 @@ DET004    det         no ``id()``/``hash()`` in ordering or as dict keys
 DET005    det         ``*_ns`` times are integers: no float math/equality
 DET006    all         no OS entropy (``os.urandom``/``uuid4``/``secrets``)
 HOT001    hot pkgs    hot-path classes declare ``__slots__`` (both fabrics)
-HOT002    hot table   no closure allocation inside known hot methods
+HOT002    hot table   no closure allocation inside known hot functions
 API001    all         ``heapq``/``bisect`` only in ``sim/engine.py``
 DEAD001   src/repro   public top-level defs are loaded somewhere in the package
 ========  ==========  =====================================================
@@ -559,10 +559,11 @@ def _hot001(ctx: ModuleContext) -> Iterator[RuleHit]:
 # HOT002: closure allocation inside known hot methods
 # ----------------------------------------------------------------------
 
-#: (package, module) -> class -> the methods on the per-cell/per-event
-#: critical path, where allocating a closure per call is a measured
-#: regression (see repro.perf gates).
-HOT_METHODS: Dict[Tuple[str, str], Dict[str, FrozenSet[str]]] = {
+#: (package, module) -> class (``None`` for module-level functions) ->
+#: the functions on the per-cell/per-event critical path, where
+#: allocating a closure per call is a measured regression (see repro.perf
+#: gates).
+HOT_METHODS: Dict[Tuple[str, str], Dict[Optional[str], FrozenSet[str]]] = {
     ("sim", "engine.py"): {
         "Simulator": frozenset(
             {"run", "run_for", "schedule_at", "call_later", "rearm_at"}
@@ -578,15 +579,21 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[str, FrozenSet[str]]] = {
     },
     ("core", "fabric_adapter.py"): {
         "FabricAdapter": frozenset({
-            "_spray_cells", "_egress_cell", "ingress_packet", "_apply_grant",
+            "receive", "_spray_cells", "ingress_packet", "_apply_grant",
             "_maybe_report", "_deliver_to_port",
         }),
     },
     ("core", "credit.py"): {
         "EgressScheduler": frozenset({"_pump"}),
     },
+    ("core", "packing.py"): {
+        None: frozenset({"pack_burst"}),
+    },
     ("core", "reassembly.py"): {
-        "ReassemblyEngine": frozenset({"receive"}),
+        "ReassemblyEngine": frozenset({"receive", "_consume"}),
+    },
+    ("core", "spray.py"): {
+        "SprayArbiter": frozenset({"pick"}),
     },
     ("baselines", "ethernet.py"): {
         "EthernetSwitch": frozenset({"receive", "forward"}),
@@ -600,43 +607,53 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[str, FrozenSet[str]]] = {
 }
 
 
+def _hot_functions(
+    tree: ast.Module, table: Dict[Optional[str], FrozenSet[str]]
+) -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualified name, def)`` of every hot function the table names,
+    methods of top-level classes and module-level functions alike."""
+    for node in tree.body:
+        owner: Optional[str] = None
+        body: List[ast.stmt] = [node]
+        if isinstance(node, ast.ClassDef):
+            owner, body = node.name, node.body
+        hot = table.get(owner, frozenset())
+        for func in body:
+            if (
+                isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and func.name in hot
+            ):
+                yield (f"{owner}.{func.name}" if owner else func.name), func
+
+
 @rule(
     "HOT002",
     "no per-call closure allocation (lambda / nested def / "
-    "functools.partial) inside the known hot methods",
+    "functools.partial) inside the known hot functions",
 )
 def _hot002(ctx: ModuleContext) -> Iterator[RuleHit]:
     table = HOT_METHODS.get(ctx.rel[1:3]) if len(ctx.rel) >= 3 else None
     if not table:
         return
-    for cls in ast.walk(ctx.tree):
-        if not isinstance(cls, ast.ClassDef) or cls.name not in table:
-            continue
-        hot = table[cls.name]
-        for method in cls.body:
-            if (
-                not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
-                or method.name not in hot
+    for name, func in _hot_functions(ctx.tree, table):
+        for inner in ast.walk(func):
+            kind = None
+            if isinstance(inner, ast.Lambda):
+                kind = "a lambda"
+            elif (
+                isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and inner is not func
             ):
-                continue
-            for inner in ast.walk(method):
-                kind = None
-                if isinstance(inner, ast.Lambda):
-                    kind = "a lambda"
-                elif (
-                    isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and inner is not method
-                ):
-                    kind = f"a nested function {inner.name}()"
-                elif isinstance(inner, ast.Call):
-                    dotted = ctx.dotted(inner.func)
-                    if dotted in {"functools.partial", "partial"}:
-                        kind = "functools.partial"
-                if kind is not None:
-                    yield inner, (
-                        f"{cls.name}.{method.name}() allocates {kind} per "
-                        "call; bind state ahead of the hot path"
-                    )
+                kind = f"a nested function {inner.name}()"
+            elif isinstance(inner, ast.Call):
+                dotted = ctx.dotted(inner.func)
+                if dotted in {"functools.partial", "partial"}:
+                    kind = "functools.partial"
+            if kind is not None:
+                yield inner, (
+                    f"{name}() allocates {kind} per call; bind state "
+                    "ahead of the hot path"
+                )
 
 
 # ----------------------------------------------------------------------

@@ -342,6 +342,50 @@ class TestHot002:
         )
         assert "HOT002" in rules_hit(tmp_path, rel, src)
 
+    @pytest.mark.parametrize(
+        "rel, cls, method",
+        [
+            ("repro/core/fabric_adapter.py", "FabricAdapter", "receive"),
+            ("repro/core/reassembly.py", "ReassemblyEngine", "_consume"),
+            ("repro/core/spray.py", "SprayArbiter", "pick"),
+        ],
+    )
+    def test_per_cell_hot_methods_are_covered(self, tmp_path, rel, cls, method):
+        src = (
+            f"class {cls}:\n"
+            "    __slots__ = ()\n"
+            f"    def {method}(self, x=None):\n"
+            "        def emit():\n"
+            "            return x\n"
+            "        return emit\n"
+        )
+        assert "HOT002" in rules_hit(tmp_path, rel, src)
+
+    def test_module_level_hot_function_covered(self, tmp_path):
+        src = (
+            "def pack_burst(packets):\n"
+            "    def emit(fragments):\n"
+            "        return fragments\n"
+            "    return [emit(p) for p in packets]\n"
+        )
+        assert "HOT002" in rules_hit(tmp_path, "repro/core/packing.py", src)
+
+    def test_module_level_name_does_not_match_a_method(self, tmp_path):
+        # pack_burst is hot as a module-level function only, and pick
+        # only as SprayArbiter's method.
+        src = (
+            "class Packer:\n"
+            "    __slots__ = ()\n"
+            "    def pack_burst(self):\n"
+            "        return lambda: 0\n"
+            "\n"
+            "\n"
+            "def pick():\n"
+            "    return lambda: 0\n"
+        )
+        assert "HOT002" not in rules_hit(tmp_path, "repro/core/packing.py", src)
+        assert "HOT002" not in rules_hit(tmp_path, "repro/core/spray.py", src)
+
     def test_repo_hot_methods_are_closure_free(self):
         report = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
         assert [f for f in report.findings if f.rule == "HOT002"] == []
