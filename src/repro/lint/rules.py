@@ -556,7 +556,7 @@ def _hot001(ctx: ModuleContext) -> Iterator[RuleHit]:
 
 
 # ----------------------------------------------------------------------
-# HOT002: closure allocation inside known hot methods
+# HOT002: closure allocation inside known hot functions
 # ----------------------------------------------------------------------
 
 #: (package, module) -> class (``None`` for module-level functions) ->
