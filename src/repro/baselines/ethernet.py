@@ -265,9 +265,6 @@ class EthernetSwitch(Device):
             self.delivered_host_bytes += payload.size_bytes
         out.send(payload, wire_bytes)
 
-    #: Public name of the same hop for callers that hold no link.
-    forward = receive
-
     def route(self, packet: Packet) -> Optional[EthPort]:
         """The port :meth:`receive` would pick for ``packet`` right now.
 

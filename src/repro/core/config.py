@@ -1,10 +1,11 @@
 """Configuration of a Stardust fabric.
 
 One :class:`StardustConfig` object parameterizes every mechanism the
-paper describes: cell geometry, credit size and speedup, FCI behaviour,
-spray arbitration, buffer sizes and the reachability protocol.  The
-defaults follow the paper's running examples (256B cells, 4KB credits,
-~2-3% credit speedup, 50G fabric links).
+paper describes that an experiment varies: cell geometry, credit size
+and speedup, FCI behaviour, buffer sizes and the reachability protocol.
+The defaults follow the paper's running examples (256B cells, 4KB
+credits, ~2-3% credit speedup, 50G fabric links).  Values no experiment
+varies are the module's fixed-value constants.
 """
 
 from __future__ import annotations
@@ -13,6 +14,29 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.units import KB, MB, MICROSECOND, gbps
+
+# --- fixed values ------------------------------------------------------
+# Parameters of the paper's mechanisms that no experiment varies.  They
+# sit here, beside the knobs, so the parameter table stays in one file;
+# link propagation delays are shared with the push baseline and live in
+# :mod:`repro.fabrics.wiring`.
+
+#: Ingress VOQs report demand to the egress scheduler immediately once
+#: this many unreported bytes accumulate...
+VOQ_REPORT_THRESHOLD_BYTES = 4 * KB
+#: ...and in any case within this long of the first unreported byte
+#: (so sub-threshold tails are never stranded).
+VOQ_REPORT_FLUSH_NS = 1 * MICROSECOND
+#: FCI throttle decays back to normal after this long without marks (§4.2).
+FCI_DECAY_NS = 20 * MICROSECOND
+#: Reachability cell size (Appendix E: 24B).
+REACHABILITY_CELL_BYTES = 24
+#: Per-hop forwarding latency of control-plane messages (credit
+#: requests/grants ride the FE control crossbar).
+CONTROL_HOP_NS = 200
+#: Seeds every device's spray permutations (mixed with the device id).
+#: Scenario seeds vary the workload, never the spray order.
+SPRAY_SEED = 1
 
 
 @dataclass(slots=True)
@@ -37,12 +61,6 @@ class StardustConfig:
     credit_speedup: float = 0.02
     #: Traffic classes (VOQ = destination port x class).
     traffic_classes: int = 1
-    #: Ingress VOQs report demand to the egress scheduler immediately
-    #: once this many unreported bytes accumulate...
-    voq_report_threshold_bytes: int = 4 * KB
-    #: ...and in any case within this long of the first unreported byte
-    #: (so sub-threshold tails are never stranded).
-    voq_report_flush_ns: int = 1 * MICROSECOND
     #: Strict priority across classes (class 0 = highest); within a class
     #: credits are round-robin across requesting VOQs.  With
     #: ``strict_priority=False`` classes share by weighted round-robin
@@ -85,13 +103,6 @@ class StardustConfig:
     #: Multiplicative slow-down of credit generation while FCI-marked
     #: cells arrive (credit period is multiplied by this).
     fci_throttle_factor: float = 1.5
-    #: FCI throttle decays back to normal after this long without marks.
-    fci_decay_ns: int = 20 * MICROSECOND
-
-    # --- spray arbitration (§5.3) ----------------------------------------
-    #: Cells sent per destination before the arbiter's random permutation
-    #: of eligible links is reshuffled.
-    spray_reshuffle_cells: int = 64
 
     # --- reassembly (§4.1) -----------------------------------------------
     #: Discard a partially reassembled packet when its context is stuck
@@ -105,24 +116,12 @@ class StardustConfig:
     reachability_up_threshold: int = 3
     #: Missed periods after which a link is declared down.
     reachability_miss_threshold: int = 3
-    #: Reachability cell size (Appendix E: 24B).
-    reachability_cell_bytes: int = 24
 
     # --- link rates -------------------------------------------------------
     #: Fabric (FA<->FE, FE<->FE) serial link rate.
     fabric_link_rate_bps: int = gbps(50)
     #: Host-facing port rate.
     host_link_rate_bps: int = gbps(50)
-    #: Fiber propagation delay per fabric link.
-    fabric_propagation_ns: int = 100
-    #: Propagation delay on host links.
-    host_propagation_ns: int = 50
-    #: Per-hop forwarding latency of control-plane messages (credit
-    #: requests/grants ride the FE control crossbar).
-    control_hop_ns: int = 200
-
-    # --- misc --------------------------------------------------------------
-    seed: int = 1
 
     def __post_init__(self) -> None:
         if self.cell_header_bytes >= self.cell_size_bytes:
@@ -139,8 +138,6 @@ class StardustConfig:
             raise ValueError("watermarks must satisfy 0 < low <= high <= 1")
         if self.fci_throttle_factor < 1.0:
             raise ValueError("throttle factor must be >= 1")
-        if self.spray_reshuffle_cells < 1:
-            raise ValueError("reshuffle period must be >= 1 cell")
         if any(w < 1 for w in self.class_weights):
             raise ValueError("class weights must be positive")
         if any(

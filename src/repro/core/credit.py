@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.cell import VoqId
-from repro.core.config import StardustConfig
+from repro.core.config import FCI_DECAY_NS, StardustConfig
 from repro.net.addressing import DeviceId
 from repro.sim.engine import Simulator
 from repro.sim.units import SECOND
@@ -174,7 +174,7 @@ class EgressScheduler:
         """An FCI-marked cell reached this port: stretch the grant gaps
         until marks stop arriving (§4.2)."""
         self.fci_marks_seen += 1
-        self._throttled_until_ns = self.sim.now + self.config.fci_decay_ns
+        self._throttled_until_ns = self.sim.now + FCI_DECAY_NS
 
     # ------------------------------------------------------------------
     # The pump

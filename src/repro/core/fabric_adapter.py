@@ -20,7 +20,13 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple, ValuesView
 
 from repro.core.cell import Cell, CellKind, VoqId
-from repro.core.config import StardustConfig
+from repro.core.config import (
+    REACHABILITY_CELL_BYTES,
+    SPRAY_SEED,
+    VOQ_REPORT_FLUSH_NS,
+    VOQ_REPORT_THRESHOLD_BYTES,
+    StardustConfig,
+)
 from repro.core.control import ControlPlane
 from repro.core.credit import EgressScheduler
 from repro.core.packing import pack_burst
@@ -70,7 +76,6 @@ class FabricAdapter(Device):
         name: str,
         control: ControlPlane,
         spray_mode: str = "permutation",
-        rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(sim, name)
         self.config = config
@@ -99,9 +104,7 @@ class FabricAdapter(Device):
         self._live_uplinks: Optional[List[Link]] = None
 
         self._spray = SprayArbiter(
-            rng or random.Random(config.seed ^ (0xADA9 + fa_id)),
-            reshuffle_every=config.spray_reshuffle_cells,
-            mode=spray_mode,
+            random.Random(SPRAY_SEED ^ (0xADA9 + fa_id)), mode=spray_mode
         )
 
         # Host side.
@@ -202,7 +205,7 @@ class FabricAdapter(Device):
         return self._monitor
 
     def _advertise(self) -> None:
-        size = self.config.reachability_cell_bytes
+        size = REACHABILITY_CELL_BYTES
         for up in self._uplinks:
             if up.up:
                 up.send(Cell.reach(self.fa_id, size, self._self_reach), size)
@@ -334,13 +337,11 @@ class FabricAdapter(Device):
         unreported = voq.enqueued_bytes - voq.last_reported_bytes
         if unreported <= 0:
             return
-        if unreported >= self.config.voq_report_threshold_bytes:
+        if unreported >= VOQ_REPORT_THRESHOLD_BYTES:
             self._report_now(voq)
         elif voq not in self._report_flush_pending:
             self._report_flush_pending.add(voq)
-            self.sim.call_later(
-                self.config.voq_report_flush_ns, self._flush_fns[voq]
-            )
+            self.sim.call_later(VOQ_REPORT_FLUSH_NS, self._flush_fns[voq])
 
     def _flush_report(self, voq: Voq) -> None:
         self._report_flush_pending.discard(voq)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.cell import Cell, CellKind
-from repro.core.config import StardustConfig
+from repro.core.config import REACHABILITY_CELL_BYTES, SPRAY_SEED, StardustConfig
 from repro.core.reachability import ReachabilityMonitor
 from repro.core.spray import SprayArbiter
 from repro.net.addressing import DeviceId
@@ -60,7 +60,6 @@ class FabricElement(Device):
         tier: int,
         name: str,
         spray_mode: str = "permutation",
-        rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(sim, name)
         self.config = config
@@ -89,9 +88,7 @@ class FabricElement(Device):
         self._elig_epoch = -1
 
         self._spray = SprayArbiter(
-            rng or random.Random(config.seed ^ (0x5EED + fe_id)),
-            reshuffle_every=config.spray_reshuffle_cells,
-            mode=spray_mode,
+            random.Random(SPRAY_SEED ^ (0x5EED + fe_id)), mode=spray_mode
         )
 
         # Reachability protocol state (dynamic mode only).
@@ -208,7 +205,7 @@ class FabricElement(Device):
                 down_set, down_set | frozenset(self._up_map)
             )
         down_set, full_set = advertised
-        size = self.config.reachability_cell_bytes
+        size = REACHABILITY_CELL_BYTES
         for port in self._ports:
             out = port.out
             if not out.up:

@@ -52,11 +52,6 @@ class SharedBufferPool:
         """Used fraction of the shared buffer pool."""
         return self.used_bytes / self.capacity_bytes
 
-    @property
-    def free_bytes(self) -> int:
-        """Unreserved bytes remaining in the pool."""
-        return self.capacity_bytes - self.used_bytes
-
 
 class Voq:
     """A single virtual output queue."""

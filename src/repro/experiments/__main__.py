@@ -36,6 +36,7 @@ from repro.experiments.summarize import (
     format_table,
 )
 from repro.sim.engine import KERNEL_GONE
+from repro.store.cells import default_store_dir
 from repro.store.format import StoreFormatError
 
 
@@ -159,7 +160,7 @@ def cmd_query(args) -> int:
         verify_store,
     )
 
-    root = args.store or _default_store_dir()
+    root = args.store or default_store_dir()
     if args.verify:
         stats = verify_store(root)
         if stats["corrupt_blocks"]:
@@ -204,14 +205,6 @@ def cmd_query(args) -> int:
         print("\nresilience:")
         print(resilience)
     return 0
-
-
-def _default_store_dir() -> str:
-    import os
-
-    from repro.experiments.store import DEFAULT_STORE_DIR, STORE_DIR_ENV
-
-    return os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
 
 
 def cmd_migrate(args) -> int:

@@ -17,10 +17,7 @@ from typing import List, Optional
 
 from repro.experiments.runner import RunResult
 from repro.experiments.spec import ScenarioSpec
-
-#: Default on-disk location (overridable per-store or via environment).
-DEFAULT_STORE_DIR = ".experiment-store"
-STORE_DIR_ENV = "REPRO_EXPERIMENT_STORE"
+from repro.store.cells import default_store_dir, open_store as _open_store
 
 
 def atomic_write_json(path: os.PathLike, payload, indent: int = 1) -> Path:
@@ -54,9 +51,7 @@ class ResultStore:
     """Directory of ``<spec-hash>.json`` result cells."""
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
-        if root is None:
-            root = os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
-        self.root = Path(root)
+        self.root = Path(default_store_dir() if root is None else root)
         self.hits = 0
         self.misses = 0
         self._sweep_orphans()
@@ -169,9 +164,6 @@ def open_store(root: Optional[os.PathLike] = None, store_format: str = "auto"):
     Compat facade over :func:`repro.store.open_store`: new sweeps land
     on the sharded record format (:class:`repro.store.RecordStore`),
     while directories of legacy ``<hash>.json`` cells keep opening as
-    :class:`ResultStore`.  Imported lazily so ``repro.experiments``
-    stays importable without the store package and vice versa.
+    :class:`ResultStore`.
     """
-    from repro.store import open_store as _open_store
-
     return _open_store(root, store_format)

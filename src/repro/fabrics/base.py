@@ -39,7 +39,12 @@ from typing import (
     Tuple,
 )
 
-from repro.fabrics.wiring import AnyTopologySpec, WiringPlan, build_wiring_plan
+from repro.fabrics.wiring import (
+    FABRIC_PROPAGATION_NS,
+    AnyTopologySpec,
+    WiringPlan,
+    build_wiring_plan,
+)
 from repro.net.addressing import PortAddress
 from repro.sim.engine import Simulator
 from repro.sim.entity import Device, Entity
@@ -187,7 +192,7 @@ class FabricNetwork(ABC):
 
     def _duplex_links(
         self, lower: Entity, upper: Entity, rate_bps: int,
-        propagation_ns: int,
+        propagation_ns: int = FABRIC_PROPAGATION_NS,
     ) -> Tuple[Link, Link]:
         """The two simplex links of one full-duplex link, named
         ``lower->upper`` / ``upper->lower`` (up first, then down)."""
@@ -332,6 +337,13 @@ class FabricNetwork(ABC):
 
     def telemetry_hints(self) -> Dict[str, int]:
         """Constants the FCT breakdown needs: ``link_rate_bps`` (edge
-        link speed) and ``propagation_ns`` (an end-to-end propagation
-        estimate).  ``{}`` means no breakdown is possible."""
-        return {}
+        link speed) and ``propagation_ns`` (a host-to-host estimate:
+        two host links and an up-and-down traversal of every tier)."""
+        rate_bps, host_propagation_ns = self.host_link()
+        return {
+            "link_rate_bps": rate_bps,
+            "propagation_ns": (
+                2 * host_propagation_ns
+                + 2 * self.plan.tiers * FABRIC_PROPAGATION_NS
+            ),
+        }

@@ -2,10 +2,11 @@
 
 Same topologies as :class:`repro.fabrics.stardust.StardustNetwork`
 (one/two/three-tier, via the shared wiring plan), same link rates and
-propagation — but every node is an autonomous Ethernet packet switch
-that pushes packets toward the destination with ECMP and drops on local
-congestion.  Host experiments run unchanged against either network, so
-Fig 7, Fig 10 and Fig 12 compare mechanism against mechanism.
+propagation (:mod:`repro.fabrics.wiring`'s constants) — but every node
+is an autonomous Ethernet packet switch that pushes packets toward the
+destination with ECMP and drops on local congestion.  Host experiments
+run unchanged against either network, so Fig 7, Fig 10 and Fig 12
+compare mechanism against mechanism.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.baselines.ethernet import EthConfig, EthernetSwitch, EthPort
 from repro.fabrics.base import FabricMetrics, FabricNetwork
 from repro.fabrics.registry import fabric
-from repro.fabrics.wiring import EDGE, EdgeNode, ElementNode, WiringPlan
+from repro.fabrics.wiring import (
+    EDGE,
+    HOST_PROPAGATION_NS,
+    EdgeNode,
+    ElementNode,
+    WiringPlan,
+)
 from repro.net.addressing import DeviceId, PortAddress
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -47,13 +54,9 @@ class PushFabricNetwork(FabricNetwork):
         sim: Optional[Simulator] = None,
         fabric_link_rate_bps: int = gbps(50),
         host_link_rate_bps: int = gbps(50),
-        fabric_propagation_ns: int = 100,
-        host_propagation_ns: int = 50,
     ) -> None:
         self.fabric_link_rate_bps = fabric_link_rate_bps
         self.host_link_rate_bps = host_link_rate_bps
-        self.fabric_propagation_ns = fabric_propagation_ns
-        self.host_propagation_ns = host_propagation_ns
         self.tors: List[EthernetSwitch] = []
         self.fabric: List[EthernetSwitch] = []
         self._switch_by_element: Dict[int, EthernetSwitch] = {}
@@ -112,10 +115,7 @@ class PushFabricNetwork(FabricNetwork):
 
     def _connect(self, lower: EthernetSwitch, upper: EthernetSwitch) -> None:
         """Full-duplex fabric link between two switches."""
-        up, down = self._duplex_links(
-            lower, upper, self.fabric_link_rate_bps,
-            self.fabric_propagation_ns,
-        )
+        up, down = self._duplex_links(lower, upper, self.fabric_link_rate_bps)
         lower.add_port(up, "up", neighbor=upper.switch_id)
         upper.add_port(down, "down", neighbor=lower.switch_id)
 
@@ -150,7 +150,7 @@ class PushFabricNetwork(FabricNetwork):
         return self.tors[index]
 
     def host_link(self):
-        return self.host_link_rate_bps, self.host_propagation_ns
+        return self.host_link_rate_bps, HOST_PROPAGATION_NS
 
     def _register_host_port(
         self, tor: EthernetSwitch, to_host: Link, address: PortAddress
@@ -274,14 +274,3 @@ class PushFabricNetwork(FabricNetwork):
                 },
                 unit="bytes",
             )
-
-    def telemetry_hints(self) -> dict:
-        """Edge rate plus a host-to-host propagation estimate (two host
-        links, up and down through every fabric tier)."""
-        return {
-            "link_rate_bps": self.host_link_rate_bps,
-            "propagation_ns": (
-                2 * self.host_propagation_ns
-                + 2 * self.plan.tiers * self.fabric_propagation_ns
-            ),
-        }

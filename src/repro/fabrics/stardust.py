@@ -14,14 +14,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.resilience import ReachabilityParams, recovery_time_ns
-from repro.core.config import StardustConfig
+from repro.core.config import CONTROL_HOP_NS, REACHABILITY_CELL_BYTES, StardustConfig
 from repro.core.control import ControlPlane
 from repro.core.fabric_adapter import FabricAdapter
 from repro.core.fabric_element import FabricElement, FabricPort
 from repro.core.reachability import ReachabilityMonitor
 from repro.fabrics.base import FabricMetrics, FabricNetwork
 from repro.fabrics.registry import fabric
-from repro.fabrics.wiring import EDGE, EdgeNode, ElementNode, WiringPlan
+from repro.fabrics.wiring import (
+    EDGE,
+    FABRIC_PROPAGATION_NS,
+    HOST_PROPAGATION_NS,
+    EdgeNode,
+    ElementNode,
+    WiringPlan,
+)
 from repro.net.addressing import DeviceId, PortAddress
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -64,7 +71,6 @@ class StardustNetwork(FabricNetwork):
         cell_header_bytes: int = 16,
         sim: Optional[Simulator] = None,
         reachability: str = "static",
-        converge_ns: Optional[int] = None,
         **overrides,
     ) -> "StardustNetwork":
         """A Stardust fabric at benchmark scale.
@@ -73,10 +79,9 @@ class StardustNetwork(FabricNetwork):
         ("intended to reduce simulation time", Appendix G).
         ``reachability='dynamic'`` runs the live protocol — failure
         scenarios use it so the fabric heals itself at protocol speed.
-        Dynamic mode pre-runs the simulation for ``converge_ns``
-        (default: 10 advertisement periods; 0 disables) so experiments
-        start on a *converged* fabric — workloads measure failure
-        response, not boot transients.
+        Dynamic mode pre-runs the simulation for 10 advertisement
+        periods so experiments start on a *converged* fabric —
+        workloads measure failure response, not boot transients.
         """
         kwargs = dict(
             fabric_link_rate_bps=rate,
@@ -90,10 +95,7 @@ class StardustNetwork(FabricNetwork):
             reachability=reachability,
         )
         if reachability == "dynamic":
-            if converge_ns is None:
-                converge_ns = 10 * net.config.reachability_period_ns
-            if converge_ns:
-                net.sim.run_for(converge_ns)
+            net.sim.run_for(10 * net.config.reachability_period_ns)
         return net
 
     # ------------------------------------------------------------------
@@ -124,11 +126,10 @@ class StardustNetwork(FabricNetwork):
                 fa.set_static_reachability()
 
     def _control_delay(self, src: DeviceId, dst: DeviceId) -> int:
-        cfg = self.config
         if src == dst:
-            return cfg.control_hop_ns
+            return CONTROL_HOP_NS
         hops = 2 * self.plan.tiers
-        return hops * (cfg.control_hop_ns + cfg.fabric_propagation_ns)
+        return hops * (CONTROL_HOP_NS + FABRIC_PROPAGATION_NS)
 
     def _new_fa(self, node: EdgeNode) -> None:
         fa = FabricAdapter(
@@ -157,17 +158,13 @@ class StardustNetwork(FabricNetwork):
         self._fes_by_id[node.element_id] = fe
 
     def _connect_fa_fe(self, fa: FabricAdapter, fe: FabricElement) -> None:
-        cfg = self.config
-        up, down = self._duplex_links(
-            fa, fe, cfg.fabric_link_rate_bps, cfg.fabric_propagation_ns
-        )
+        up, down = self._duplex_links(fa, fe, self.config.fabric_link_rate_bps)
         fa.add_uplink(up, down)
         fe.add_port(fa.fa_id, down, up, direction="down")
 
     def _connect_fe_fe(self, lower: FabricElement, upper: FabricElement) -> None:
-        cfg = self.config
         up, down = self._duplex_links(
-            lower, upper, cfg.fabric_link_rate_bps, cfg.fabric_propagation_ns
+            lower, upper, self.config.fabric_link_rate_bps
         )
         lower.add_port(upper.fe_id, up, down, direction="up")
         upper.add_port(lower.fe_id, down, up, direction="down")
@@ -209,7 +206,7 @@ class StardustNetwork(FabricNetwork):
         return self.fas[index]
 
     def host_link(self):
-        return self.config.host_link_rate_bps, self.config.host_propagation_ns
+        return self.config.host_link_rate_bps, HOST_PROPAGATION_NS
 
     def _check_host_attach(self, fa: FabricAdapter, address: PortAddress) -> None:
         if address.port != len(fa.egress_ports):
@@ -312,13 +309,13 @@ class StardustNetwork(FabricNetwork):
             # t' = c / f: pick f = 1GHz so cycles map 1:1 onto ns.
             core_frequency_hz=1_000_000_000,
             cycles_between_messages=cfg.reachability_period_ns,
-            message_bytes=cfg.reachability_cell_bytes,
+            message_bytes=REACHABILITY_CELL_BYTES,
             hosts_per_fa=max(1, hosts // len(self.fas)),
             total_hosts=hosts,
             tiers=tiers,
             confirm_threshold=cfg.reachability_miss_threshold,
             link_rate_bps=cfg.fabric_link_rate_bps,
-            propagation_ns=(cfg.fabric_propagation_ns,) * (2 * tiers - 1),
+            propagation_ns=(FABRIC_PROPAGATION_NS,) * (2 * tiers - 1),
         ))
 
     # ------------------------------------------------------------------
@@ -393,15 +390,3 @@ class StardustNetwork(FabricNetwork):
                 return out
 
             collector.add_dynamic_probe("voq", _voq_depths, unit="bytes")
-
-    def telemetry_hints(self) -> dict:
-        """Edge rate plus a host-to-host propagation estimate: two host
-        links and an up-and-down traversal of every fabric tier."""
-        cfg = self.config
-        return {
-            "link_rate_bps": cfg.host_link_rate_bps,
-            "propagation_ns": (
-                2 * cfg.host_propagation_ns
-                + 2 * self.plan.tiers * cfg.fabric_propagation_ns
-            ),
-        }

@@ -22,7 +22,9 @@ reproduces the historical construction order bit for bit, which keeps
 seeded runs identical across refactors.
 
 Every physical link is an independent serial link (link bundle of one,
-the paper's core scaling argument).
+the paper's core scaling argument), and every fabric wires it with the
+same propagation delay: :data:`FABRIC_PROPAGATION_NS` between fabric
+nodes, :data:`HOST_PROPAGATION_NS` to a host.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ EDGE = "edge"
 ELEMENT = "element"
 
 NodeRef = Tuple[str, int]
+
+#: Fiber propagation delay of every fabric link (edge<->element and
+#: element<->element), on every fabric: the paper's comparisons hold
+#: the links fixed and vary only the switching mechanism.
+FABRIC_PROPAGATION_NS = 100
+#: Propagation delay of every host attachment link.
+HOST_PROPAGATION_NS = 50
 
 
 # ----------------------------------------------------------------------

@@ -117,14 +117,6 @@ class ModuleContext:
             seen = self.parents[seen]
             yield seen
 
-    def enclosing_statement(self, node: ast.AST) -> ast.AST:
-        stmt = node
-        for parent in self.ancestors(node):
-            if isinstance(parent, ast.stmt):
-                return parent
-            stmt = parent
-        return stmt
-
 
 CheckFn = Callable[[ModuleContext], Iterator[RuleHit]]
 

@@ -50,10 +50,16 @@ if TYPE_CHECKING:
     from repro.experiments.runner import RunResult
     from repro.experiments.spec import ScenarioSpec
 
-#: Mirrors the legacy store's defaults so both formats share the same
-#: CLI flags and environment override.
+#: Where a store lives when no root is given: the environment override,
+#: else this directory.  Both store formats and the CLI resolve it here.
 DEFAULT_STORE_DIR = ".experiment-store"
 STORE_DIR_ENV = "REPRO_EXPERIMENT_STORE"
+
+
+def default_store_dir() -> str:
+    """The store root used when a caller names none."""
+    return os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
+
 
 DEFAULT_NUM_SHARDS = 8
 SHARD_NAME = "shard-{:02d}.rsd"
@@ -141,9 +147,7 @@ class RecordStore:
                 f"unknown codec {codec!r}; choose from "
                 f"{', '.join(sorted(CODEC_NAMES))}"
             )
-        if root is None:
-            root = os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
-        self.root = Path(root)
+        self.root = Path(default_store_dir() if root is None else root)
         self.hits = 0
         self.misses = 0
         self.flush_records = max(1, flush_records)
@@ -396,9 +400,7 @@ def open_store(
     a fresh/empty directory gets the record format (new sweeps should
     land on shards).  ``store_format="legacy"``/``"record"`` force.
     """
-    if root is None:
-        root = os.environ.get(STORE_DIR_ENV, DEFAULT_STORE_DIR)
-    path = Path(root)
+    path = Path(default_store_dir() if root is None else root)
     if store_format == "record":
         return RecordStore(path, **kwargs)
     if store_format == "legacy":

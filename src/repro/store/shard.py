@@ -78,7 +78,6 @@ class Shard:
         path: Path,
         header_meta: Optional[Dict[str, Any]] = None,
         codec: int = CODEC_ZLIB,
-        create: bool = True,
     ) -> None:
         self.path = Path(path)
         self.index_path = self.path.with_suffix(".rsx")
@@ -100,10 +99,8 @@ class Shard:
         self._first_block = 0
         if self.path.exists() and self.path.stat().st_size > 0:
             self._open_existing()
-        elif create:
-            self._create(header_meta or {})
         else:
-            raise FileNotFoundError(self.path)
+            self._create(header_meta or {})
 
     # ------------------------------------------------------------------
     # Open / create

@@ -204,10 +204,6 @@ class TelemetryCollector:
         """The series registered (or dynamically created) as ``name``."""
         return self._series[name]
 
-    def series_names(self) -> List[str]:
-        """All series names, in artifact order."""
-        return list(self._series)
-
 
 def attach_collector(
     net, config: Optional[TelemetryConfig] = None

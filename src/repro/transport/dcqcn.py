@@ -2,7 +2,7 @@
 
 Zhu et al. (SIGCOMM 2015, the paper's [82]), modelled at the fidelity
 the §6.3 comparison needs: a paced sender; the receiver turns ECN marks
-into CNPs (at most one per ``cnp_interval``); the sender's reaction
+into CNPs (at most one per :data:`CNP_INTERVAL_NS`); the sender's reaction
 point does multiplicative decrease with EWMA ``alpha``, then recovers
 through fast-recovery / additive-increase stages driven by a timer.
 Loss (rare for DCQCN's lossless intent, common on a pushed fabric
@@ -22,13 +22,25 @@ from repro.transport.tcp import TcpReceiver, TcpSender
 if TYPE_CHECKING:
     from repro.transport.host import Host
 
+#: EWMA gain of the congestion estimate ``alpha``.
+G = 1 / 16
+#: Period of the reaction point's rate-increase timer.
+RATE_INCREASE_TIMER_NS = 55 * MICROSECOND
+#: Target-rate step of each additive-increase round.
+ADDITIVE_INCREASE_BPS = 2_000_000_000
+#: Floor of the current rate under repeated decreases.
+MIN_RATE_BPS = 100_000_000
+#: Timer rounds of fast recovery before additive increase starts.
+FAST_RECOVERY_ROUNDS = 5
+#: The notification point sends at most one CNP per flow this often.
+CNP_INTERVAL_NS = 50 * MICROSECOND
+
 
 class DcqcnSender(TcpSender):
     """Rate-paced sender with DCQCN reaction/recovery state."""
 
     __slots__ = (
-        "line_rate_bps", "g", "alpha", "rc_bps", "rt_bps", "min_rate_bps",
-        "additive_increase_bps", "fast_recovery_rounds", "_recovery_stage",
+        "line_rate_bps", "alpha", "rc_bps", "rt_bps", "_recovery_stage",
         "cnps_received", "_pacing_armed", "_timer",
     )
 
@@ -37,29 +49,20 @@ class DcqcnSender(TcpSender):
         host: "Host",
         flow,
         line_rate_bps: int = 50_000_000_000,
-        g: float = 1 / 16,
-        rate_increase_timer_ns: int = 55 * MICROSECOND,
-        additive_increase_bps: int = 2_000_000_000,
-        min_rate_bps: int = 100_000_000,
-        fast_recovery_rounds: int = 5,
         **kwargs,
     ) -> None:
         # A huge static window: DCQCN is rate-limited, not window-limited.
         kwargs.setdefault("init_cwnd_mss", 10_000)
         super().__init__(host, flow, **kwargs)
         self.line_rate_bps = line_rate_bps
-        self.g = g
         self.alpha = 1.0
         self.rc_bps = float(line_rate_bps)  # current rate
         self.rt_bps = float(line_rate_bps)  # target rate
-        self.min_rate_bps = min_rate_bps
-        self.additive_increase_bps = additive_increase_bps
-        self.fast_recovery_rounds = fast_recovery_rounds
         self._recovery_stage = 0
         self.cnps_received = 0
         self._pacing_armed = False
         self._timer = PeriodicTask(
-            host.sim, rate_increase_timer_ns, self._increase
+            host.sim, RATE_INCREASE_TIMER_NS, self._increase
         )
 
     # ------------------------------------------------------------------
@@ -94,11 +97,9 @@ class DcqcnSender(TcpSender):
     def on_cnp(self, packet: Packet) -> None:
         """Reaction point: multiplicative decrease."""
         self.cnps_received += 1
-        self.alpha = (1 - self.g) * self.alpha + self.g
+        self.alpha = (1 - G) * self.alpha + G
         self.rt_bps = self.rc_bps
-        self.rc_bps = max(
-            self.min_rate_bps, self.rc_bps * (1 - self.alpha / 2)
-        )
+        self.rc_bps = max(MIN_RATE_BPS, self.rc_bps * (1 - self.alpha / 2))
         self._recovery_stage = 0
 
     def _increase(self) -> None:
@@ -106,13 +107,13 @@ class DcqcnSender(TcpSender):
         if self.done:
             self._timer.stop()
             return
-        self.alpha = (1 - self.g) * self.alpha
+        self.alpha = (1 - G) * self.alpha
         self._recovery_stage += 1
-        if self._recovery_stage <= self.fast_recovery_rounds:
+        if self._recovery_stage <= FAST_RECOVERY_ROUNDS:
             self.rc_bps = (self.rc_bps + self.rt_bps) / 2
         else:
             self.rt_bps = min(
-                self.line_rate_bps, self.rt_bps + self.additive_increase_bps
+                self.line_rate_bps, self.rt_bps + ADDITIVE_INCREASE_BPS
             )
             self.rc_bps = (self.rc_bps + self.rt_bps) / 2
         self.rc_bps = min(self.rc_bps, self.line_rate_bps)
@@ -130,13 +131,10 @@ class DcqcnSender(TcpSender):
 class DcqcnNotificationPoint(TcpReceiver):
     """Receiver that converts ECN marks into paced CNPs."""
 
-    __slots__ = ("cnp_interval_ns", "_last_cnp_ns", "cnps_sent")
+    __slots__ = ("_last_cnp_ns", "cnps_sent")
 
-    def __init__(
-        self, host: "Host", flow_id: int, cnp_interval_ns: int = 50 * MICROSECOND
-    ) -> None:
+    def __init__(self, host: "Host", flow_id: int) -> None:
         super().__init__(host, flow_id)
-        self.cnp_interval_ns = cnp_interval_ns
         self._last_cnp_ns = -(10**18)
         self.cnps_sent = 0
 
@@ -145,7 +143,7 @@ class DcqcnNotificationPoint(TcpReceiver):
         fresh = super().on_data(packet)
         if packet.ecn:
             now = self.host.sim.now
-            if now - self._last_cnp_ns >= self.cnp_interval_ns:
+            if now - self._last_cnp_ns >= CNP_INTERVAL_NS:
                 self._last_cnp_ns = now
                 self.cnps_sent += 1
                 cnp = Packet(

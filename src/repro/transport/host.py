@@ -22,19 +22,19 @@ from repro.transport.tcp import TcpReceiver, TcpSender
 class Host(Entity):
     """An end host with a single fabric-facing NIC port."""
 
-    #: Default NIC transmit buffer: 100 jumbo frames, matching the
-    #: "100 packet output queues" of the paper's §6.3 comparison setup.
-    DEFAULT_NIC_BUFFER_BYTES = 100 * 9000
+    #: NIC transmit buffer: 100 jumbo frames, matching the "100 packet
+    #: output queues" of the paper's §6.3 comparison setup.
+    nic_buffer_bytes = 100 * 9000
     #: Senders are asked to defer (qdisc backpressure / TCP small
     #: queues) once this much is queued in the NIC, long before the
     #: hard drop limit.  Keeps self-inflicted host queueing — and so
     #: RTT on a lossless fabric — bounded.
-    DEFAULT_TX_BACKPRESSURE_BYTES = 4 * 9000
+    tx_backpressure_bytes = 4 * 9000
 
     __slots__ = (
-        "address", "tracker", "nic_buffer_bytes", "tx_backpressure_bytes",
-        "_senders", "_receivers", "_blocked_senders", "packets_received",
-        "bytes_received", "nic_drops", "_fc_paused", "span_recorder",
+        "address", "tracker", "_senders", "_receivers", "_blocked_senders",
+        "packets_received", "bytes_received", "nic_drops", "_fc_paused",
+        "span_recorder",
     )
 
     def __init__(
@@ -43,14 +43,10 @@ class Host(Entity):
         name: str,
         address: PortAddress,
         tracker: Optional[FlowTracker] = None,
-        nic_buffer_bytes: int = DEFAULT_NIC_BUFFER_BYTES,
-        tx_backpressure_bytes: int = DEFAULT_TX_BACKPRESSURE_BYTES,
     ) -> None:
         super().__init__(sim, name)
         self.address = address
         self.tracker = tracker or FlowTracker()
-        self.nic_buffer_bytes = nic_buffer_bytes
-        self.tx_backpressure_bytes = tx_backpressure_bytes
         self._senders: Dict[int, object] = {}
         self._receivers: Dict[int, TcpReceiver] = {}
         self._blocked_senders: list = []
@@ -156,7 +152,6 @@ class Host(Entity):
         self,
         flow: Flow,
         sender_cls=TcpSender,
-        register: bool = True,
         start_delay_ns: int = 0,
         **sender_kwargs,
     ):
@@ -169,8 +164,7 @@ class Host(Entity):
             raise ValueError(
                 f"flow source {flow.src} is not this host ({self.address})"
             )
-        if register:
-            self.tracker.register(flow)
+        self.tracker.register(flow)
         sender = sender_cls(self, flow, **sender_kwargs)
         self._senders[flow.flow_id] = sender
         self.sim.call_later(start_delay_ns, sender.start)

@@ -132,7 +132,3 @@ class MptcpConnection:
     def done(self) -> bool:
         """True when every subflow has delivered its share."""
         return self._completed == len(self.subflows)
-
-    def bytes_acked(self) -> int:
-        """Bytes cumulatively acknowledged across subflows."""
-        return sum(s.snd_una for s in self.subflows)

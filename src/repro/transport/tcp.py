@@ -19,12 +19,15 @@ from repro.sim.units import MICROSECOND
 if TYPE_CHECKING:
     from repro.transport.host import Host
 
+#: Floor of the retransmission timeout.
+MIN_RTO_NS = 200 * MICROSECOND
+
 
 class TcpSender:
     """One direction of a TCP connection (the data sender)."""
 
     __slots__ = (
-        "host", "sim", "flow", "mss", "min_rto_ns", "on_complete",
+        "host", "sim", "flow", "mss", "on_complete",
         "snd_una", "snd_nxt", "total_bytes", "cwnd", "ssthresh",
         "dup_acks", "in_recovery", "recover_point", "srtt_ns",
         "rttvar_ns", "_send_times", "_rto_event", "timeouts",
@@ -37,7 +40,6 @@ class TcpSender:
         flow: Flow,
         mss: int = 1460,
         init_cwnd_mss: int = 10,
-        min_rto_ns: int = 200 * MICROSECOND,
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         if mss <= 0:
@@ -46,7 +48,6 @@ class TcpSender:
         self.sim: Simulator = host.sim
         self.flow = flow
         self.mss = mss
-        self.min_rto_ns = min_rto_ns
         self.on_complete = on_complete
 
         # Sequence state (bytes).
@@ -213,8 +214,8 @@ class TcpSender:
     def rto_ns(self) -> int:
         """Current retransmission timeout (SRTT + 4*RTTVAR, floored)."""
         if self.srtt_ns is None:
-            return self.min_rto_ns
-        return max(self.min_rto_ns, self.srtt_ns + 4 * self.rttvar_ns)
+            return MIN_RTO_NS
+        return max(MIN_RTO_NS, self.srtt_ns + 4 * self.rttvar_ns)
 
     def _arm_rto(self) -> None:
         if self._rto_event is not None:
@@ -253,13 +254,12 @@ class TcpReceiver:
     """Cumulative-ACK receiver with out-of-order buffering."""
 
     __slots__ = (
-        "host", "flow_id", "ack_priority", "rcv_nxt", "_ranges", "acks_sent",
+        "host", "flow_id", "rcv_nxt", "_ranges", "acks_sent",
     )
 
-    def __init__(self, host: "Host", flow_id: int, ack_priority: int = 0):
+    def __init__(self, host: "Host", flow_id: int):
         self.host = host
         self.flow_id = flow_id
-        self.ack_priority = ack_priority
         self.rcv_nxt = 0
         #: Buffered out-of-order byte ranges, merged and sorted.
         self._ranges: List[Tuple[int, int]] = []
@@ -300,7 +300,6 @@ class TcpReceiver:
             is_ack=True,
             ack_seq=self.rcv_nxt,
             ecn_echo=data.ecn,
-            priority=self.ack_priority,
             created_ns=self.host.sim.now,
         )
         self.acks_sent += 1

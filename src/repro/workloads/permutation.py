@@ -35,16 +35,14 @@ def derangement(
 
 
 def host_permutation(
-    addresses: Sequence[PortAddress],
-    rng: random.Random,
-    cross_fa_only: bool = True,
+    addresses: Sequence[PortAddress], rng: random.Random
 ) -> Dict[PortAddress, PortAddress]:
-    """Map each address to a distinct destination address."""
-    n = len(addresses)
-    forbid = None
-    if cross_fa_only:
-        forbid = lambda i, j: addresses[i].fa == addresses[j].fa
-    perm = derangement(n, rng, forbid=forbid)
+    """Map each address to a destination on another Fabric Adapter."""
+    perm = derangement(
+        len(addresses),
+        rng,
+        forbid=lambda i, j: addresses[i].fa == addresses[j].fa,
+    )
     return {addresses[i]: addresses[p] for i, p in enumerate(perm)}
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cell import VoqId
-from repro.core.config import StardustConfig
+from repro.core.config import FCI_DECAY_NS, StardustConfig
 from repro.core.credit import EgressScheduler
 from repro.core.voq import SharedBufferPool, Voq
 from repro.net.addressing import PortAddress
@@ -203,8 +203,8 @@ class TestEgressScheduler:
         sim, cfg, sched, grants = self.make()
         sched.request(0, VoqId(dst=DST))
         sched.fci_mark()
-        sim.run(until=cfg.fci_decay_ns * 3)
-        window = cfg.fci_decay_ns
+        sim.run(until=FCI_DECAY_NS * 3)
+        window = FCI_DECAY_NS
         before_end = [t for t, *_ in grants if t > 2 * window]
         # Rate in the last window is back to the un-throttled gap
         # (credit_size serialized at credit rate).

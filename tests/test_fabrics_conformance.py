@@ -9,17 +9,21 @@ deterministic in-process (hermetic runs of the same spec are
 bit-identical).  The contract's own surfaces — device liveness, the
 two cheap counters, the resilience answers — are checked per
 registered fabric, and an AST walk keeps consumers from growing
-``hasattr`` probes back.
+``hasattr`` probes back.  Every fabric wires the same links, and a
+census keeps config fields that nothing sets from coming back.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from repro.baselines.ethernet import EthConfig
+from repro.core.config import StardustConfig
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec, TopologySpec
 from repro.fabrics import (
@@ -31,9 +35,11 @@ from repro.fabrics import (
     fabric_names,
     get_fabric,
 )
+from repro.fabrics.wiring import FABRIC_PROPAGATION_NS, HOST_PROPAGATION_NS
 from repro.net.addressing import PortAddress
 from repro.sim.entity import Device
 from repro.sim.stats import Histogram
+from repro.sim.units import gbps
 
 TOPOLOGIES = {
     "one_tier": TopologySpec(
@@ -307,6 +313,35 @@ class TestContractSurfaces:
             assert to_host.propagation_ns == propagation
 
 
+class TestWireParity:
+    """Figs 7/10/12 compare mechanisms over identical links: every
+    fabric built for an experiment wires the same rates and delays."""
+
+    RATE = gbps(25)  # not a constructor default, so it must thread through
+
+    @pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
+    def test_every_fabric_wires_the_same_links(self, topo):
+        from tests.conftest import RecordingHost
+
+        spec = TOPOLOGIES[topo]
+        hints = {}
+        for fabric in fabric_names():
+            net = get_fabric(fabric).cls.for_experiment(spec.build(), self.RATE)
+            wires = {(link.rate_bps, link.propagation_ns)
+                     for link in net.fabric_links()}
+            assert wires == {(self.RATE, FABRIC_PROPAGATION_NS)}, fabric
+            host_links = []
+            for addr in spec.addresses():
+                host = RecordingHost(net.sim, f"h{addr.fa}.{addr.port}", addr)
+                host_links.extend(net.attach_host(addr, host))
+            wires = {(link.rate_bps, link.propagation_ns)
+                     for link in host_links}
+            assert wires == {(self.RATE, HOST_PROPAGATION_NS)}, fabric
+            hints[fabric] = net.telemetry_hints()
+        first = hints[fabric_names()[0]]
+        assert first and all(h == first for h in hints.values()), hints
+
+
 # ----------------------------------------------------------------------
 # Consumers do not sniff: an AST walk over everything downstream
 # ----------------------------------------------------------------------
@@ -376,3 +411,53 @@ def test_consumers_do_not_sniff_fabrics_or_devices():
         offenders
     )
     assert seen == _ALLOWED, f"stale allow-list entries: {_ALLOWED - seen}"
+
+
+# ----------------------------------------------------------------------
+# Options census: a config field nothing sets is a constant in disguise
+# ----------------------------------------------------------------------
+
+_REPO = _SRC.parent.parent
+_CENSUS_ROOTS = ("src", "tests", "benchmarks", "examples")
+
+
+def _names_set(path: Path):
+    """Names ``path`` sets as a keyword argument or a literal dict key
+    (in a dict display, a subscript assignment or ``setdefault``)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword):
+            if node.arg:  # None for a ``**mapping`` splat
+                yield node.arg
+            continue
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(
+            node.ctx, ast.Store
+        ):
+            keys = [node.slice]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault"
+            and node.args
+        ):
+            keys = node.args[:1]
+        else:
+            continue
+        for key in keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                yield key.value
+
+
+@pytest.mark.parametrize("config_cls", [StardustConfig, EthConfig])
+def test_every_config_field_is_set_somewhere(config_cls):
+    """A field must be set outside its defining module; one that never
+    is belongs in the module's fixed values, not in the config."""
+    defining = Path(inspect.getsourcefile(config_cls)).resolve()
+    set_names = set()
+    for root in _CENSUS_ROOTS:
+        for path in sorted((_REPO / root).rglob("*.py")):
+            if path.resolve() != defining:
+                set_names.update(_names_set(path))
+    unset = [f.name for f in fields(config_cls) if f.name not in set_names]
+    assert unset == [], f"{config_cls.__name__} fields nothing sets: {unset}"

@@ -59,7 +59,7 @@ class Sink(Entity):
 
 
 def reference_forward(sw, packet):
-    """``EthernetSwitch.forward`` as it was before the hop was fused:
+    """``EthernetSwitch.receive``'s hop as it was before it was fused:
     rebuild the live candidate list and hash the flow for every packet.
     Works on a real switch's tables and counters; returns the port it
     chose (None when there was none)."""

@@ -19,6 +19,7 @@ from repro.analysis.resilience import (
 )
 from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork
+from repro.fabrics.wiring import FABRIC_PROPAGATION_NS
 from repro.faults import FaultPlan, attach_plan, link_down
 from repro.net.addressing import PortAddress
 from repro.sim.units import MICROSECOND, gbps
@@ -109,7 +110,7 @@ class TestMeasuredVsAnalytical:
         # Matched mapping: t' = period, M = 1 (4 hosts), th = miss
         # threshold, one hop at the fabric propagation delay.
         assert analytical == pytest.approx(
-            (self.PERIOD + net.config.fabric_propagation_ns) * 3
+            (self.PERIOD + FABRIC_PROPAGATION_NS) * 3
         )
 
         plan = FaultPlan(events=[link_down(0, 0, 0)])
