@@ -452,7 +452,8 @@ def _names_set(path: Path):
 @pytest.mark.parametrize("config_cls", [StardustConfig, EthConfig])
 def test_every_config_field_is_set_somewhere(config_cls):
     """A field must be set outside its defining module; one that never
-    is belongs in the module's fixed values, not in the config."""
+    is belongs in the module's fixed values, not in the config.  The
+    match is by name, so a same-named keyword anywhere counts."""
     defining = Path(inspect.getsourcefile(config_cls)).resolve()
     set_names = set()
     for root in _CENSUS_ROOTS:
