@@ -8,7 +8,6 @@ Fig 8's silicon argument visible at the network level.
 
 from harness import print_series
 
-from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
@@ -31,12 +30,9 @@ ADDRS = [
 
 
 def run_packing(packing: bool, workload: str):
-    config = StardustConfig(
-        fabric_link_rate_bps=RATE, host_link_rate_bps=RATE,
-        cell_size_bytes=256, cell_header_bytes=16,
-        packet_packing=packing,
+    net = StardustNetwork.for_experiment(
+        SPEC, RATE, cell_size_bytes=256, packet_packing=packing
     )
-    net = StardustNetwork(SPEC, config=config)
     traffic = UniformRandomTraffic(
         net, ADDRS, utilization=0.5,
         size_dist=packet_size_distribution(workload), seed=41,

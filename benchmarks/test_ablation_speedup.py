@@ -8,7 +8,6 @@ tunes around 2%.
 
 from harness import print_series
 
-from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
@@ -31,12 +30,9 @@ DURATION = 2 * MILLISECOND
 
 
 def run_speedup(speedup: float):
-    config = StardustConfig(
-        fabric_link_rate_bps=RATE, host_link_rate_bps=RATE,
-        cell_size_bytes=256, cell_header_bytes=16,
-        credit_speedup=speedup,
+    net = StardustNetwork.for_experiment(
+        SPEC, RATE, cell_size_bytes=256, credit_speedup=speedup
     )
-    net = StardustNetwork(SPEC, config=config)
     traffic = UniformRandomTraffic(
         net, ADDRS, utilization=0.92 * 240 / 256, packet_bytes=1000, seed=53
     )

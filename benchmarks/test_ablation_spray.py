@@ -10,7 +10,6 @@ behaviour and congests.
 
 from harness import print_series
 
-from repro.core.config import StardustConfig
 from repro.fabrics import StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
@@ -33,11 +32,9 @@ ADDRS = [
 
 
 def run_mode(mode: str):
-    config = StardustConfig(
-        fabric_link_rate_bps=RATE, host_link_rate_bps=RATE,
-        cell_size_bytes=256, cell_header_bytes=16,
+    net = StardustNetwork.for_experiment(
+        SPEC, RATE, cell_size_bytes=256, spray_mode=mode
     )
-    net = StardustNetwork(SPEC, config=config, spray_mode=mode)
     traffic = UniformRandomTraffic(
         net, ADDRS, utilization=0.85 * 240 / 256, packet_bytes=1000, seed=31
     )

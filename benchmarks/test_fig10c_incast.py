@@ -26,7 +26,7 @@ ADDRS = [PortAddress(fa, 0) for fa in range(SPEC.num_fas)]
 def run_one(kind: str, n_backends: int):
     if kind == "stardust":
         net = StardustNetwork.for_experiment(
-            SPEC, RATE, cell_bytes=256, ingress_buffer_bytes=32 * MB
+            SPEC, RATE, cell_size_bytes=256, ingress_buffer_bytes=32 * MB
         )
     else:
         net = PushFabricNetwork.for_experiment(

@@ -47,7 +47,7 @@ class BlastHost(Entity):
 def scenario(kind: str, with_classes: bool):
     if kind == "stardust":
         net = StardustNetwork.for_experiment(
-            SPEC, RATE, cell_bytes=256,
+            SPEC, RATE, cell_size_bytes=256,
             traffic_classes=2 if with_classes else 1,
         )
     else:

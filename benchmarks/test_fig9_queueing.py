@@ -14,7 +14,6 @@ import functools
 from harness import print_series
 
 from repro.analysis.mdq import md1_tail_probability
-from repro.core.config import StardustConfig
 from repro.fabrics import StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
@@ -58,13 +57,7 @@ def run_load(load: float, oversubscribed: bool = False):
             pods=2, fas_per_pod=4, fes_per_pod=4, spines=4, hosts_per_fa=4
         )
         utilization = load * payload_ratio
-    config = StardustConfig(
-        fabric_link_rate_bps=RATE,
-        host_link_rate_bps=RATE,
-        cell_size_bytes=256,
-        cell_header_bytes=16,
-    )
-    net = StardustNetwork(spec, config=config)
+    net = StardustNetwork.for_experiment(spec, RATE, cell_size_bytes=256)
     addrs = [
         PortAddress(fa, p)
         for fa in range(spec.num_fas)

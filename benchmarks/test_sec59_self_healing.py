@@ -33,13 +33,12 @@ class CountingHost(Entity):
 
 def run_healing():
     config = StardustConfig(
-        fabric_link_rate_bps=gbps(25),
-        host_link_rate_bps=gbps(25),
+        reachability="dynamic",
         reachability_period_ns=PERIOD,
         reachability_miss_threshold=3,
         reachability_up_threshold=3,
     )
-    net = StardustNetwork(SPEC, config=config, reachability="dynamic")
+    net = StardustNetwork(SPEC, config=config, link_rate_bps=gbps(25))
     hosts = {}
     for fa in range(SPEC.num_fas):
         addr = PortAddress(fa, 0)

@@ -10,7 +10,6 @@ scaled 8-FA / 4-FE single-tier system at 10G.
 
 from harness import print_series
 
-from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
@@ -35,13 +34,7 @@ DURATION = 1 * MILLISECOND
 
 def run_size(packet_bytes: int, utilization: float = 0.95):
     """Full-load run at one packet size; returns metrics."""
-    config = StardustConfig(
-        fabric_link_rate_bps=RATE,
-        host_link_rate_bps=RATE,
-        cell_size_bytes=256,
-        cell_header_bytes=16,
-    )
-    net = StardustNetwork(SPEC, config=config)
+    net = StardustNetwork.for_experiment(SPEC, RATE, cell_size_bytes=256)
     traffic = UniformRandomTraffic(
         net, ADDRS, utilization=utilization,
         packet_bytes=packet_bytes, seed=23,

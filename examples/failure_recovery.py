@@ -40,11 +40,9 @@ class CountingHost(Entity):
 def main() -> None:
     spec = OneTierSpec(num_fas=4, uplinks_per_fa=4, hosts_per_fa=1)
     config = StardustConfig(
-        fabric_link_rate_bps=gbps(25),
-        host_link_rate_bps=gbps(25),
-        reachability_period_ns=10 * MICROSECOND,
+        reachability="dynamic", reachability_period_ns=10 * MICROSECOND
     )
-    network = StardustNetwork(spec, config=config, reachability="dynamic")
+    network = StardustNetwork(spec, config=config, link_rate_bps=gbps(25))
 
     hosts = {}
     for fa in range(spec.num_fas):

@@ -9,7 +9,6 @@ balance and latency.
 Run:  python examples/quickstart.py
 """
 
-from repro.core.config import StardustConfig
 from repro.fabrics import StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
@@ -23,14 +22,13 @@ def main() -> None:
     spec = TwoTierSpec(
         pods=2, fas_per_pod=4, fes_per_pod=4, spines=4, hosts_per_fa=2
     )
-    config = StardustConfig(
+    network = StardustNetwork.for_experiment(
+        spec,
+        gbps(25),
         cell_size_bytes=256,
         credit_size_bytes=4 * KB,
         credit_speedup=0.02,
-        fabric_link_rate_bps=gbps(25),
-        host_link_rate_bps=gbps(25),
     )
-    network = StardustNetwork(spec, config=config)
 
     # 2. Attach one TCP host per Fabric Adapter port.
     addresses = [

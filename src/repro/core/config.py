@@ -4,8 +4,8 @@ One :class:`StardustConfig` object parameterizes every mechanism the
 paper describes that an experiment varies: cell geometry, credit size
 and speedup, FCI behaviour, buffer sizes and the reachability protocol.
 The defaults follow the paper's running examples (256B cells, 4KB
-credits, ~2-3% credit speedup, 50G fabric links).  Values no experiment
-varies are the module's fixed-value constants.
+credits, ~2-3% credit speedup); link rates belong to the network.
+Values no experiment varies are the module's fixed-value constants.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.units import KB, MB, MICROSECOND, gbps
+from repro.sim.units import KB, MB, MICROSECOND
 
 # --- fixed values ------------------------------------------------------
 # Parameters of the paper's mechanisms that no experiment varies.  They
@@ -109,19 +109,22 @@ class StardustConfig:
     #: this long (link error / loss recovery).
     reassembly_timeout_ns: int = 500 * MICROSECOND
 
+    # --- spray (§5.3) ----------------------------------------------------
+    #: Link choice of every FA and FE: ``"permutation"`` (the paper's
+    #: rotating random permutation); ``"random"`` and ``"static"``
+    #: (destination hash) are ablations.
+    spray_mode: str = "permutation"
+
     # --- reachability protocol (§5.9, Appendix E) ------------------------
+    #: ``"static"`` installs forwarding tables from the wiring plan;
+    #: ``"dynamic"`` runs the live protocol, so the fabric heals itself.
+    reachability: str = "static"
     #: Interval between reachability cells on each link.
     reachability_period_ns: int = 10 * MICROSECOND
     #: Consecutive good messages needed to declare a link up.
     reachability_up_threshold: int = 3
     #: Missed periods after which a link is declared down.
     reachability_miss_threshold: int = 3
-
-    # --- link rates -------------------------------------------------------
-    #: Fabric (FA<->FE, FE<->FE) serial link rate.
-    fabric_link_rate_bps: int = gbps(50)
-    #: Host-facing port rate.
-    host_link_rate_bps: int = gbps(50)
 
     def __post_init__(self) -> None:
         if self.cell_header_bytes >= self.cell_size_bytes:
@@ -151,6 +154,8 @@ class StardustConfig:
             raise ValueError(
                 "need 0 < resume threshold < pause threshold <= 1"
             )
+        if self.reachability not in ("static", "dynamic"):
+            raise ValueError(f"unknown reachability mode {self.reachability!r}")
 
     @property
     def cell_payload_bytes(self) -> int:

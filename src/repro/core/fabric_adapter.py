@@ -75,7 +75,6 @@ class FabricAdapter(Device):
         fa_id: DeviceId,
         name: str,
         control: ControlPlane,
-        spray_mode: str = "permutation",
     ) -> None:
         super().__init__(sim, name)
         self.config = config
@@ -104,7 +103,8 @@ class FabricAdapter(Device):
         self._live_uplinks: Optional[List[Link]] = None
 
         self._spray = SprayArbiter(
-            random.Random(SPRAY_SEED ^ (0xADA9 + fa_id)), mode=spray_mode
+            random.Random(SPRAY_SEED ^ (0xADA9 + fa_id)),
+            mode=config.spray_mode,
         )
 
         # Host side.

@@ -59,7 +59,6 @@ class FabricElement(Device):
         fe_id: DeviceId,
         tier: int,
         name: str,
-        spray_mode: str = "permutation",
     ) -> None:
         super().__init__(sim, name)
         self.config = config
@@ -88,7 +87,8 @@ class FabricElement(Device):
         self._elig_epoch = -1
 
         self._spray = SprayArbiter(
-            random.Random(SPRAY_SEED ^ (0x5EED + fe_id)), mode=spray_mode
+            random.Random(SPRAY_SEED ^ (0x5EED + fe_id)),
+            mode=config.spray_mode,
         )
 
         # Reachability protocol state (dynamic mode only).

@@ -17,6 +17,7 @@ the edge — the "elimination of packet switches" of §1.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.config import StardustConfig
@@ -37,8 +38,6 @@ NIC_DEFAULTS = dict(
 
 def nic_config(base: Optional[StardustConfig] = None) -> StardustConfig:
     """A StardustConfig with §8's host-scale reductions applied."""
-    from dataclasses import replace
-
     base = base or StardustConfig()
     return replace(base, **NIC_DEFAULTS)
 
@@ -85,7 +84,7 @@ def build_nic_edge_network(
         num_fas=n_nics, uplinks_per_fa=uplinks_per_nic, hosts_per_fa=1
     )
     net = StardustNetwork(
-        spec, config=nic_config(config), reachability=reachability
+        spec, config=replace(nic_config(config), reachability=reachability)
     )
     # Rebrand the edge devices as NICs (same mechanics, reduced scale).
     for fa in net.fas:

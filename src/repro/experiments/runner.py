@@ -157,13 +157,7 @@ def _result(
 
 def _run_permutation(spec: ScenarioSpec, net) -> RunResult:
     """One permutation-throughput run (the Fig 10(a) shape)."""
-    wl_addrs = spec.workload.get("addrs")
-    if wl_addrs is not None:
-        from repro.net.addressing import PortAddress
-
-        addrs = [PortAddress(fa, port) for fa, port in wl_addrs]
-    else:
-        addrs = spec.topology.addresses()
+    addrs = spec.topology.addresses()
     mapping = host_permutation(addrs, random.Random(spec.seed))
     hosts, tracker = make_hosts(net, addrs)
 
@@ -374,8 +368,8 @@ _EXECUTORS = {
 # ----------------------------------------------------------------------
 
 
-def run_spec_with_network(spec: ScenarioSpec, hermetic: bool = True):
-    """Execute one spec; returns ``(result, network)``.
+def run_spec_with_network(spec: ScenarioSpec):
+    """Execute one spec hermetically; returns ``(result, network)``.
 
     The network is handed back *after* the run so callers that need more
     than the :class:`RunResult` — the perf harness hashes latency
@@ -390,8 +384,7 @@ def run_spec_with_network(spec: ScenarioSpec, hermetic: bool = True):
             f"unknown workload kind {kind!r}; "
             f"known: {sorted(_EXECUTORS)}"
         ) from None
-    if hermetic:
-        reset_flow_ids()
+    reset_flow_ids()  # flow ids feed the ECMP hash: start from zero
     net = build_network(spec)
     if spec.faults:
         # Compile the declarative fault schedule into engine events
@@ -419,12 +412,8 @@ def run_spec_with_network(spec: ScenarioSpec, hermetic: bool = True):
     return result, net
 
 
-def run_spec(spec: ScenarioSpec, hermetic: bool = True) -> RunResult:
+def run_spec(spec: ScenarioSpec) -> RunResult:
     """Execute one spec and return its result.
-
-    ``hermetic`` (the default) resets the global flow-id space first so
-    the result is independent of whatever ran earlier in this process —
-    required for the content-hash cache and cross-process determinism.
 
     This call owns the network, so the cell's memory dies with the cell:
     cyclic GC is deferred from build to result, so everything the cell
@@ -432,7 +421,7 @@ def run_spec(spec: ScenarioSpec, hermetic: bool = True) -> RunResult:
     dropped one pass over that generation frees it, older heap unwalked.
     """
     with deferred_gc() as deferred:
-        result = run_spec_with_network(spec, hermetic=hermetic)[0]
+        result = run_spec_with_network(spec)[0]
         if deferred:
             gc.collect(0)
     return result

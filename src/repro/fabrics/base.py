@@ -4,7 +4,8 @@ Every fabric backend — the Stardust cell fabric, the push/ECMP
 baseline, or a third one dropped in through the registry — satisfies
 the same contract:
 
-* construction from ``(topology_spec, config, sim)``, with the wiring
+* construction from ``(topology_spec, config, link_rate_bps)`` — a
+  ``config_cls`` instance, one rate for every link — with the wiring
   derived from a shared :class:`~repro.fabrics.wiring.WiringPlan`;
 * host attachment (:meth:`FabricNetwork.attach_host` /
   :meth:`FabricNetwork.host_at`) and run control
@@ -31,16 +32,19 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     ClassVar,
     Dict,
     List,
     Optional,
+    Self,
     Sequence,
     Tuple,
 )
 
 from repro.fabrics.wiring import (
     FABRIC_PROPAGATION_NS,
+    HOST_PROPAGATION_NS,
     AnyTopologySpec,
     WiringPlan,
     build_wiring_plan,
@@ -114,8 +118,9 @@ class FabricMetrics:
 class FabricNetwork(ABC):
     """A fully wired fabric plus host attachment points.
 
-    Subclasses implement :meth:`_build` (replay the wiring plan with
-    their own device types), the small host-attachment hooks, and
+    Subclasses name their config dataclass in ``config_cls`` and
+    implement :meth:`_build` (replay the wiring plan with their own
+    device types), the small host-attachment hooks, and
     :meth:`collect_metrics`.  Registering the class with
     :func:`~repro.fabrics.registry.fabric` makes it constructible by
     name from scenario specs.
@@ -123,19 +128,23 @@ class FabricNetwork(ABC):
 
     #: Registry name, filled in by the ``@fabric(...)`` decorator.
     fabric_name: ClassVar[str] = ""
+    #: The fabric's config dataclass; ``config=None`` means its defaults.
+    config_cls: ClassVar[type]
+    #: Config fields :meth:`for_experiment` sets before the overrides.
+    experiment_defaults: ClassVar[Dict[str, object]] = {}
 
     def __init__(
         self,
         spec: AnyTopologySpec,
-        config: object = None,
-        sim: Optional[Simulator] = None,
+        config: Any = None,
+        link_rate_bps: int = gbps(50),
     ) -> None:
         self.spec = spec
-        self.config = config
-        # Explicit None test: Simulator defines __len__ (pending event
-        # count), so a freshly built engine is *falsy* and `sim or
-        # Simulator()` would silently discard a caller-provided one.
-        self.sim = Simulator() if sim is None else sim
+        self.config = self.config_cls() if config is None else config
+        #: Rate of every link, fabric and host: the fabrics compared in
+        #: Figs 7, 10 and 12 differ in mechanism, never in wires.
+        self.link_rate_bps = link_rate_bps
+        self.sim = Simulator()
         self.plan: WiringPlan = build_wiring_plan(spec)
         self._host_sinks: Dict[PortAddress, Entity] = {}
         #: Set by :meth:`attach_faults`; ``None`` on unfaulted runs.
@@ -153,20 +162,20 @@ class FabricNetwork(ABC):
         """Create devices and links by replaying ``plan.ops`` in order."""
 
     @classmethod
-    @abstractmethod
     def for_experiment(
         cls,
         topology: AnyTopologySpec,
         rate: int = gbps(10),
-        sim: Optional[Simulator] = None,
         **config_overrides: object,
-    ) -> "FabricNetwork":
+    ) -> Self:
         """Build this fabric at experiment scale.
 
-        ``rate`` sets both fabric and host link rates;
-        ``config_overrides`` are fields of the fabric's own config
-        dataclass.  This is the constructor scenario specs resolve to.
+        ``rate`` is every link's rate; ``config_overrides`` are fields
+        of ``config_cls`` and win over ``experiment_defaults``.  This is
+        the constructor scenario specs resolve to.
         """
+        config = cls.config_cls(**{**cls.experiment_defaults, **config_overrides})
+        return cls(topology, config=config, link_rate_bps=rate)
 
     # ------------------------------------------------------------------
     # Host attachment (shared; subclasses fill in the edge hooks)
@@ -175,9 +184,9 @@ class FabricNetwork(ABC):
     def _edge_device(self, index: int) -> Entity:
         """The edge device (FA / ToR) with edge id ``index``."""
 
-    @abstractmethod
     def host_link(self) -> Tuple[int, int]:
         """``(rate_bps, propagation_ns)`` of host attachment links."""
+        return self.link_rate_bps, HOST_PROPAGATION_NS
 
     @abstractmethod
     def _register_host_port(
@@ -191,17 +200,17 @@ class FabricNetwork(ABC):
         """Fabric-specific attach validation (default: none)."""
 
     def _duplex_links(
-        self, lower: Entity, upper: Entity, rate_bps: int,
+        self, lower: Entity, upper: Entity,
         propagation_ns: int = FABRIC_PROPAGATION_NS,
     ) -> Tuple[Link, Link]:
         """The two simplex links of one full-duplex link, named
         ``lower->upper`` / ``upper->lower`` (up first, then down)."""
         up = Link(
-            self.sim, lower, upper, rate_bps, propagation_ns,
+            self.sim, lower, upper, self.link_rate_bps, propagation_ns,
             name=f"{lower.name}->{upper.name}",
         )
         down = Link(
-            self.sim, upper, lower, rate_bps, propagation_ns,
+            self.sim, upper, lower, self.link_rate_bps, propagation_ns,
             name=f"{upper.name}->{lower.name}",
         )
         return up, down
@@ -218,9 +227,8 @@ class FabricNetwork(ABC):
             raise ValueError(f"host already attached at {address}")
         device = self._edge_device(address.fa)
         self._check_host_attach(device, address)
-        rate_bps, propagation_ns = self.host_link()
         to_fabric, to_host = self._duplex_links(
-            host, device, rate_bps, propagation_ns
+            host, device, HOST_PROPAGATION_NS
         )
         host.attach_port(to_fabric)
         self._register_host_port(device, to_host, address)

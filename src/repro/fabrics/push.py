@@ -11,23 +11,15 @@ compare mechanism against mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.baselines.ethernet import EthConfig, EthernetSwitch, EthPort
 from repro.fabrics.base import FabricMetrics, FabricNetwork
 from repro.fabrics.registry import fabric
-from repro.fabrics.wiring import (
-    EDGE,
-    HOST_PROPAGATION_NS,
-    EdgeNode,
-    ElementNode,
-    WiringPlan,
-)
+from repro.fabrics.wiring import EDGE, EdgeNode, ElementNode, WiringPlan
 from repro.net.addressing import DeviceId, PortAddress
-from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.stats import Histogram
-from repro.sim.units import gbps
 
 #: Fabric switch ids start here so they never collide with ToR ids.
 _FABRIC_ID_BASE = 10_000
@@ -47,40 +39,15 @@ def _lost(switches: List[EthernetSwitch]) -> int:
 class PushFabricNetwork(FabricNetwork):
     """Ethernet-switch fabric mirroring a Stardust topology."""
 
-    def __init__(
-        self,
-        spec,
-        config: Optional[EthConfig] = None,
-        sim: Optional[Simulator] = None,
-        fabric_link_rate_bps: int = gbps(50),
-        host_link_rate_bps: int = gbps(50),
-    ) -> None:
-        self.fabric_link_rate_bps = fabric_link_rate_bps
-        self.host_link_rate_bps = host_link_rate_bps
-        self.tors: List[EthernetSwitch] = []
-        self.fabric: List[EthernetSwitch] = []
-        self._switch_by_element: Dict[int, EthernetSwitch] = {}
-        super().__init__(spec, config=config or EthConfig(), sim=sim)
-
-    @classmethod
-    def for_experiment(
-        cls,
-        topology,
-        rate: int = gbps(10),
-        sim: Optional[Simulator] = None,
-        **eth_overrides,
-    ) -> "PushFabricNetwork":
-        """The Ethernet ECMP fabric on the same topology."""
-        config = EthConfig(**eth_overrides) if eth_overrides else EthConfig()
-        return cls(
-            topology, config=config, sim=sim,
-            fabric_link_rate_bps=rate, host_link_rate_bps=rate,
-        )
+    config_cls = EthConfig
 
     # ------------------------------------------------------------------
     # Topology construction (plan replay)
     # ------------------------------------------------------------------
     def _build(self, plan: WiringPlan) -> None:
+        self.tors: List[EthernetSwitch] = []
+        self.fabric: List[EthernetSwitch] = []
+        self._switch_by_element: Dict[int, EthernetSwitch] = {}
         for op in plan.ops:
             if isinstance(op, EdgeNode):
                 self.tors.append(
@@ -115,7 +82,7 @@ class PushFabricNetwork(FabricNetwork):
 
     def _connect(self, lower: EthernetSwitch, upper: EthernetSwitch) -> None:
         """Full-duplex fabric link between two switches."""
-        up, down = self._duplex_links(lower, upper, self.fabric_link_rate_bps)
+        up, down = self._duplex_links(lower, upper)
         lower.add_port(up, "up", neighbor=upper.switch_id)
         upper.add_port(down, "down", neighbor=lower.switch_id)
 
@@ -148,9 +115,6 @@ class PushFabricNetwork(FabricNetwork):
     # ------------------------------------------------------------------
     def _edge_device(self, index: int) -> EthernetSwitch:
         return self.tors[index]
-
-    def host_link(self):
-        return self.host_link_rate_bps, HOST_PROPAGATION_NS
 
     def _register_host_port(
         self, tor: EthernetSwitch, to_host: Link, address: PortAddress

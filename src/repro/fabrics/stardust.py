@@ -4,9 +4,9 @@ Wires Fabric Adapters and Fabric Elements by replaying the shared
 :class:`~repro.fabrics.wiring.WiringPlan`, so one/two/three-tier
 construction has no per-tier special cases here; static forwarding
 tables are installed straight from the plan's route descriptions.
-``reachability='static'`` installs those tables directly; ``'dynamic'``
-runs the live protocol so failure experiments can watch the fabric
-heal itself.
+``StardustConfig.reachability='static'`` installs those tables
+directly; ``'dynamic'`` runs the live protocol so failure experiments
+can watch the fabric heal itself.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from repro.fabrics.registry import fabric
 from repro.fabrics.wiring import (
     EDGE,
     FABRIC_PROPAGATION_NS,
-    HOST_PROPAGATION_NS,
     EdgeNode,
     ElementNode,
     WiringPlan,
 )
 from repro.net.addressing import DeviceId, PortAddress
-from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.stats import Histogram
 from repro.sim.units import gbps
@@ -43,58 +41,29 @@ from repro.sim.units import gbps
 class StardustNetwork(FabricNetwork):
     """A fully wired Stardust fabric plus host attachment points."""
 
-    def __init__(
-        self,
-        spec,
-        config: Optional[StardustConfig] = None,
-        sim: Optional[Simulator] = None,
-        reachability: str = "static",
-        spray_mode: str = "permutation",
-    ) -> None:
-        if reachability not in ("static", "dynamic"):
-            raise ValueError(f"unknown reachability mode {reachability!r}")
-        self.reachability = reachability
-        self._spray_mode = spray_mode
-        self.fas: List[FabricAdapter] = []
-        self.fes: List[FabricElement] = []
-        self._fes_by_id: Dict[DeviceId, FabricElement] = {}
-        #: Every device's reachability monitor (dynamic mode; else empty).
-        self._monitors: List[ReachabilityMonitor] = []
-        super().__init__(spec, config=config or StardustConfig(), sim=sim)
+    config_cls = StardustConfig
+    #: 512B cells / 4KB credits (the config default) follow the paper's
+    #: own htsim shortcut ("intended to reduce simulation time",
+    #: Appendix G).
+    experiment_defaults = {"cell_size_bytes": 512}
 
     @classmethod
     def for_experiment(
         cls,
         topology,
         rate: int = gbps(10),
-        cell_bytes: int = 512,
-        cell_header_bytes: int = 16,
-        sim: Optional[Simulator] = None,
-        reachability: str = "static",
-        **overrides,
+        **config_overrides,
     ) -> "StardustNetwork":
         """A Stardust fabric at benchmark scale.
 
-        512B cells / 4KB credits follow the paper's own htsim shortcut
-        ("intended to reduce simulation time", Appendix G).
         ``reachability='dynamic'`` runs the live protocol — failure
         scenarios use it so the fabric heals itself at protocol speed.
         Dynamic mode pre-runs the simulation for 10 advertisement
         periods so experiments start on a *converged* fabric —
         workloads measure failure response, not boot transients.
         """
-        kwargs = dict(
-            fabric_link_rate_bps=rate,
-            host_link_rate_bps=rate,
-            cell_size_bytes=cell_bytes,
-            cell_header_bytes=cell_header_bytes,
-        )
-        kwargs.update(overrides)  # explicit overrides win, even for cells
-        net = cls(
-            topology, config=StardustConfig(**kwargs), sim=sim,
-            reachability=reachability,
-        )
-        if reachability == "dynamic":
+        net = super().for_experiment(topology, rate, **config_overrides)
+        if net.config.reachability == "dynamic":
             net.sim.run_for(10 * net.config.reachability_period_ns)
         return net
 
@@ -102,6 +71,11 @@ class StardustNetwork(FabricNetwork):
     # Topology construction (plan replay)
     # ------------------------------------------------------------------
     def _build(self, plan: WiringPlan) -> None:
+        self.fas: List[FabricAdapter] = []
+        self.fes: List[FabricElement] = []
+        self._fes_by_id: Dict[DeviceId, FabricElement] = {}
+        #: Every device's reachability monitor (dynamic mode; else empty).
+        self._monitors: List[ReachabilityMonitor] = []
         self.control = ControlPlane(self.sim, self._control_delay)
         for op in plan.ops:
             if isinstance(op, EdgeNode):
@@ -116,7 +90,7 @@ class StardustNetwork(FabricNetwork):
                 self._connect_fe_fe(
                     self._fes_by_id[op.lower[1]], self._fes_by_id[op.upper[1]]
                 )
-        if self.reachability == "dynamic":
+        if self.config.reachability == "dynamic":
             self._monitors = [
                 device.enable_protocol() for device in (*self.fas, *self.fes)
             ]
@@ -138,7 +112,6 @@ class StardustNetwork(FabricNetwork):
             node.edge_id,
             f"fa{node.edge_id}",
             self.control,
-            spray_mode=self._spray_mode,
         )
         self.fas.append(fa)
 
@@ -149,7 +122,6 @@ class StardustNetwork(FabricNetwork):
             node.element_id,
             node.tier,
             f"fe{node.tier}.{node.element_id}",
-            spray_mode=self._spray_mode,
         )
         fe.sample_down_queues = node.sample_queues
         if node.pod is not None:
@@ -158,14 +130,12 @@ class StardustNetwork(FabricNetwork):
         self._fes_by_id[node.element_id] = fe
 
     def _connect_fa_fe(self, fa: FabricAdapter, fe: FabricElement) -> None:
-        up, down = self._duplex_links(fa, fe, self.config.fabric_link_rate_bps)
+        up, down = self._duplex_links(fa, fe)
         fa.add_uplink(up, down)
         fe.add_port(fa.fa_id, down, up, direction="down")
 
     def _connect_fe_fe(self, lower: FabricElement, upper: FabricElement) -> None:
-        up, down = self._duplex_links(
-            lower, upper, self.config.fabric_link_rate_bps
-        )
+        up, down = self._duplex_links(lower, upper)
         lower.add_port(upper.fe_id, up, down, direction="up")
         upper.add_port(lower.fe_id, down, up, direction="down")
 
@@ -204,9 +174,6 @@ class StardustNetwork(FabricNetwork):
     # ------------------------------------------------------------------
     def _edge_device(self, index: int) -> FabricAdapter:
         return self.fas[index]
-
-    def host_link(self):
-        return self.config.host_link_rate_bps, HOST_PROPAGATION_NS
 
     def _check_host_attach(self, fa: FabricAdapter, address: PortAddress) -> None:
         if address.port != len(fa.egress_ports):
@@ -300,7 +267,7 @@ class StardustNetwork(FabricNetwork):
     def analytical_recovery_ns(self) -> Optional[float]:
         """Appendix E recovery time for the live protocol's parameters
         (``None`` under static reachability: nothing to predict)."""
-        if self.reachability != "dynamic":
+        if self.config.reachability != "dynamic":
             return None
         cfg = self.config
         hosts = max(1, self.host_count)
@@ -314,7 +281,7 @@ class StardustNetwork(FabricNetwork):
             total_hosts=hosts,
             tiers=tiers,
             confirm_threshold=cfg.reachability_miss_threshold,
-            link_rate_bps=cfg.fabric_link_rate_bps,
+            link_rate_bps=self.link_rate_bps,
             propagation_ns=(FABRIC_PROPAGATION_NS,) * (2 * tiers - 1),
         ))
 

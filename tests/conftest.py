@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
@@ -84,7 +87,11 @@ class RecordingHost(Entity):
 
 def build_network(spec, config=None, reachability="static", **kw):
     """A StardustNetwork with a RecordingHost on every port."""
-    net = StardustNetwork(spec, config=config, reachability=reachability, **kw)
+    config = replace(
+        StardustConfig() if config is None else config,
+        reachability=reachability,
+    )
+    net = StardustNetwork(spec, config=config, **kw)
     hosts = {}
     for fa_idx in range(len(net.fas)):
         for port in range(spec.hosts_per_fa):

@@ -136,18 +136,12 @@ class TestFig7Scenario:
             cfg = EthConfig(port_buffer_bytes=30_000,
                             ecn_threshold_bytes=None)
             net, hosts = build_push(
-                spec, config=cfg,
-                fabric_link_rate_bps=gbps(10),
-                host_link_rate_bps=gbps(10),
+                spec, config=cfg, link_rate_bps=gbps(10)
             )
         else:
-            from repro.core.config import StardustConfig
             from tests.conftest import build_network
 
-            cfg = StardustConfig(
-                fabric_link_rate_bps=gbps(10), host_link_rate_bps=gbps(10)
-            )
-            net, hosts = build_network(spec, config=cfg)
+            net, hosts = build_network(spec, link_rate_bps=gbps(10))
         a = PortAddress(2, 0)
         b = PortAddress(2, 1)
         # A is oversubscribed 2:1 by many flows from two sources (so

@@ -9,8 +9,10 @@ deterministic in-process (hermetic runs of the same spec are
 bit-identical).  The contract's own surfaces — device liveness, the
 two cheap counters, the resilience answers — are checked per
 registered fabric, and an AST walk keeps consumers from growing
-``hasattr`` probes back.  Every fabric wires the same links, and a
-census keeps config fields that nothing sets from coming back.
+``hasattr`` probes back.  Every fabric is built by the one contract
+constructor and wires the same links, a spec reaches every config
+field, and a census keeps config fields that nothing sets from coming
+back.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import pytest
 
 from repro.baselines.ethernet import EthConfig
 from repro.core.config import StardustConfig
+from repro.experiments.builders import build_network
+from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ScenarioSpec, TopologySpec
 from repro.fabrics import (
@@ -341,6 +345,16 @@ class TestWireParity:
         first = hints[fabric_names()[0]]
         assert first and all(h == first for h in hints.values()), hints
 
+    def test_a_spec_reaches_every_fabric_knob(self):
+        # Spray mode is a config field like any other: a scenario
+        # override reaches every arbiter, FA and FE alike.
+        spec = build_scenario(
+            "uniform_random", kind="stardust", spray_mode="random"
+        )
+        net = build_network(spec)
+        devices = (*net.fas, *net.fes)
+        assert {device._spray.mode for device in devices} == {"random"}
+
 
 # ----------------------------------------------------------------------
 # Consumers do not sniff: an AST walk over everything downstream
@@ -411,6 +425,33 @@ def test_consumers_do_not_sniff_fabrics_or_devices():
         offenders
     )
     assert seen == _ALLOWED, f"stale allow-list entries: {_ALLOWED - seen}"
+
+
+@pytest.mark.parametrize("fabric", fabric_names())
+def test_fabrics_construct_through_the_contract(fabric):
+    """One constructor: a fabric names its ``config_cls`` and writes
+    ``_build``; construction, host links and ``for_experiment`` are the
+    contract's."""
+    cls = get_fabric(fabric).cls
+    assert cls.__init__ is FabricNetwork.__init__
+    assert cls.host_link is FabricNetwork.host_link
+    net = cls(TOPOLOGIES["one_tier"].build())
+    assert type(net.config) is cls.config_cls
+
+
+def test_for_experiment_is_written_once():
+    contract = FabricNetwork.for_experiment.__func__
+    assert PushFabricNetwork.for_experiment.__func__ is contract
+    # Stardust's override adds only the dynamic-mode convergence
+    # pre-run: static builds start at t=0 with the contract's config.
+    topology = TOPOLOGIES["one_tier"].build()
+    static = StardustNetwork.for_experiment(topology, cell_size_bytes=384)
+    assert static.sim.now == 0
+    assert static.config == contract(
+        StardustNetwork, topology, cell_size_bytes=384
+    ).config
+    dynamic = StardustNetwork.for_experiment(topology, reachability="dynamic")
+    assert dynamic.sim.now == 10 * dynamic.config.reachability_period_ns
 
 
 # ----------------------------------------------------------------------

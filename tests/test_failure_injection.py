@@ -116,12 +116,8 @@ class TestBufferExhaustion:
         # §3.1: "Long-term over-subscription from the hosts ... packets
         # will be dropped in the Fabric Adapter."
         spec = OneTierSpec(num_fas=3, uplinks_per_fa=2, hosts_per_fa=2)
-        cfg = StardustConfig(
-            ingress_buffer_bytes=20 * KB,
-            fabric_link_rate_bps=gbps(10),
-            host_link_rate_bps=gbps(10),
-        )
-        net, hosts = build_network(spec, config=cfg)
+        cfg = StardustConfig(ingress_buffer_bytes=20 * KB)
+        net, hosts = build_network(spec, config=cfg, link_rate_bps=gbps(10))
         dst = PortAddress(2, 0)  # one 10G port...
         for fa in (0, 1):
             for p in range(2):

@@ -324,8 +324,7 @@ class TestPushInjection:
         net = PushFabricNetwork(
             ONE_TIER,
             config=EthConfig(ecmp_rehash_ns=rehash_ns),
-            fabric_link_rate_bps=gbps(10),
-            host_link_rate_bps=gbps(10),
+            link_rate_bps=gbps(10),
         )
         return net, attach_push_hosts(net, ONE_TIER)
 

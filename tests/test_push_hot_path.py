@@ -394,7 +394,7 @@ def push_one_tier(rehash_ns):
     spec = OneTierSpec(num_fas=3, uplinks_per_fa=4, hosts_per_fa=1)
     net = PushFabricNetwork(
         spec, config=EthConfig(ecmp_rehash_ns=rehash_ns),
-        fabric_link_rate_bps=gbps(10), host_link_rate_bps=gbps(10),
+        link_rate_bps=gbps(10),
     )
     hosts = {}
     for tor in range(spec.num_fas):

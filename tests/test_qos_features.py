@@ -73,12 +73,11 @@ class TestHostFlowControl:
             ingress_buffer_bytes=30 * KB,
             host_pause_threshold=0.8,
             host_resume_threshold=0.4,
-            fabric_link_rate_bps=gbps(10),
-            host_link_rate_bps=gbps(10),
         )
         net, hosts = build_network(
             OneTierSpec(num_fas=3, uplinks_per_fa=2, hosts_per_fa=2),
             config=cfg,
+            link_rate_bps=gbps(10),
         )
         # Two sources overload one destination port: pool fills.
         dst = PortAddress(2, 0)
@@ -124,13 +123,11 @@ class TestHostFlowControl:
             ingress_buffer_bytes=240 * KB,
             host_pause_threshold=0.5,
             host_resume_threshold=0.25,
-            fabric_link_rate_bps=gbps(10),
-            host_link_rate_bps=gbps(10),
         )
         spec = OneTierSpec(num_fas=3, uplinks_per_fa=2, hosts_per_fa=2)
         from repro.fabrics import StardustNetwork
 
-        net = StardustNetwork(spec, config=cfg)
+        net = StardustNetwork(spec, config=cfg, link_rate_bps=gbps(10))
         addrs = [PortAddress(f, p) for f in range(3) for p in range(2)]
         hosts, tracker = make_hosts(net, addrs)
         # 2:1 oversubscription of one port with a tiny ingress pool:
@@ -156,7 +153,10 @@ class TestHostFlowControl:
 
 
 def _credit_loop_digest(
-    cfg: StardustConfig, seed: int, hot_fa: int | None = None
+    cfg: StardustConfig,
+    seed: int,
+    hot_fa: int | None = None,
+    link_rate_bps: int = gbps(50),
 ) -> dict:
     """Run seeded two-class random traffic and digest the event stream.
 
@@ -168,7 +168,7 @@ def _credit_loop_digest(
     scheduling exactly (every status, grant and pump is an event), the
     hashes pin what arrived where and when.
     """
-    net, hosts = build_network(SPEC, config=cfg)
+    net, hosts = build_network(SPEC, config=cfg, link_rate_bps=link_rate_bps)
     rng = random.Random(seed)
     addrs = sorted(hosts)
     window_ns = (40 if hot_fa is None else 10) * MICROSECOND
@@ -237,10 +237,10 @@ class TestCreditLoopPins:
             ingress_buffer_bytes=24 * KB,
             host_pause_threshold=0.6,
             host_resume_threshold=0.3,
-            fabric_link_rate_bps=gbps(10),
-            host_link_rate_bps=gbps(10),
         )
-        assert _credit_loop_digest(cfg, seed=12, hot_fa=2) == {
+        assert _credit_loop_digest(
+            cfg, seed=12, hot_fa=2, link_rate_bps=gbps(10)
+        ) == {
             "events_fired": 4976,
             "delivered_bytes": 176588,
             "ingress_drops": 15,

@@ -88,13 +88,12 @@ class TestMeasuredVsAnalytical:
     def _converged_net(self):
         spec = OneTierSpec(num_fas=4, uplinks_per_fa=4, hosts_per_fa=1)
         config = StardustConfig(
-            fabric_link_rate_bps=gbps(25),
-            host_link_rate_bps=gbps(25),
+            reachability="dynamic",
             reachability_period_ns=self.PERIOD,
             reachability_miss_threshold=3,
             reachability_up_threshold=3,
         )
-        net = StardustNetwork(spec, config=config, reachability="dynamic")
+        net = StardustNetwork(spec, config=config, link_rate_bps=gbps(25))
         hosts = {}
         for fa in range(spec.num_fas):
             addr = PortAddress(fa, 0)

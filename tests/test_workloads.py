@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.sim.units import MILLISECOND, gbps
@@ -101,10 +100,7 @@ class TestDerangement:
 class TestRateInjector:
     def test_injection_rate_tracks_utilization(self):
         spec = OneTierSpec(num_fas=2, uplinks_per_fa=2, hosts_per_fa=1)
-        cfg = StardustConfig(
-            fabric_link_rate_bps=gbps(10), host_link_rate_bps=gbps(10)
-        )
-        net = StardustNetwork(spec, config=cfg)
+        net = StardustNetwork(spec, link_rate_bps=gbps(10))
         addrs = [PortAddress(0, 0), PortAddress(1, 0)]
         traffic = UniformRandomTraffic(
             net, addrs, utilization=0.5, packet_bytes=1000, seed=9
@@ -118,10 +114,7 @@ class TestRateInjector:
 
     def test_traffic_is_delivered(self):
         spec = OneTierSpec(num_fas=3, uplinks_per_fa=3, hosts_per_fa=1)
-        cfg = StardustConfig(
-            fabric_link_rate_bps=gbps(10), host_link_rate_bps=gbps(10)
-        )
-        net = StardustNetwork(spec, config=cfg)
+        net = StardustNetwork(spec, link_rate_bps=gbps(10))
         addrs = [PortAddress(f, 0) for f in range(3)]
         traffic = UniformRandomTraffic(net, addrs, utilization=0.3, seed=2)
         traffic.start()
