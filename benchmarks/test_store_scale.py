@@ -20,12 +20,12 @@ import time
 import pytest
 from harness import print_series
 
-from repro.experiments.store import ResultStore
 from repro.store import RecordStore, migrate_legacy, verify_store
 from repro.store.cells import spec_key_from_dict
 from repro.store.format import read_block
 from repro.store.query import store_records
 from repro.store.synth import fill_store, synthetic_cells
+from tests.conftest import write_legacy_cell
 
 CELLS = 10_000
 
@@ -58,10 +58,9 @@ def test_store_holds_10k_cells_verified_and_compact(tmp_path):
 
     # Size: sharded compressed blocks vs one JSON file per cell.
     legacy_root = tmp_path / "legacy"
-    legacy = ResultStore(legacy_root)
     sample = 500  # enough files to estimate per-cell cost fairly
     for spec, result in synthetic_cells(sample, seed=3):
-        legacy.put(spec, result)
+        write_legacy_cell(legacy_root, spec, result)
     legacy_bytes_per_cell = (
         sum(p.stat().st_size for p in legacy_root.glob("*.json")) / sample
     )

@@ -6,8 +6,9 @@ This package is the front door for running evaluations at scale.  A
 config overrides) as a JSON-serializable value; the
 :mod:`~repro.experiments.registry` names parameterized families of
 specs; the :mod:`~repro.experiments.runner` executes spec matrices with
-``multiprocessing`` fan-out; the :mod:`~repro.experiments.store` caches
-results by spec content hash so repeated sweeps only pay for new cells.
+``multiprocessing`` fan-out, caching results by spec content hash in a
+:class:`~repro.store.RecordStore` so repeated sweeps only pay for new
+cells.
 
 Quickstart::
 
@@ -38,12 +39,10 @@ from repro.experiments.spec import (
     TopologySpec,
     resolve_kind,
 )
-from repro.experiments.store import ResultStore
 from repro.experiments.summarize import Summary, aggregate
 
 __all__ = [
     "KIND_PRESETS",
-    "ResultStore",
     "RunResult",
     "ScenarioSpec",
     "Summary",

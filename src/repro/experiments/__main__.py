@@ -29,14 +29,13 @@ from repro.experiments.registry import (
 from repro.fabrics.registry import UnknownFabricError, fabric_names, get_fabric
 from repro.experiments.runner import run_matrix
 from repro.experiments.spec import ScenarioSpec, kind_for_fabric
-from repro.experiments.store import ResultStore, open_store
 from repro.experiments.summarize import (
     aggregate,
     format_resilience,
     format_table,
 )
 from repro.sim.engine import KERNEL_GONE
-from repro.store.cells import default_store_dir
+from repro.store.cells import RecordStore, default_store_dir
 from repro.store.format import StoreFormatError
 
 
@@ -111,7 +110,7 @@ def cmd_run(args) -> int:
             sample_interval_ns=args.sample_interval_ns
         ).to_dict()
         specs = [s.with_updates(telemetry=telemetry) for s in specs]
-    store = None if args.no_cache else open_store(args.store, args.store_format)
+    store = None if args.no_cache else RecordStore(args.store)
     started = time.monotonic()
     results = run_matrix(
         specs, shards=args.shards, store=store, progress=print,
@@ -120,14 +119,7 @@ def cmd_run(args) -> int:
     elapsed = time.monotonic() - started
 
     if args.telemetry and store is not None:
-        if isinstance(store, ResultStore):
-            for spec in specs:
-                sidecar = store.telemetry_path_for(spec)
-                if sidecar.exists():
-                    print(f"telemetry: {sidecar}")
-        else:
-            # Record stores embed telemetry in the cell records.
-            print(f"telemetry: stored in-record under {store.root}")
+        print(f"telemetry: stored in-record under {store.root}")
 
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=1))
@@ -289,12 +281,6 @@ def main(argv=None) -> int:
         "--sample-interval-ns", type=int, default=10_000,
         help="telemetry sampling cadence (with --telemetry)",
     )
-    run.add_argument(
-        "--store-format", choices=("auto", "record", "legacy"),
-        default="auto",
-        help="force the store format (default: auto-detect; fresh "
-             "stores get the sharded record format)",
-    )
 
     query = sub.add_parser(
         "query",
@@ -305,7 +291,7 @@ def main(argv=None) -> int:
         help="spec-key prefix, e.g. scenario=permutation/fabric=*",
     )
     query.add_argument(
-        "--store", default=None, help="store directory (either format)"
+        "--store", default=None, help="record store directory"
     )
     query.add_argument(
         "--json", action="store_true", help="emit raw results as JSON"

@@ -3,12 +3,10 @@
 :func:`run_spec` executes one :class:`~repro.experiments.spec.ScenarioSpec`
 hermetically (fresh simulator, fresh flow-id space) and returns a typed
 :class:`RunResult`.  :func:`run_matrix` executes a list of specs,
-serving completed cells from the store it is handed (a
-:class:`~repro.store.cells.RecordStore`, or a legacy
-:class:`~repro.experiments.store.ResultStore`; both speak ``get`` /
-``put`` / ``flush``) and fanning the misses
-out over ``multiprocessing`` shards (in-process when ``shards <= 1`` or
-the platform cannot give it workers).
+serving completed cells from the
+:class:`~repro.store.cells.RecordStore` it is handed and fanning the
+misses out over ``multiprocessing`` shards (in-process when
+``shards <= 1`` or the platform cannot give it workers).
 
 Because every run is hermetic, the same spec produces bit-identical
 results in-process, in a worker process, and across repeated sweeps —

@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.experiments.store import atomic_write_json
 from repro.perf import (
     REGRESSION_TOLERANCE,
     BenchResult,
@@ -30,6 +29,7 @@ from repro.perf import (
 )
 from repro.perf.golden import DEFAULT_GOLDEN_DIR, check_goldens, write_goldens
 from repro.sim.engine import KERNEL_GONE
+from repro.store import atomic_write_json
 
 #: Where the committed reference numbers live.
 DEFAULT_BASELINE = Path("benchmarks") / "perf_baseline.json"

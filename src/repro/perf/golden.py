@@ -21,9 +21,9 @@ from typing import Dict, List, Tuple
 from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec_with_network
 from repro.experiments.spec import ScenarioSpec, TopologySpec
-from repro.experiments.store import atomic_write_json
 from repro.perf.digest import diff_digests, run_digest
 from repro.sim.units import KB, MICROSECOND, MILLISECOND
+from repro.store import atomic_write_json
 
 #: Default location, relative to the repo root (where pytest runs).
 DEFAULT_GOLDEN_DIR = Path("tests") / "golden"

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Tuple
 
+from repro.core.packing import cells_for_bytes
 from repro.net.packet import ETHERNET_OVERHEAD_BYTES
 
 
@@ -106,7 +107,7 @@ class NetFpgaModel:
         elif design is SwitchDesign.CELLS_UNPACKED:
             # Every packet is chopped alone; its last cell is padded to
             # the full cell size, and each cell costs its full beats.
-            cells = math.ceil(packet_bytes / self.cell_bytes)
+            cells = cells_for_bytes(packet_bytes, self.cell_bytes)
             beats = cells * max(
                 math.ceil(self.cell_bytes / self.bus_bytes),
                 self.lookup_cycles,

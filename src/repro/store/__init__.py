@@ -1,6 +1,6 @@
 """Sharded, checksummed experiment-result storage (the ZS lesson).
 
-The legacy result cache kept one JSON file per cell; at the sweep
+The first result cache kept one JSON file per cell; at the sweep
 sizes the runner generates (10^4–10^6 cells) that layout falls over on
 file count, bytes and scan time.  This package stores cells as
 records in a small, fixed set of append-only shard files::
@@ -33,17 +33,19 @@ Design properties, in the order they matter:
   (or adapt to) formats they don't understand.
 
 Entry points: :class:`RecordStore` (the ``get``/``put`` cache protocol
-the sweep runner speaks), :func:`open_store` (format auto-detection),
-:mod:`repro.store.query` (prefix queries, verification, trend diffs),
-:mod:`repro.store.migrate` (legacy import) and ``python -m repro.store``
-(synthetic sweeps, verification, store info).
+the sweep runner speaks; the only store), :func:`open_record_store`
+(an existing store, for reading), :mod:`repro.store.query` (prefix
+queries, verification, trend diffs), :mod:`repro.store.migrate` (the
+one-shot import of one-JSON-per-cell directories) and
+``python -m repro.store`` (synthetic sweeps, verification, store info).
 """
 
 from repro.store.cells import (
     DEFAULT_NUM_SHARDS,
     RecordStore,
+    atomic_write_json,
     is_record_store,
-    open_store,
+    open_record_store,
     prefix_from_selector,
     spec_key_from_dict,
 )
@@ -76,10 +78,11 @@ __all__ = [
     "Shard",
     "StoreFormatError",
     "TruncatedBlockError",
+    "atomic_write_json",
     "format_trend_diff",
     "is_record_store",
     "migrate_legacy",
-    "open_store",
+    "open_record_store",
     "prefix_from_selector",
     "scan_store",
     "spec_key_from_dict",

@@ -9,12 +9,14 @@ Examples::
     # CRC-verify every block of a store:
     python -m repro.store verify .experiment-store
 
-    # What is this store? (format, versions, shard fill, blocks per codec)
+    # What is this store? (versions, shard fill, blocks per codec)
     python -m repro.store info .experiment-store
 
 Sweep *queries* live on the experiments CLI
 (``python -m repro.experiments query``); this command owns the layer
-below — bytes, checksums, shards, synthetic volume.
+below — bytes, checksums, shards, synthetic volume.  ``verify`` and
+``info`` on a path that holds no record store print one ``error:`` line
+and exit non-zero, creating nothing.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.store.cells import RecordStore, is_record_store
-from repro.store.format import block_codec
+from repro.store.cells import RecordStore, open_record_store
+from repro.store.format import StoreFormatError, block_codec
 from repro.store.query import verify_store
 from repro.store.synth import fill_store
 
@@ -63,8 +65,7 @@ def _codec_counts(counts: Dict[str, int]) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     stats = verify_store(args.store)
     for field in (
-        "format", "records", "distinct_keys", "blocks",
-        "corrupt_blocks", "shard_bytes",
+        "records", "distinct_keys", "blocks", "corrupt_blocks", "shard_bytes",
     ):
         print(f"{field + ':':<16} {stats[field]}")
     print(f"{'codec_blocks:':<16} {_codec_counts(stats['codec_blocks'])}")
@@ -76,10 +77,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    if not is_record_store(args.store):
-        print(f"{args.store}: legacy one-JSON-per-cell store")
-        return 0
-    store = RecordStore(args.store)
+    store = open_record_store(args.store)
     print(json.dumps(store.meta, indent=1, sort_keys=True))
     # ``params.codec`` above is what the store was *created* with; what
     # its blocks hold is read off their headers (nothing decompressed).
@@ -122,7 +120,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_info.set_defaults(fn=cmd_info)
 
     args = parser.parse_args(argv)
-    return int(args.fn(args))
+    try:
+        return int(args.fn(args))
+    except StoreFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
 """The cell-level record store: specs and results over sharded shards.
 
-:class:`RecordStore` is the scale successor to the legacy
-one-JSON-file-per-cell ``ResultStore``: the same ``get(spec)`` /
-``put(spec, result)`` cache protocol the sweep runner speaks, backed
-by a fixed set of append-only, compressed, CRC-checksummed shard files
-(:mod:`repro.store.shard`) instead of one file per cell.
+:class:`RecordStore` is the result cache: the ``get(spec)`` /
+``put(spec, result)`` protocol the sweep runner speaks, backed by a
+fixed set of append-only, compressed, CRC-checksummed shard files
+(:mod:`repro.store.shard`) instead of one file per cell.  It is the
+only store; a directory of the old one-JSON-per-cell layout is refused
+and reaches it through ``python -m repro.experiments migrate``.
 
 Each stored record is the complete cell — spec, result, and (when the
 run was instrumented) the telemetry artifact *inside the record*.
-Telemetry presence is part of the stored value, never inferred from
-leftover sidecar files: re-putting a cell without telemetry replaces
-the instrumented record outright, which is the correctness rule the
-legacy sidecar layout got wrong.
+Telemetry presence is part of the stored value: re-putting a cell
+without telemetry replaces the instrumented record outright.
 
 Records carry a sortable **spec key**::
 
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import zlib
 from pathlib import Path
 from typing import (
@@ -51,7 +51,7 @@ if TYPE_CHECKING:
     from repro.experiments.spec import ScenarioSpec
 
 #: Where a store lives when no root is given: the environment override,
-#: else this directory.  Both store formats and the CLI resolve it here.
+#: else this directory.  The store and the CLI resolve it here.
 DEFAULT_STORE_DIR = ".experiment-store"
 STORE_DIR_ENV = "REPRO_EXPERIMENT_STORE"
 
@@ -126,9 +126,79 @@ def record_key(payload: bytes) -> str:
     return str(json.loads(payload)["key"])
 
 
+def atomic_write_json(path: os.PathLike, payload: Any) -> Path:
+    """Write ``payload`` as canonical JSON (sorted keys, ``indent=1``)
+    at ``path``, atomically.
+
+    Writes to a ``*.tmp`` file in the destination directory and renames
+    it into place, so readers never observe a half-written file; a
+    writer killed in between leaves only the temp file, which
+    :class:`RecordStore` sweeps on open.  Shared by the store's
+    ``store.meta.json`` and the perf harness (``BENCH_perf.json``,
+    golden traces).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, sort_keys=True, indent=1)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.stem, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def is_record_store(root: Union[str, os.PathLike]) -> bool:
+    """Whether ``root`` holds (or declares) the sharded record format."""
+    path = Path(root)
+    if (path / STORE_META_NAME).exists():
+        return True
+    return any(path.glob("*.rsd"))
+
+
+def _refuse_legacy_cells(root: Path) -> None:
+    """Raise if ``root`` holds one-JSON-per-cell results (and no shards).
+
+    Opening such a directory as a store would stamp a record store on
+    top of the old cells and serve none of them.
+    """
+    if any(p.name != STORE_META_NAME for p in root.glob("*.json")):
+        raise StoreFormatError(
+            f"{root} holds legacy one-JSON-per-cell results, not a record "
+            f"store; import them with `python -m repro.experiments migrate "
+            f"{root} <new store>`"
+        )
+
+
+def open_record_store(root: Union[str, os.PathLike]) -> "RecordStore":
+    """The existing record store at ``root``, for reading.
+
+    ``RecordStore(root)`` creates a store where there is none; a read
+    must find one.  A path that holds no record store raises
+    :class:`StoreFormatError` naming it, and nothing is created.
+    """
+    path = Path(root)
+    if not is_record_store(path):
+        _refuse_legacy_cells(path)
+        raise StoreFormatError(f"{path} holds no record store")
+    return RecordStore(path)
+
+
 class RecordStore:
-    """Sharded, checksummed result cache (same protocol as the legacy
-    ``ResultStore``: ``get``/``put``/``has``/``clear``/``__len__``).
+    """Sharded, checksummed result cache
+    (``get``/``put``/``has``/``clear``/``__len__``).
+
+    Opening a directory without ``store.meta.json`` or shards creates a
+    store there, unless it holds legacy ``<hash>.json`` cells: those
+    are refused (:class:`StoreFormatError`) before anything is written.
 
     ``codec`` names what *this handle's* appends compress with; it
     exists for the ``raw`` test fixtures and for writing the bz2 blocks
@@ -148,6 +218,8 @@ class RecordStore:
                 f"{', '.join(sorted(CODEC_NAMES))}"
             )
         self.root = Path(default_store_dir() if root is None else root)
+        if not is_record_store(self.root):
+            _refuse_legacy_cells(self.root)
         self.hits = 0
         self.misses = 0
         self.flush_records = max(1, flush_records)
@@ -175,14 +247,7 @@ class RecordStore:
             self.meta = stamp_store_meta(
                 {"num_shards": self.num_shards, "codec": codec}
             )
-            self._atomic_write_meta(meta_path, self.meta)
-
-    def _atomic_write_meta(self, path: Path, payload: Dict[str, Any]) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8"
-        )
-        tmp.replace(path)
+            atomic_write_json(meta_path, self.meta)
 
     def _sweep_orphans(self) -> None:
         """Remove ``*.tmp`` debris from writers killed mid-replace."""
@@ -338,15 +403,6 @@ class RecordStore:
             if record is not None:
                 yield record
 
-    def results(self, selector: str = "") -> "List[RunResult]":
-        """Matching results as :class:`RunResult` values."""
-        from repro.experiments.runner import RunResult
-
-        return [
-            RunResult.from_dict(record["result"])
-            for record in self.iter_records(selector)
-        ]
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -377,47 +433,3 @@ class RecordStore:
                 except OSError:
                     pass
         return removed
-
-
-def is_record_store(root: Union[str, os.PathLike]) -> bool:
-    """Whether ``root`` holds (or declares) the sharded record format."""
-    path = Path(root)
-    if (path / STORE_META_NAME).exists():
-        return True
-    return any(path.glob("*.rsd"))
-
-
-def open_store(
-    root: Optional[Union[str, os.PathLike]] = None,
-    store_format: str = "auto",
-    **kwargs: Any,
-) -> Any:
-    """Open ``root`` as whichever store format it holds.
-
-    ``auto`` (the default) detects: a directory with ``store.meta.json``
-    or shard files opens as a :class:`RecordStore`; a directory of
-    legacy ``<hash>.json`` cells opens as the legacy ``ResultStore``;
-    a fresh/empty directory gets the record format (new sweeps should
-    land on shards).  ``store_format="legacy"``/``"record"`` force.
-    """
-    path = Path(default_store_dir() if root is None else root)
-    if store_format == "record":
-        return RecordStore(path, **kwargs)
-    if store_format == "legacy":
-        from repro.experiments.store import ResultStore
-
-        return ResultStore(path)
-    if store_format != "auto":
-        raise ValueError(
-            f"unknown store format {store_format!r}; "
-            "choose auto, record or legacy"
-        )
-    if is_record_store(path):
-        return RecordStore(path, **kwargs)
-    if path.is_dir() and any(
-        p.name != STORE_META_NAME for p in path.glob("*.json")
-    ):
-        from repro.experiments.store import ResultStore
-
-        return ResultStore(path)
-    return RecordStore(path, **kwargs)

@@ -13,9 +13,10 @@ query`` does lands here.  Reads come in two flavors:
   parses only the records its caller reads back — verification parses
   none.
 
-Both flavors also speak the legacy one-JSON-per-cell layout, so a
-query works against an unmigrated store — migration is an
-optimization, not a prerequisite.
+Both read an existing record store only: a path that holds none raises
+:class:`~repro.store.format.StoreFormatError` and is left untouched
+(old one-JSON-per-cell directories go through
+``python -m repro.experiments migrate`` first).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,14 +37,11 @@ from typing import (
 )
 
 from repro.store.cells import (
-    RecordStore,
-    is_record_store,
+    open_record_store,
     prefix_from_selector,
     record_key,
-    spec_key_from_dict,
 )
 from repro.store.format import BlockCorruptError, block_codec, read_block
-from repro.store.meta import STORE_META_NAME
 
 if TYPE_CHECKING:
     from repro.experiments.runner import RunResult
@@ -113,9 +110,7 @@ def scan_store(
     latest-wins dedup) is preserved because ``Pool.map`` keeps input
     order.
     """
-    store = RecordStore(root)
-    store.flush()
-    shards = store.open_shards()
+    shards = open_record_store(root).open_shards()
     report = ScanReport(
         prefix=prefix_from_selector(selector),
         # Blocks skipped during open-time tail scans never made the
@@ -150,37 +145,8 @@ def scan_store(
 
 
 # ----------------------------------------------------------------------
-# Format-agnostic record access
+# Record access
 # ----------------------------------------------------------------------
-
-
-def _legacy_records(root: Path, prefix: str) -> List[Dict[str, Any]]:
-    """Record dicts out of a legacy one-JSON-per-cell directory."""
-    records = []
-    for path in sorted(root.glob("*.json")):
-        if path.name == STORE_META_NAME:
-            continue
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(data, dict) or "result" not in data:
-            continue
-        key = path.stem
-        spec = data.get("spec") or {}
-        spec_key = spec_key_from_dict(spec, key)
-        if not spec_key.startswith(prefix):
-            continue
-        records.append(
-            {
-                "key": key,
-                "spec_key": spec_key,
-                "spec": spec,
-                "result": data["result"],
-            }
-        )
-    records.sort(key=lambda r: str(r["spec_key"]))
-    return records
 
 
 def store_records(
@@ -189,23 +155,20 @@ def store_records(
     processes: int = 0,
     verify: bool = False,
 ) -> List[Dict[str, Any]]:
-    """Matching records from either store format, spec-key sorted.
+    """Matching records, spec-key sorted.
 
     ``verify=True`` (or ``processes > 1``) takes the integrity-scan
-    path on record stores; otherwise the indexed prefix lookup.
+    path; otherwise the indexed prefix lookup.
     """
-    path = Path(root)
-    if is_record_store(path):
-        if verify or (processes and processes > 1):
-            return scan_store(path, selector, processes).records
-        return list(RecordStore(path).iter_records(selector))
-    return _legacy_records(path, prefix_from_selector(selector))
+    if verify or (processes and processes > 1):
+        return scan_store(root, selector, processes).records
+    return list(open_record_store(root).iter_records(selector))
 
 
 def store_results(
     root: PathLike, selector: str = "", processes: int = 0
 ) -> "List[RunResult]":
-    """Matching results as :class:`RunResult` values (either format)."""
+    """Matching results as :class:`RunResult` values."""
     from repro.experiments.runner import RunResult
 
     return [
@@ -216,23 +179,8 @@ def store_results(
 
 def verify_store(root: PathLike) -> Dict[str, Any]:
     """Full CRC verification; summary stats for the CLI."""
-    path = Path(root)
-    if not is_record_store(path):
-        records = _legacy_records(path, "")
-        return {
-            "format": "legacy",
-            "records": len(records),
-            "distinct_keys": len(records),
-            "blocks": 0,
-            "corrupt_blocks": 0,
-            "codec_blocks": {},
-            "shard_bytes": sum(
-                p.stat().st_size for p in path.glob("*.json")
-            ),
-        }
-    report = scan_store(path, "")
+    report = scan_store(root, "")
     return {
-        "format": "record",
         "records": report.total_records,
         "distinct_keys": len(report.latest),
         "blocks": report.blocks,

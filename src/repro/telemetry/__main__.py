@@ -2,15 +2,13 @@
 
 Usage::
 
-    # From a telemetry JSONL sidecar (what the result store writes):
-    python -m repro.telemetry export results/<hash>.telemetry.jsonl \
-        -o timeline.json
+    # From a record store holding one instrumented cell (``--key``
+    # picks one of several by content hash or spec-key prefix):
+    python -m repro.telemetry export .experiment-store -o timeline.json
 
-    # From a stored result cell with an embedded telemetry artifact:
-    python -m repro.telemetry export results/<hash>.json -o timeline.json
-
-    # Quick textual summary of what an artifact contains:
-    python -m repro.telemetry summary results/<hash>.telemetry.jsonl
+    # The compact JSONL artifact, and a summary read back from it:
+    python -m repro.telemetry export .experiment-store --jsonl -o t.jsonl
+    python -m repro.telemetry summary t.jsonl
 
 Open the exported JSON in https://ui.perfetto.dev or chrome://tracing.
 """
@@ -20,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.store.format import StoreFormatError
 from repro.telemetry.export import load_artifact, write_jsonl, write_perfetto
 
 
@@ -75,8 +74,8 @@ def main(argv=None) -> int:
     )
     p_export.add_argument(
         "input",
-        help="telemetry .jsonl sidecar, result cell .json, or a "
-             "record-store directory",
+        help="record-store directory, telemetry .jsonl or artifact "
+             ".json",
     )
     p_export.add_argument(
         "-o", "--output", default="timeline.json",
@@ -97,8 +96,8 @@ def main(argv=None) -> int:
     )
     p_summary.add_argument(
         "input",
-        help="telemetry .jsonl sidecar, result cell .json, or a "
-             "record-store directory",
+        help="record-store directory, telemetry .jsonl or artifact "
+             ".json",
     )
     p_summary.add_argument(
         "--key", default=None,
@@ -109,7 +108,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, StoreFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,18 +5,16 @@ The Perfetto trace-event format (``{"traceEvents": [...]}``) renders in
 
 * every telemetry series becomes a counter track (``ph: "C"``);
 * every finished flow becomes a complete span (``ph: "X"``) on its own
-  row, with the FCT breakdown in ``args``;
-* tracer records (``repro.sim.trace``) become instant events
-  (``ph: "i"``) so debug traces land on the same timeline.
+  row, with the FCT breakdown in ``args``.
 
 Timestamps are microseconds (the format's unit); sim nanoseconds divide
 by 1000 losslessly enough at fabric scale.
 
-The JSONL form is the compact on-disk shape the result store attaches
-to cells: a header line, one line per series, one per span — streamable
-and diff-friendly.  :func:`read_jsonl` reconstructs the artifact dict,
-so ``python -m repro.telemetry export`` works from either a stored
-result cell or a raw sidecar.
+The JSONL form is the compact, streamable and diff-friendly shape
+``python -m repro.telemetry export --jsonl`` writes: a header line, one
+line per series, one per span.  :func:`read_jsonl` reconstructs the
+artifact dict, so ``export`` and ``summary`` read it back as readily as
+a record-store directory.
 """
 
 from __future__ import annotations
@@ -30,19 +28,10 @@ PathLike = Union[str, Path]
 #: Perfetto pid/tid namespaces: one fake "process" per track family.
 _PID_SERIES = 1
 _PID_FLOWS = 2
-_PID_TRACE = 3
 
 
-def perfetto_trace(
-    artifact: Dict[str, Any],
-    trace_records: Optional[Iterable] = None,
-) -> Dict[str, Any]:
-    """Convert a telemetry artifact into a Chrome-trace/Perfetto dict.
-
-    ``trace_records`` may be an iterable of
-    :class:`~repro.sim.trace.TraceRecord` (or their ``to_dict`` forms)
-    to interleave as instant events.
-    """
+def perfetto_trace(artifact: Dict[str, Any]) -> Dict[str, Any]:
+    """Convert a telemetry artifact into a Chrome-trace/Perfetto dict."""
     events: List[Dict[str, Any]] = [
         _meta(_PID_SERIES, "process_name", name="telemetry.series"),
         _meta(_PID_FLOWS, "process_name", name="telemetry.flows"),
@@ -63,25 +52,6 @@ def perfetto_trace(
         event = _flow_event(span)
         if event is not None:
             events.append(event)
-    if trace_records is not None:
-        events.append(
-            _meta(_PID_TRACE, "process_name", name="telemetry.trace")
-        )
-        for record in trace_records:
-            if not isinstance(record, dict):
-                record = record.to_dict()
-            events.append({
-                "ph": "i",
-                "s": "g",
-                "name": f"{record['category']}: {record['message']}",
-                "pid": _PID_TRACE,
-                "tid": 0,
-                "ts": record["time_ns"] / 1000.0,
-                "args": {
-                    "source": record["source"],
-                    **(record.get("data") or {}),
-                },
-            })
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",
@@ -137,13 +107,9 @@ def _flow_event(span: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     }
 
 
-def write_perfetto(
-    path: PathLike,
-    artifact: Dict[str, Any],
-    trace_records: Optional[Iterable] = None,
-) -> int:
+def write_perfetto(path: PathLike, artifact: Dict[str, Any]) -> int:
     """Write the Perfetto JSON to ``path``; returns the event count."""
-    trace = perfetto_trace(artifact, trace_records)
+    trace = perfetto_trace(artifact)
     Path(path).write_text(
         json.dumps(trace, sort_keys=True), encoding="utf-8"
     )
@@ -151,7 +117,7 @@ def write_perfetto(
 
 
 # ----------------------------------------------------------------------
-# Compact JSONL (the result-store sidecar shape)
+# Compact JSONL
 # ----------------------------------------------------------------------
 def write_jsonl(path: PathLike, artifact: Dict[str, Any]) -> int:
     """Write the artifact as JSONL: one ``header`` line, then one line
@@ -206,14 +172,14 @@ def read_jsonl(path: PathLike) -> Dict[str, Any]:
 
 
 def load_artifact(path: PathLike, key: Optional[str] = None) -> Dict[str, Any]:
-    """Load a telemetry artifact from any shape it is stored in.
+    """Load a telemetry artifact from a file or a record store.
 
-    Accepts a ``.jsonl`` sidecar, a bare artifact JSON, a stored result
-    cell (``{"result": {"telemetry": {...}}}`` or a result dict with a
-    ``telemetry`` key), or a **record-store directory** — there
-    telemetry lives inside the cell records, selected by ``key``
-    (a spec content hash or spec-key prefix); with no ``key`` the
-    store must hold exactly one instrumented cell.
+    Accepts a ``.jsonl`` artifact, a bare artifact JSON, or a
+    **record-store directory** — there telemetry lives inside the cell
+    records, selected by ``key`` (a spec content hash or spec-key
+    prefix); with no ``key`` the store must hold exactly one
+    instrumented cell.  A directory that holds no record store raises
+    :class:`~repro.store.format.StoreFormatError`.
     """
     path = Path(path)
     if path.is_dir():
@@ -223,11 +189,6 @@ def load_artifact(path: PathLike, key: Optional[str] = None) -> Dict[str, Any]:
     data = json.loads(path.read_text(encoding="utf-8"))
     if "series" in data:
         return data
-    if "telemetry" in data and data["telemetry"]:
-        return data["telemetry"]
-    result = data.get("result")
-    if isinstance(result, dict) and result.get("telemetry"):
-        return result["telemetry"]
     raise ValueError(f"no telemetry artifact found in {path}")
 
 
@@ -235,14 +196,9 @@ def _artifact_from_record_store(
     root: Path, key: Optional[str]
 ) -> Dict[str, Any]:
     """Telemetry out of a sharded record store's cell records."""
-    from repro.store import RecordStore, is_record_store
+    from repro.store import open_record_store
 
-    if not is_record_store(root):
-        raise ValueError(
-            f"{root} is a directory but not a record store; pass a "
-            "telemetry .jsonl sidecar or result cell instead"
-        )
-    store = RecordStore(root)
+    store = open_record_store(root)
     if key is not None:
         record = store.get_record(key)
         if record is not None:

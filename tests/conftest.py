@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
+from repro.telemetry.export import write_jsonl
 
 
 class SteppedSimulator(Simulator):
@@ -100,6 +102,21 @@ def build_network(spec, config=None, reachability="static", **kw):
             net.attach_host(addr, host)
             hosts[addr] = host
     return net, hosts
+
+
+def write_legacy_cell(root, spec, result):
+    """One cell in the retired one-JSON-per-cell layout, byte for byte:
+    ``<hash>.json`` plus a ``<hash>.telemetry.jsonl`` sidecar when the
+    result carries telemetry.  Fixture input for ``migrate`` tests."""
+    data = result.to_dict()
+    telemetry = data.pop("telemetry", None)
+    root.mkdir(parents=True, exist_ok=True)
+    cell = root / f"{spec.content_hash()}.json"
+    payload = {"spec": spec.to_dict(), "result": data}
+    cell.write_text(json.dumps(payload, sort_keys=True, indent=1))
+    if telemetry:
+        write_jsonl(root / f"{spec.content_hash()}.telemetry.jsonl", telemetry)
+    return cell
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
-    ResultStore,
     RunResult,
     ScenarioSpec,
     TopologySpec,
@@ -27,7 +26,7 @@ from repro.experiments.registry import scenario
 from repro.experiments.spec import HASH_NEUTRAL, OMIT_NONE
 from repro.experiments.summarize import Summary, aggregate
 from repro.faults.plan import FaultPlan, link_down
-from repro.store import spec_key_from_dict
+from repro.store import RecordStore, spec_key_from_dict
 from repro.telemetry.probes import TelemetryConfig
 from repro.fabrics import OneTierSpec, TwoTierSpec
 from repro.sim.units import MICROSECOND
@@ -347,6 +346,19 @@ class TestCli:
         assert main(["show", "permutation", "--kind", "warp-drive"]) == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--verify"], ["--list"]])
+    def test_query_of_a_missing_store_is_one_error_line(
+        self, tmp_path, capsys, flags
+    ):
+        from repro.experiments.__main__ import main
+
+        missing = tmp_path / "does-not-exist"
+        assert main(["query", "--store", str(missing), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {missing} holds no record store"]
+        assert list(tmp_path.iterdir()) == []
+
 
 # ----------------------------------------------------------------------
 # Runner
@@ -458,13 +470,14 @@ class TestRunner:
 
 class TestStore:
     def test_miss_then_hit(self, tmp_path):
-        store = ResultStore(tmp_path / "cells")
+        store = RecordStore(tmp_path / "cells")
         spec = tiny_permutation("stardust")
         assert store.get(spec) is None
         assert store.misses == 1 and store.hits == 0
 
         result = run_spec(spec)
         path = store.put(spec, result)
+        store.flush()
         assert path.exists()
         assert store.has(spec)
         assert len(store) == 1
@@ -474,7 +487,7 @@ class TestStore:
         assert store.hits == 1
 
     def test_different_specs_occupy_different_cells(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = RecordStore(tmp_path)
         a = tiny_permutation("stardust", seed=1)
         b = tiny_permutation("stardust", seed=2)
         result = run_spec(a)
@@ -483,14 +496,20 @@ class TestStore:
         assert not store.has(b)
 
     def test_corrupt_cell_counts_as_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = RecordStore(tmp_path, num_shards=1)
         spec = tiny_permutation("stardust")
         store.put(spec, run_spec(spec))
-        store.path_for(spec).write_text("{not json")
-        assert store.get(spec) is None
+        store.flush()
+        shard = store.shard_path(0)
+        data = bytearray(shard.read_bytes())
+        data[-1] ^= 0xFF  # inside the one block's compressed records
+        shard.write_bytes(data)
+        fresh = RecordStore(tmp_path)
+        assert fresh.get(spec) is None
+        assert fresh.misses == 1
 
     def test_run_matrix_uses_the_cache(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = RecordStore(tmp_path)
         specs = [tiny_permutation("stardust", seed=s) for s in (3, 4)]
         first = run_matrix(specs, store=store)
         assert len(store) == 2
@@ -501,7 +520,7 @@ class TestStore:
         assert store.hits == 2
 
     def test_clear_empties_the_store(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = RecordStore(tmp_path)
         spec = tiny_permutation("stardust")
         store.put(spec, run_spec(spec))
         assert store.clear() == 1

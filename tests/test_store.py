@@ -16,14 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
-    ResultStore,
     RunResult,
     ScenarioSpec,
     TopologySpec,
     build_scenario,
     run_matrix,
 )
-from repro.experiments.store import open_store as facade_open_store
 from repro.store import (
     FORMAT_VERSION,
     SCHEMA_VERSION,
@@ -32,7 +30,6 @@ from repro.store import (
     StoreFormatError,
     is_record_store,
     migrate_legacy,
-    open_store,
     prefix_from_selector,
     scan_store,
     store_records,
@@ -55,6 +52,7 @@ from repro.store.format import (
 )
 from repro.store.synth import fill_store, synthetic_cells
 from repro.sim.units import MICROSECOND
+from tests.conftest import write_legacy_cell
 
 #: Same tiny topology the experiments tests use, so runner-integration
 #: tests stay fast.
@@ -344,27 +342,53 @@ class TestRecordStore:
         assert not root.exists()
 
 
-class TestOpenStore:
-    def test_fresh_directory_gets_record_format(self, tmp_path):
-        assert isinstance(open_store(tmp_path / "new"), RecordStore)
+class TestOneFormat:
+    """Reads find a record store or fail loudly; a directory of legacy
+    one-JSON-per-cell results is refused, never written over."""
 
-    def test_legacy_cells_keep_legacy_format(self, tmp_path):
-        legacy = ResultStore(tmp_path)
+    @staticmethod
+    def _listing(root):
+        return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+    def test_legacy_directory_is_refused_untouched(self, tmp_path):
+        for spec, result in synthetic_cells(3):
+            write_legacy_cell(tmp_path, spec, result)
+        (tmp_path / "dead.tmp").write_text("killed writer")
+        before = self._listing(tmp_path)
+        with pytest.raises(StoreFormatError, match="repro.experiments migrate"):
+            RecordStore(tmp_path)
+        assert self._listing(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            verify_store,
+            store_records,
+            store_results,
+            lambda root: store_records(root, verify=True),
+            scan_store,
+        ],
+        ids=["verify", "records", "results", "records_verified", "scan"],
+    )
+    def test_reads_of_a_missing_store_raise_and_create_nothing(
+        self, tmp_path, read
+    ):
+        missing = tmp_path / "no" / "such"
+        with pytest.raises(StoreFormatError, match=str(missing)):
+            read(missing)
+        assert not (tmp_path / "no").exists()
+
+    def test_reads_of_a_plain_directory_write_no_meta(self, tmp_path):
+        with pytest.raises(StoreFormatError, match="holds no record store"):
+            store_results(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reads_of_a_legacy_directory_name_migrate(self, tmp_path):
         spec, result = next(synthetic_cells(1))
-        legacy.put(spec, result)
-        opened = open_store(tmp_path)
-        assert isinstance(opened, ResultStore)
-        assert facade_open_store(tmp_path).get(spec) is not None
-
-    def test_forced_formats(self, tmp_path):
-        assert isinstance(
-            open_store(tmp_path / "a", "record"), RecordStore
-        )
-        assert isinstance(
-            open_store(tmp_path / "b", "legacy"), ResultStore
-        )
-        with pytest.raises(ValueError):
-            open_store(tmp_path, "parquet")
+        write_legacy_cell(tmp_path, spec, result)
+        with pytest.raises(StoreFormatError, match="migrate"):
+            store_results(tmp_path)
+        assert not (tmp_path / "store.meta.json").exists()
 
 
 # ----------------------------------------------------------------------
@@ -829,9 +853,8 @@ class TestCodecCompatibility:
 
     def test_migrating_into_a_bz2_store(self, tmp_path):
         src = tmp_path / "legacy"
-        legacy = ResultStore(src)
         for spec, result in self.CELLS[:20]:
-            legacy.put(spec, result)
+            write_legacy_cell(src, spec, result)
         old, twin = tmp_path / "old", tmp_path / "twin"
         fill_store(RecordStore(old, codec="bz2"), 30, seed=5)
         fill_store(RecordStore(twin), 30, seed=5)
@@ -867,6 +890,15 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert "codec_blocks:    bz2 2, zlib 2" in out
         assert "ok: every record CRC-verified" in out
+
+    @pytest.mark.parametrize("command", ["verify", "info"])
+    def test_missing_store_is_one_error_line(self, tmp_path, capsys, command):
+        missing = tmp_path / "does-not-exist"
+        assert store_cli([command, str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {missing} holds no record store"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_synth_writes_the_one_codec(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -910,28 +942,13 @@ class TestQuery:
         assert dirty["corrupt_blocks"] >= 1
         assert 0 < dirty["records"] < 40
 
-    def test_store_results_speaks_both_formats(self, tmp_path):
-        legacy_root = tmp_path / "legacy"
-        record_root = tmp_path / "record"
-        legacy = ResultStore(legacy_root)
-        record = RecordStore(record_root)
-        for spec, result in synthetic_cells(15):
-            legacy.put(spec, result)
-            record.put(spec, result)
-        record.flush()
-        a = [r.to_dict() for r in store_results(legacy_root, "scenario=incast")]
-        b = [r.to_dict() for r in store_results(record_root, "scenario=incast")]
-        assert a == b
-        assert a  # the selector actually matched something
-
 
 class TestMigration:
     def test_round_trip_is_bit_identical(self, tmp_path):
         src, dst = tmp_path / "legacy", tmp_path / "record"
-        legacy = ResultStore(src)
         cells = list(synthetic_cells(25))
         for spec, result in cells:
-            legacy.put(spec, result)
+            write_legacy_cell(src, spec, result)
         report = migrate_legacy(src, dst)
         assert report.cells == 25
         migrated = RecordStore(dst)
@@ -940,11 +957,10 @@ class TestMigration:
 
     def test_sidecar_telemetry_lands_in_record(self, tmp_path):
         src, dst = tmp_path / "legacy", tmp_path / "record"
-        legacy = ResultStore(src)
         spec, result = next(synthetic_cells(1))
         result.telemetry = {"schema": 1, "series": [], "spans": [],
                             "samples": 7}
-        legacy.put(spec, result)  # writes cell + .telemetry.jsonl sidecar
+        write_legacy_cell(src, spec, result)  # cell + .telemetry.jsonl
         report = migrate_legacy(src, dst)
         assert report.with_telemetry == 1
         got = RecordStore(dst).get(spec)
@@ -952,9 +968,8 @@ class TestMigration:
 
     def test_unreadable_cells_are_skipped_not_fatal(self, tmp_path):
         src, dst = tmp_path / "legacy", tmp_path / "record"
-        legacy = ResultStore(src)
         for spec, result in synthetic_cells(3):
-            legacy.put(spec, result)
+            write_legacy_cell(src, spec, result)
         (src / "broken.json").write_text("{nope")
         report = migrate_legacy(src, dst)
         assert report.cells == 3
@@ -966,32 +981,11 @@ class TestMigration:
 
 
 # ----------------------------------------------------------------------
-# Legacy ResultStore regressions
+# Reading what older writers stored
 # ----------------------------------------------------------------------
 
 
 class TestLegacyStoreRegressions:
-    def test_uninstrumented_put_retires_stale_sidecar(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec, result = next(synthetic_cells(1))
-        result.telemetry = {"schema": 1, "series": [], "spans": []}
-        store.put(spec, result)
-        assert store.telemetry_path_for(spec).exists()
-
-        result.telemetry = None
-        store.put(spec, result)
-        assert not store.telemetry_path_for(spec).exists()
-        assert store.get(spec).telemetry is None
-
-    def test_tmp_orphans_swept_on_open_and_clear(self, tmp_path):
-        tmp_path.mkdir(exist_ok=True)
-        (tmp_path / "abc123.tmp").write_text("killed writer")
-        store = ResultStore(tmp_path)
-        assert not (tmp_path / "abc123.tmp").exists()
-        (tmp_path / "def456.tmp").write_text("killed writer")
-        store.clear()
-        assert not (tmp_path / "def456.tmp").exists()
-
     def test_from_dict_tolerates_unknown_keys(self):
         spec, result = next(synthetic_cells(1))
         data = result.to_dict()
@@ -1075,20 +1069,6 @@ class TestRunnerIntegration:
         misses = store.misses
         run_matrix([spec], store=store)
         assert store.misses == misses  # served from cache
-
-    def test_legacy_store_telemetry_rerun(self, tmp_path):
-        # The same regression through the legacy format: a stale
-        # uninstrumented cell must not satisfy an instrumented request.
-        from repro.telemetry.probes import TelemetryConfig
-
-        store = ResultStore(tmp_path)
-        spec = tiny_permutation()
-        run_matrix([spec], store=store)
-        instrumented = spec.with_updates(
-            telemetry=TelemetryConfig(sample_interval_ns=50_000).to_dict()
-        )
-        results = run_matrix([instrumented], store=store)
-        assert results[0].telemetry is not None
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,11 @@ from repro.experiments.runner import (
     _worker_run,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.experiments.store import ResultStore
 from repro.perf.digest import run_digest
 from repro.perf.golden import golden_specs
 from repro.sim.engine import SimError, Simulator
 from repro.sim.units import MICROSECOND
+from repro.store import StoreFormatError
 from repro.telemetry import (
     Series,
     TelemetryConfig,
@@ -28,7 +28,12 @@ from repro.telemetry import (
     write_jsonl,
     write_perfetto,
 )
-from tests.conftest import SteppedSimulator, drive_fabrics_with
+from repro.telemetry.export import load_artifact
+from tests.conftest import (
+    SteppedSimulator,
+    drive_fabrics_with,
+    write_legacy_cell,
+)
 
 QUICK = dict(warmup_ns=20 * MICROSECOND, measure_ns=60 * MICROSECOND)
 TELEM = {"sample_interval_ns": 5_000}
@@ -388,16 +393,6 @@ class TestExport:
         canonical = json.loads(json.dumps(stardust_artifact))
         assert back == canonical
 
-    def test_tracer_records_become_instants(self, stardust_artifact):
-        records = [
-            {"time_ns": 5, "category": "credit", "source": "fa0",
-             "message": "grant", "data": {"bytes": 4096}},
-        ]
-        trace = perfetto_trace(stardust_artifact, trace_records=records)
-        instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-        assert len(instants) == 1
-        assert instants[0]["args"]["bytes"] == 4096
-
     def test_faulted_scenario_exports(self, tmp_path):
         spec = build_scenario(
             "permutation_link_failure", kind="stardust"
@@ -421,38 +416,30 @@ class TestExport:
         captured = capsys.readouterr().out
         assert "series" in captured and "spans" in captured
 
+    def test_cli_directory_without_a_store_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        from repro.telemetry.__main__ import main
 
-# ----------------------------------------------------------------------
-# Result store sidecar
-# ----------------------------------------------------------------------
-
-
-class TestStoreSidecar:
-    def test_sidecar_written_and_reattached(self, tmp_path):
-        store = ResultStore(tmp_path / "cells")
+        empty, legacy = tmp_path / "empty", tmp_path / "legacy"
+        empty.mkdir()
         spec = quick_spec(telemetry=TELEM)
-        result = run_spec(spec)
-        store.put(spec, result)
-        # The cell itself stays telemetry-free (compact).
-        cell = json.loads(store.path_for(spec).read_text())
-        assert "telemetry" not in cell["result"]
-        assert store.telemetry_path_for(spec).exists()
-        cached = store.get(spec)
-        assert cached is not None and cached.telemetry is not None
-        assert cached.telemetry["series"]
-
-    def test_plain_results_write_no_sidecar(self, tmp_path):
-        store = ResultStore(tmp_path / "cells")
-        spec = quick_spec()
-        store.put(spec, run_spec(spec))
-        assert not store.telemetry_path_for(spec).exists()
-
-    def test_clear_removes_sidecars(self, tmp_path):
-        store = ResultStore(tmp_path / "cells")
-        spec = quick_spec(telemetry=TELEM)
-        store.put(spec, run_spec(spec))
-        store.clear()
-        assert not store.telemetry_path_for(spec).exists()
+        write_legacy_cell(legacy, spec, run_spec(spec))
+        before = sorted(p.name for p in legacy.iterdir())
+        for root, says in ((empty, "holds no record store"),
+                           (legacy, "repro.experiments migrate")):
+            with pytest.raises(StoreFormatError, match=says):
+                load_artifact(root)
+            for argv in (["export", str(root), "-o", str(tmp_path / "t")],
+                         ["summary", str(root)]):
+                assert main(argv) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                (line,) = err.splitlines()
+                assert line.startswith(f"error: {root} ") and says in line
+        assert list(empty.iterdir()) == []
+        assert sorted(p.name for p in legacy.iterdir()) == before
+        assert not (tmp_path / "t").exists()
 
 
 # ----------------------------------------------------------------------
