@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -374,7 +375,7 @@ class TestOneFormat:
         self, tmp_path, read
     ):
         missing = tmp_path / "no" / "such"
-        with pytest.raises(StoreFormatError, match=str(missing)):
+        with pytest.raises(StoreFormatError, match=re.escape(str(missing))):
             read(missing)
         assert not (tmp_path / "no").exists()
 
