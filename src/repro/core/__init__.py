@@ -17,7 +17,7 @@ from repro.core.control import ControlPlane
 from repro.core.credit import EgressScheduler
 from repro.core.fabric_adapter import FabricAdapter
 from repro.core.fabric_element import FabricElement, FabricPort
-from repro.core.packing import cells_for_bytes, pack_burst
+from repro.core.packing import burst_wire_bytes, cells_for_bytes, pack_burst
 from repro.core.reachability import ReachabilityMonitor
 from repro.core.reassembly import ReassemblyEngine
 from repro.core.spray import SprayArbiter
@@ -36,6 +36,7 @@ __all__ = [
     "FabricPort",
     "pack_burst",
     "cells_for_bytes",
+    "burst_wire_bytes",
     "ReachabilityMonitor",
     "ReassemblyEngine",
     "SprayArbiter",

@@ -11,7 +11,7 @@ quantifies.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.core.cell import Cell, CellFragment, VoqId
 from repro.net.packet import Packet
@@ -82,3 +82,21 @@ def cells_for_bytes(nbytes: int, payload_bytes: int) -> int:
         raise ValueError("cell payload must be positive")
     return -(-nbytes // payload_bytes)
 
+
+def burst_wire_bytes(
+    packets: Iterable[Packet],
+    *,
+    payload_bytes: int,
+    header_bytes: int,
+    packing: bool = True,
+) -> int:
+    """Total fabric bytes (headers included) for a burst of packets."""
+    if packing:
+        total = sum(p.size_bytes for p in packets)
+        ncells = cells_for_bytes(total, payload_bytes)
+    else:
+        ncells = sum(
+            cells_for_bytes(p.size_bytes, payload_bytes) for p in packets
+        )
+        total = sum(p.size_bytes for p in packets)
+    return total + ncells * header_bytes

@@ -3,18 +3,23 @@
 This package is the foundation every Stardust experiment runs on.  It
 provides an integer-nanosecond event engine (:mod:`repro.sim.engine`),
 point-to-point links with serialization and propagation delay
-(:mod:`repro.sim.link`) and measurement helpers (:mod:`repro.sim.stats`).
+(:mod:`repro.sim.link`), drop-accounting FIFO queues
+(:mod:`repro.sim.queue`) and measurement helpers
+(:mod:`repro.sim.stats`).
 """
 
 from repro.sim.engine import Simulator, Event, SimError
 from repro.sim.entity import Entity
 from repro.sim.link import Link, LinkDown
+from repro.sim.queue import FifoQueue, QueueStats
 from repro.sim.stats import (
     Counter,
     Histogram,
     RateMeter,
+    TimeWeightedMean,
     percentile,
 )
+from repro.sim.trace import TraceRecord, Tracer
 from repro.sim.units import (
     GBPS,
     KB,
@@ -35,10 +40,15 @@ __all__ = [
     "Entity",
     "Link",
     "LinkDown",
+    "FifoQueue",
+    "QueueStats",
     "Counter",
     "Histogram",
     "RateMeter",
+    "TimeWeightedMean",
     "percentile",
+    "Tracer",
+    "TraceRecord",
     "NANOSECOND",
     "MICROSECOND",
     "MILLISECOND",

@@ -384,3 +384,17 @@ class Link:
             self.rate_bps = rate_bps
             self._tx_ns = self.sim.tx_ns_by_rate.setdefault(rate_bps, {})
 
+
+def duplex(
+    sim: Simulator,
+    a: Entity,
+    b: Entity,
+    rate_bps: int,
+    propagation_ns: int = 0,
+) -> tuple[Link, Link]:
+    """Create the pair of simplex links forming a full-duplex link."""
+    fwd = Link(sim, a, b, rate_bps, propagation_ns)
+    rev = Link(sim, b, a, rate_bps, propagation_ns)
+    a.attach_port(fwd)
+    b.attach_port(rev)
+    return fwd, rev

@@ -5,7 +5,9 @@ The Perfetto trace-event format (``{"traceEvents": [...]}``) renders in
 
 * every telemetry series becomes a counter track (``ph: "C"``);
 * every finished flow becomes a complete span (``ph: "X"``) on its own
-  row, with the FCT breakdown in ``args``.
+  row, with the FCT breakdown in ``args``;
+* tracer records (``repro.sim.trace``) become instant events
+  (``ph: "i"``) so debug traces land on the same timeline.
 
 Timestamps are microseconds (the format's unit); sim nanoseconds divide
 by 1000 losslessly enough at fabric scale.
@@ -28,10 +30,19 @@ PathLike = Union[str, Path]
 #: Perfetto pid/tid namespaces: one fake "process" per track family.
 _PID_SERIES = 1
 _PID_FLOWS = 2
+_PID_TRACE = 3
 
 
-def perfetto_trace(artifact: Dict[str, Any]) -> Dict[str, Any]:
-    """Convert a telemetry artifact into a Chrome-trace/Perfetto dict."""
+def perfetto_trace(
+    artifact: Dict[str, Any],
+    trace_records: Optional[Iterable] = None,
+) -> Dict[str, Any]:
+    """Convert a telemetry artifact into a Chrome-trace/Perfetto dict.
+
+    ``trace_records`` may be an iterable of
+    :class:`~repro.sim.trace.TraceRecord` (or their ``to_dict`` forms)
+    to interleave as instant events.
+    """
     events: List[Dict[str, Any]] = [
         _meta(_PID_SERIES, "process_name", name="telemetry.series"),
         _meta(_PID_FLOWS, "process_name", name="telemetry.flows"),
@@ -52,6 +63,25 @@ def perfetto_trace(artifact: Dict[str, Any]) -> Dict[str, Any]:
         event = _flow_event(span)
         if event is not None:
             events.append(event)
+    if trace_records is not None:
+        events.append(
+            _meta(_PID_TRACE, "process_name", name="telemetry.trace")
+        )
+        for record in trace_records:
+            if not isinstance(record, dict):
+                record = record.to_dict()
+            events.append({
+                "ph": "i",
+                "s": "g",
+                "name": f"{record['category']}: {record['message']}",
+                "pid": _PID_TRACE,
+                "tid": 0,
+                "ts": record["time_ns"] / 1000.0,
+                "args": {
+                    "source": record["source"],
+                    **(record.get("data") or {}),
+                },
+            })
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",
@@ -107,9 +137,13 @@ def _flow_event(span: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     }
 
 
-def write_perfetto(path: PathLike, artifact: Dict[str, Any]) -> int:
+def write_perfetto(
+    path: PathLike,
+    artifact: Dict[str, Any],
+    trace_records: Optional[Iterable] = None,
+) -> int:
     """Write the Perfetto JSON to ``path``; returns the event count."""
-    trace = perfetto_trace(artifact)
+    trace = perfetto_trace(artifact, trace_records)
     Path(path).write_text(
         json.dumps(trace, sort_keys=True), encoding="utf-8"
     )

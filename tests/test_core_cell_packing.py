@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cell import Cell, CellFragment, CellKind, VoqId
-from repro.core.packing import cells_for_bytes, pack_burst
+from repro.core.packing import burst_wire_bytes, cells_for_bytes, pack_burst
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 
@@ -141,6 +141,18 @@ class TestHelpers:
         assert cells_for_bytes(1, 240) == 1
         assert cells_for_bytes(240, 240) == 1
         assert cells_for_bytes(241, 240) == 2
+
+    def test_burst_wire_bytes_packed_vs_unpacked(self):
+        pkts = mk_packets(241, 241)
+        packed = burst_wire_bytes(
+            pkts, payload_bytes=240, header_bytes=16, packing=True
+        )
+        unpacked = burst_wire_bytes(
+            pkts, payload_bytes=240, header_bytes=16, packing=False
+        )
+        # Packed: 482 payload in 3 cells; unpacked: 4 cells.
+        assert packed == 482 + 3 * 16
+        assert unpacked == 482 + 4 * 16
 
     def test_invalid_payload_raises(self):
         with pytest.raises(ValueError):

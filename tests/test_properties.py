@@ -5,6 +5,7 @@ Invariants checked:
   and cuts cells exactly where a byte-stream reference does;
 * pack -> shuffle -> reassemble is the identity on packet streams;
 * spray arbitration is balanced within one round for any link set;
+* the FIFO queue never exceeds capacity and conserves items;
 * VOQ credit accounting conserves bytes.
 """
 
@@ -22,6 +23,7 @@ from repro.core.voq import SharedBufferPool, Voq
 from repro.net.addressing import PortAddress
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
+from repro.sim.queue import FifoQueue
 
 DST = PortAddress(fa=5, port=0)
 SRC = PortAddress(fa=0, port=0)
@@ -205,6 +207,38 @@ class TestSprayProperties:
         for _ in range(ncells):
             counts[arb.pick("d", links)] += 1
         assert max(counts.values()) - min(counts.values()) <= 1
+
+
+class TestQueueProperties:
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("push"), st.integers(1, 2000)),
+                st.tuples(st.just("pop"), st.just(0)),
+            ),
+            max_size=200,
+        ),
+        capacity=st.integers(min_value=100, max_value=10_000),
+    )
+    def test_capacity_and_conservation(self, ops, capacity):
+        class Item:
+            def __init__(self, size):
+                self.size_bytes = size
+
+        q = FifoQueue(capacity_bytes=capacity)
+        pushed = popped = dropped = 0
+        for op, size in ops:
+            if op == "push":
+                if q.push(Item(size)):
+                    pushed += 1
+                else:
+                    dropped += 1
+            elif q.frames:
+                q.pop()
+                popped += 1
+            assert q.bytes <= capacity
+        assert q.frames == pushed - popped
+        assert q.stats.dropped_frames == dropped
 
 
 class TestVoqProperties:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
-from repro.sim.link import Link, LinkDown
+from repro.sim.link import Link, LinkDown, duplex
 from repro.sim.units import GBPS, gbps
 
 
@@ -126,6 +126,21 @@ def test_bad_rate_rejected():
     a, b = Sink(sim, "a"), Sink(sim, "b")
     with pytest.raises(ValueError):
         Link(sim, a, b, 0)
+
+
+def test_duplex_creates_symmetric_pair_and_attaches_ports():
+    sim = Simulator()
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    fwd, rev = duplex(sim, a, b, gbps(50), propagation_ns=10)
+    assert fwd.src is a and fwd.dst is b
+    assert rev.src is b and rev.dst is a
+    assert a.ports == [fwd]
+    assert b.ports == [rev]
+    fwd.send("ping", 125)
+    rev.send("pong", 125)
+    sim.run()
+    assert [p for _, p in b.received] == ["ping"]
+    assert [p for _, p in a.received] == ["pong"]
 
 
 def test_restore_mid_serialization_keeps_frame_pairing():

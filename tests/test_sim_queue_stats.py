@@ -1,18 +1,112 @@
-"""Unit tests for stats primitives and units."""
+"""Unit tests for FIFO queues, stats primitives and units."""
 
 import pytest
 
+from repro.sim.queue import FifoQueue
 from repro.sim.stats import (
     Counter,
     Histogram,
     RateMeter,
+    TimeWeightedMean,
     percentile,
 )
 from repro.sim.units import (
     bits_to_time_ns,
+    bytes_in_time,
     gbps,
     time_ns_for_bytes,
 )
+
+
+class Item:
+    def __init__(self, size):
+        self.size_bytes = size
+
+
+class TestFifoQueue:
+    def test_fifo_order(self):
+        q = FifoQueue()
+        a, b = Item(10), Item(20)
+        q.push(a)
+        q.push(b)
+        assert q.pop() is a
+        assert q.pop() is b
+
+    def test_byte_accounting(self):
+        q = FifoQueue()
+        q.push(Item(10))
+        q.push(Item(20))
+        assert q.bytes == 30
+        assert q.frames == 2
+        q.pop()
+        assert q.bytes == 20
+
+    def test_drop_tail_on_capacity(self):
+        q = FifoQueue(capacity_bytes=25)
+        assert q.push(Item(10))
+        assert q.push(Item(15))
+        assert not q.push(Item(1))
+        assert q.stats.dropped_frames == 1
+        assert q.bytes == 25
+
+    def test_would_fit(self):
+        q = FifoQueue(capacity_bytes=20)
+        q.push(Item(15))
+        assert q.would_fit(Item(5))
+        assert not q.would_fit(Item(6))
+
+    def test_unbounded_never_drops(self):
+        q = FifoQueue()
+        for _ in range(1000):
+            assert q.push(Item(1000))
+        assert q.stats.dropped_frames == 0
+
+    def test_peek_does_not_remove(self):
+        q = FifoQueue()
+        item = Item(5)
+        q.push(item)
+        assert q.peek() is item
+        assert q.frames == 1
+
+    def test_pop_empty_raises(self):
+        with pytest.raises(IndexError):
+            FifoQueue().pop()
+
+    def test_clear_counts_drops(self):
+        q = FifoQueue()
+        q.push(Item(10))
+        q.push(Item(10))
+        assert q.clear() == 2
+        assert q.stats.dropped_frames == 2
+        assert q.bytes == 0
+
+    def test_peak_tracking(self):
+        q = FifoQueue()
+        q.push(Item(10))
+        q.push(Item(30))
+        q.pop()
+        q.pop()
+        assert q.stats.peak_bytes == 40
+        assert q.stats.peak_frames == 2
+
+    def test_wire_bytes_preferred_for_sizing(self):
+        class Wired:
+            wire_bytes = 84
+            size_bytes = 64
+
+        q = FifoQueue()
+        q.push(Wired())
+        assert q.bytes == 84
+
+    def test_custom_size_of(self):
+        q = FifoQueue(size_of=len)
+        q.push("hello")
+        assert q.bytes == 5
+
+    def test_unsizable_item_raises(self):
+        q = FifoQueue()
+        with pytest.raises(TypeError):
+            q.push(object())
 
 
 class TestPercentile:
@@ -102,6 +196,33 @@ class TestHistogram:
         assert values_hash(h.samples) == "e9f68eb1a5d07a8c"
 
 
+class TestTimeWeightedMean:
+    def test_constant_level(self):
+        twm = TimeWeightedMean()
+        twm.update(0, 5.0)
+        assert twm.value(100) == pytest.approx(5.0)
+
+    def test_step_function(self):
+        twm = TimeWeightedMean()
+        twm.update(0, 0.0)
+        twm.update(50, 10.0)
+        # Half the time at 0, half at 10.
+        assert twm.value(100) == pytest.approx(5.0)
+
+    def test_peak(self):
+        twm = TimeWeightedMean()
+        twm.update(10, 3.0)
+        twm.update(20, 7.0)
+        twm.update(30, 1.0)
+        assert twm.peak == 7.0
+
+    def test_backwards_time_raises(self):
+        twm = TimeWeightedMean()
+        twm.update(10, 1.0)
+        with pytest.raises(ValueError):
+            twm.update(5, 1.0)
+
+
 class TestRateMeter:
     def test_average_rate(self):
         m = RateMeter()
@@ -138,6 +259,9 @@ class TestUnits:
     def test_bytes_timing_on_50g(self):
         # 256B = 2048 bits at 50 Gbps = 40.96 ns -> 41.
         assert time_ns_for_bytes(256, gbps(50)) == 41
+
+    def test_bytes_in_time_inverse(self):
+        assert bytes_in_time(1000, gbps(1)) == 125
 
     def test_invalid_rate_raises(self):
         with pytest.raises(ValueError):

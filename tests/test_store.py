@@ -22,6 +22,7 @@ from repro.experiments import (
     TopologySpec,
     build_scenario,
     run_matrix,
+    run_spec,
 )
 from repro.store import (
     FORMAT_VERSION,
@@ -35,6 +36,7 @@ from repro.store import (
     scan_store,
     store_records,
     store_results,
+    open_record_store,
     verify_store,
 )
 from repro.store.__main__ import main as store_cli
@@ -343,22 +345,35 @@ class TestRecordStore:
         assert not root.exists()
 
 
-class TestOneFormat:
-    """Reads find a record store or fail loudly; a directory of legacy
-    one-JSON-per-cell results is refused, never written over."""
+class TestOpenStore:
+    """A fresh directory becomes a record store; reads find one or fail
+    loudly; a directory of legacy one-JSON-per-cell results is refused,
+    never written over, and stays readable by ``migrate``."""
 
     @staticmethod
     def _listing(root):
         return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
-    def test_legacy_directory_is_refused_untouched(self, tmp_path):
-        for spec, result in synthetic_cells(3):
+    def test_fresh_directory_gets_record_format(self, tmp_path):
+        root = tmp_path / "new"
+        RecordStore(root)
+        assert is_record_store(root)
+        assert isinstance(open_record_store(root), RecordStore)
+
+    def test_legacy_cells_keep_legacy_format(self, tmp_path):
+        cells = list(synthetic_cells(3))
+        for spec, result in cells:
             write_legacy_cell(tmp_path, spec, result)
         (tmp_path / "dead.tmp").write_text("killed writer")
         before = self._listing(tmp_path)
         with pytest.raises(StoreFormatError, match="repro.experiments migrate"):
             RecordStore(tmp_path)
         assert self._listing(tmp_path) == before
+        dst = tmp_path.parent / f"{tmp_path.name}-migrated"
+        assert migrate_legacy(tmp_path, dst).cells == 3
+        migrated = RecordStore(dst)
+        for spec, result in cells:
+            assert migrated.get(spec) == result
 
     @pytest.mark.parametrize(
         "read",
@@ -944,6 +959,25 @@ class TestQuery:
         assert 0 < dirty["records"] < 40
 
 
+    def test_store_results_speaks_both_formats(self, tmp_path):
+        """Legacy cells are read through the importer: once migrated, a
+        selector answers exactly as over a store the same cells were
+        put into directly."""
+        legacy_root = tmp_path / "legacy"
+        migrated_root = tmp_path / "migrated"
+        record_root = tmp_path / "record"
+        record = RecordStore(record_root)
+        for spec, result in synthetic_cells(15):
+            write_legacy_cell(legacy_root, spec, result)
+            record.put(spec, result)
+        record.flush()
+        migrate_legacy(legacy_root, migrated_root)
+        a = [r.to_dict() for r in store_results(migrated_root, "scenario=incast")]
+        b = [r.to_dict() for r in store_results(record_root, "scenario=incast")]
+        assert a == b
+        assert a  # the selector actually matched something
+
+
 class TestMigration:
     def test_round_trip_is_bit_identical(self, tmp_path):
         src, dst = tmp_path / "legacy", tmp_path / "record"
@@ -982,11 +1016,41 @@ class TestMigration:
 
 
 # ----------------------------------------------------------------------
-# Reading what older writers stored
+# Regressions first found in the legacy store, held against the record
+# store; reading what older writers stored
 # ----------------------------------------------------------------------
 
 
 class TestLegacyStoreRegressions:
+    def test_uninstrumented_put_retires_stale_sidecar(self, tmp_path):
+        # The superseded instrumented record stays in the shard; neither
+        # a fresh handle nor the telemetry reader may serve it.
+        from repro.telemetry.export import load_artifact
+
+        store = RecordStore(tmp_path)
+        spec, result = next(synthetic_cells(1))
+        result.telemetry = {"schema": 1, "series": [], "spans": []}
+        store.put(spec, result)
+        store.flush()
+
+        result.telemetry = None
+        store.put(spec, result)
+        store.flush()
+        assert RecordStore(tmp_path).get(spec).telemetry is None
+        with pytest.raises(ValueError, match="has no telemetry"):
+            load_artifact(tmp_path, spec.content_hash())
+        with pytest.raises(ValueError, match="no instrumented cells"):
+            load_artifact(tmp_path)
+
+    def test_tmp_orphans_swept_on_open_and_clear(self, tmp_path):
+        (tmp_path / "abc123.tmp").write_text("killed writer")
+        store = RecordStore(tmp_path)
+        assert not (tmp_path / "abc123.tmp").exists()
+        (tmp_path / "def456.tmp").write_text("killed writer")
+        store.clear()
+        assert not (tmp_path / "def456.tmp").exists()
+        assert is_record_store(tmp_path)
+
     def test_from_dict_tolerates_unknown_keys(self):
         spec, result = next(synthetic_cells(1))
         data = result.to_dict()
@@ -1025,6 +1089,22 @@ class TestLegacyStoreRegressions:
 
 
 class TestRunnerIntegration:
+    def test_legacy_store_telemetry_rerun(self, tmp_path):
+        # The same regression through the legacy format: a migrated
+        # uninstrumented cell must not satisfy an instrumented request.
+        from repro.telemetry.probes import TelemetryConfig
+
+        spec = tiny_permutation()
+        write_legacy_cell(tmp_path / "legacy", spec, run_spec(spec))
+        migrate_legacy(tmp_path / "legacy", tmp_path / "record")
+        store = RecordStore(tmp_path / "record")
+        instrumented = spec.with_updates(
+            telemetry=TelemetryConfig(sample_interval_ns=50_000).to_dict()
+        )
+        results = run_matrix([instrumented], store=store)
+        assert results[0].telemetry is not None
+        assert store.misses == 1
+
     def test_run_matrix_caches_on_record_store(self, tmp_path):
         store = RecordStore(tmp_path)
         specs = [tiny_permutation(seed=s) for s in (3, 4)]

@@ -19,7 +19,7 @@ from repro.perf.digest import run_digest
 from repro.perf.golden import golden_specs
 from repro.sim.engine import SimError, Simulator
 from repro.sim.units import MICROSECOND
-from repro.store import StoreFormatError
+from repro.store import RecordStore, StoreFormatError
 from repro.telemetry import (
     Series,
     TelemetryConfig,
@@ -393,6 +393,16 @@ class TestExport:
         canonical = json.loads(json.dumps(stardust_artifact))
         assert back == canonical
 
+    def test_tracer_records_become_instants(self, stardust_artifact):
+        records = [
+            {"time_ns": 5, "category": "credit", "source": "fa0",
+             "message": "grant", "data": {"bytes": 4096}},
+        ]
+        trace = perfetto_trace(stardust_artifact, trace_records=records)
+        instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+        assert len(instants) == 1
+        assert instants[0]["args"]["bytes"] == 4096
+
     def test_faulted_scenario_exports(self, tmp_path):
         spec = build_scenario(
             "permutation_link_failure", kind="stardust"
@@ -440,6 +450,50 @@ class TestExport:
         assert list(empty.iterdir()) == []
         assert sorted(p.name for p in legacy.iterdir()) == before
         assert not (tmp_path / "t").exists()
+
+
+# ----------------------------------------------------------------------
+# Telemetry stored with a result
+# ----------------------------------------------------------------------
+
+
+class TestStoreSidecar:
+    """The artifact the legacy store kept in a ``.telemetry.jsonl``
+    sidecar rides inside the cell's record: no file of its own, back on
+    ``get`` and through the telemetry reader."""
+
+    def test_sidecar_written_and_reattached(self, tmp_path):
+        root = tmp_path / "cells"
+        spec = quick_spec(telemetry=TELEM)
+        with RecordStore(root) as store:
+            store.put(spec, run_spec(spec))
+        assert {p.suffix for p in root.iterdir()} == {".json", ".rsd", ".rsx"}
+        cached = RecordStore(root).get(spec)
+        assert cached is not None and cached.telemetry is not None
+        assert cached.telemetry["series"]
+        assert load_artifact(root) == cached.telemetry
+        assert load_artifact(root, spec.content_hash()) == cached.telemetry
+
+    def test_plain_results_write_no_sidecar(self, tmp_path):
+        root = tmp_path / "cells"
+        spec = quick_spec()
+        with RecordStore(root) as store:
+            store.put(spec, run_spec(spec))
+        record = RecordStore(root).get_record(spec.content_hash())
+        assert "telemetry" not in record["result"]
+        with pytest.raises(ValueError, match="no instrumented cells"):
+            load_artifact(root)
+
+    def test_clear_removes_sidecars(self, tmp_path):
+        root = tmp_path / "cells"
+        store = RecordStore(root)
+        spec = quick_spec(telemetry=TELEM)
+        store.put(spec, run_spec(spec))
+        store.flush()
+        store.clear()
+        assert RecordStore(root).get(spec) is None
+        with pytest.raises(ValueError, match="no instrumented cells"):
+            load_artifact(root)
 
 
 # ----------------------------------------------------------------------
