@@ -14,7 +14,7 @@ from harness import print_series
 
 from repro.fabrics import PushFabricNetwork, StardustNetwork, TwoTierSpec
 from repro.net.addressing import PortAddress
-from repro.net.flow import Flow
+from repro.net.flow import Flow, reset_flow_ids
 from repro.sim.units import MICROSECOND, MILLISECOND
 from repro.transport.host import make_hosts
 from repro.transport.table import start_flow
@@ -118,6 +118,9 @@ def run_fct(kind: str):
 
 def test_fig10b_web_fct(benchmark):
     def run():
+        # Flow ids feed the push fabric's ECMP hash: restart them so the
+        # rows do not depend on what ran earlier in the process.
+        reset_flow_ids()
         return {
             kind: run_fct(kind) for kind in ("stardust", "tcp", "dctcp")
         }

@@ -12,6 +12,7 @@ from harness import print_series
 
 from repro.fabrics import OneTierSpec, PushFabricNetwork, StardustNetwork
 from repro.net.addressing import PortAddress
+from repro.net.flow import reset_flow_ids
 from repro.sim.units import KB, MB, MILLISECOND, gbps
 from repro.transport.host import make_hosts
 from repro.workloads.incast import run_incast
@@ -52,6 +53,9 @@ def run_one(kind: str, n_backends: int):
 
 def test_fig10c_incast(benchmark):
     def run():
+        # Flow ids feed the push fabric's ECMP hash: restart them so the
+        # rows do not depend on what ran earlier in the process.
+        reset_flow_ids()
         return {
             kind: [run_one(kind, n) for n in BACKEND_COUNTS]
             for kind in ("stardust", "dctcp", "tcp")

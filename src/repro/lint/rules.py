@@ -560,6 +560,7 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[Optional[str], FrozenSet[str]]] = {
         "Simulator": frozenset(
             {"run", "run_for", "schedule_at", "call_later", "rearm_at"}
         ),
+        "Event": frozenset({"rearm_at"}),
     },
     ("sim", "link.py"): {
         "Link": frozenset(
@@ -591,10 +592,14 @@ HOT_METHODS: Dict[Tuple[str, str], Dict[Optional[str], FrozenSet[str]]] = {
         "EthernetSwitch": frozenset({"receive", "forward"}),
     },
     ("transport", "host.py"): {
-        "Host": frozenset({"output", "receive", "nic_ready"}),
+        "Host": frozenset({
+            "output", "receive", "nic_ready", "block_on_nic",
+            "_on_nic_transmit",
+        }),
     },
     ("transport", "tcp.py"): {
-        "TcpSender": frozenset({"_try_send", "_emit"}),
+        "TcpSender": frozenset({"_try_send", "_emit", "on_ack", "_arm_rto"}),
+        "TcpReceiver": frozenset({"on_data"}),
     },
 }
 

@@ -38,6 +38,16 @@ earlier single global binary heap:
   heap that was mostly corpses.  Now the corpses sit in the spill heap
   (compacted in place when they dominate it) and the wheel stays dense
   with live work.
+* A handle that keeps moving — an RTO guard re-armed on every ACK —
+  costs the heap nothing per move.  :meth:`Event.rearm_at` to a time no
+  earlier than the entry's heap key leaves the entry where it is and
+  records the live key on the handle (the entry is *deferred*); when
+  the stale key reaches the spill head, the run loop re-keys the entry
+  and pushes it back.  The re-key is not a fire: it is not counted in
+  ``events_fired``, charged to a ``max_events`` budget or shown to the
+  probe, and the event still fires at exactly the ``(time_ns, seq)``
+  of a cancel plus a fresh :meth:`Simulator.at`.  Compaction keeps
+  deferred entries.
 
 No wheel entry fires without being compared against the spill head
 (directly, or through the drain's bound), so the merged firing order is
@@ -65,7 +75,8 @@ delivery, so :meth:`Simulator.run` is built around those two:
   other entry's third element is a callable and is simply called.
 * **Two fire sites, so two copies of that dispatch.**  The *exact* site
   takes whichever of wheel head and spill head is earlier in
-  ``(time_ns, seq)`` under every check (corpse, horizon, budget, probe),
+  ``(time_ns, seq)`` under every check (corpse, deferred entry,
+  horizon, budget, probe),
   pops it from the structure that held it, and after a spill fire goes
   round again because the cursor may now sit on an unsorted bucket.
   The *drained* site is the same dispatch with the checks folded into
@@ -77,9 +88,12 @@ delivery, so :meth:`Simulator.run` is built around those two:
   inner loop drains it against a single precomputed bound (the minimum
   of horizon, next probe deadline and spill-head time) and re-reads the
   spill head only when a callback installed a different head *object*
-  — pushes, pops and compaction all swap the head, and an in-heap
-  entry's key is never mutated — so merging with the spill heap costs
-  two int compares and an identity check per event.  Every boundary
+  — pushes, pops and compaction all swap the head, and only the outer
+  loop mutates an in-heap key (the deferred head's re-key, pushed back
+  at once), so a key the drain read stays put; a deferred entry's stale
+  key is never later than its live one, so a bound drawn from it is
+  merely conservative — and merging with the spill heap costs two int
+  compares and an identity check per event.  Every boundary
   case goes back to the outer loop, which re-derives state exactly.
 * **GC deferral.**  The loop disables the cyclic garbage collector
   while it owns the process and restores it on exit.  A run allocates
@@ -112,7 +126,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 #: "No horizon/budget" sentinel — a time/count no simulation reaches,
@@ -180,28 +194,42 @@ class SimError(RuntimeError):
 
 
 class Event:
-    """Handle for a scheduled callback that may need cancelling.
+    """Handle for a scheduled callback that may need cancelling or moving.
 
     Wraps the engine's ``[time_ns, seq, fn]`` spill-heap entry;
     cancelled events stay in the heap (lazy deletion) but the simulator
     counts them and compacts when they dominate.
+
+    :meth:`rearm_at` moves the callback with the key a cancel plus a
+    fresh :meth:`Simulator.at` would give it.  When the new time is no
+    earlier than the entry's heap key, the heap is not touched: the
+    handle records the live key and takes the entry's ``fn`` slot,
+    marking it *deferred*.  The run loop re-keys a deferred entry when
+    its stale key reaches the spill head and pushes it back — a re-key,
+    not a fire.  An owner that re-arms on every packet (an RTO guard)
+    so keeps one entry and one handle, and the heap sees a push only
+    when a stale key surfaces.
     """
 
-    __slots__ = ("_sim", "_entry")
+    __slots__ = ("_sim", "_entry", "_fn", "_time", "_seq")
 
     def __init__(self, sim: "Simulator", entry: list) -> None:
         self._sim = sim
         self._entry = entry
+        self._fn = entry[2]
+        #: The live key — the entry's own, unless it is deferred.
+        self._time = entry[0]
+        self._seq = entry[1]
 
     @property
     def time_ns(self) -> int:
-        """Absolute firing time."""
-        return self._entry[0]
+        """Absolute firing time (the live deadline, also when deferred)."""
+        return self._time
 
     @property
     def seq(self) -> int:
         """Scheduling sequence number (ties broken by this)."""
-        return self._entry[1]
+        return self._seq
 
     @property
     def cancelled(self) -> bool:
@@ -214,6 +242,34 @@ class Event:
         if entry[2] is not None:
             entry[2] = None
             self._sim._note_cancelled()
+
+    def rearm_at(self, time_ns: int) -> None:
+        """Fire at absolute ``time_ns`` instead: pending, fired or
+        cancelled, the event then fires exactly as if :meth:`cancel`
+        and a fresh ``sim.at(time_ns, fn)`` had been called — the same
+        fresh sequence number, the same ``(time_ns, seq)`` key.
+        """
+        sim = self._sim
+        if time_ns < sim._now:
+            raise SimError(
+                f"cannot schedule at t={time_ns}ns, now is {sim._now}ns"
+            )
+        seq = sim._seq
+        sim._seq = seq + 1
+        self._time = time_ns
+        self._seq = seq
+        entry = self._entry
+        if entry[2] is not None:
+            if time_ns >= entry[0]:
+                # The heap key is no later than the new one: defer.
+                entry[2] = self
+                return
+            entry[2] = None
+            sim._note_cancelled()
+        # Spent entries may still sit in the heap as corpses: take a
+        # fresh one.
+        entry = self._entry = [time_ns, seq, self._fn]
+        heappush(sim._spill, entry)
 
 
 class Simulator:
@@ -592,11 +648,22 @@ class Simulator:
                     if spill:
                         entry = spill[0]
                         if wheel_entry is None or entry < wheel_entry:
-                            if entry[2] is None:
+                            fn = entry[2]
+                            if fn is None:
                                 # Lazy-deleted corpse: drop it without
                                 # charging events_fired or the budget.
                                 heappop(spill)
                                 self._cancelled -= 1
+                                continue
+                            if fn.__class__ is Event:
+                                # Deferred: its handle was re-armed later.
+                                # Re-key it to the live deadline and push it
+                                # back — not a fire, so no count, no budget,
+                                # no probe.
+                                entry[0] = fn._time
+                                entry[1] = fn._seq
+                                entry[2] = fn._fn
+                                heapreplace(spill, entry)
                                 continue
                         else:
                             entry = wheel_entry
@@ -669,13 +736,15 @@ class Simulator:
                     # N corpses) plus N pushes leaves the length unchanged
                     # while the new head may be earlier.  Identity is exact:
                     # pushes, pops and compaction all swap the head object,
-                    # and an in-heap entry's (time, seq) key is never
-                    # mutated (rearm requires a popped, spent entry).  A
-                    # cancellation nulls head[2] in place but keeps its key,
-                    # so the stale bound is merely conservative and the
-                    # outer loop drops the corpse.  ``<=``, not ``<``: a spill
-                    # head *at* the horizon/probe bound is still a tie the
-                    # drain must not jump.
+                    # and no callback mutates an in-heap entry's (time, seq)
+                    # key (``Simulator.rearm_at`` takes a popped, spent
+                    # entry; ``Event.rearm_at`` defers, and only the outer
+                    # loop re-keys).  A cancellation nulls head[2] in place
+                    # but keeps its key, and a deferral keeps a key earlier
+                    # than the live one, so the stale bound is merely
+                    # conservative and the outer loop handles the head.
+                    # ``<=``, not ``<``: a spill head *at* the horizon/probe
+                    # bound is still a tie the drain must not jump.
                     lim = probe_due - 1
                     if horizon < lim:
                         lim = horizon
@@ -728,7 +797,8 @@ class PeriodicTask:
 
     Used for credit generation, reachability message emission and rate
     meters.  The first firing happens after ``phase_ns`` (defaults to one
-    full period) so several periodic tasks can be de-synchronized.
+    full period) so several periodic tasks can be de-synchronized.  One
+    :class:`Event` handle serves the task's whole life.
     """
 
     __slots__ = ("_sim", "_period", "_fn", "_stopped", "_event", "_armed_at")
@@ -746,7 +816,6 @@ class PeriodicTask:
         self._period = period_ns
         self._fn = fn
         self._stopped = False
-        self._event: Optional[Event] = None
         #: When the pending tick was armed (its period is measured from
         #: here) — lets ``set_period`` re-derive the pending fire time.
         self._armed_at = sim.now
@@ -770,23 +839,21 @@ class PeriodicTask:
         if period_ns <= 0:
             raise SimError(f"period must be positive, got {period_ns}")
         self._period = period_ns
-        if self._stopped or self._event is None:
+        if self._stopped:
             return
         target = max(self._sim.now, self._armed_at + period_ns)
         if target < self._event.time_ns:
-            self._event.cancel()
-            self._event = self._sim.at(target, self._tick)
+            self._event.rearm_at(target)
 
     def _tick(self) -> None:
         if self._stopped:
             return
         self._fn()
         if not self._stopped:
-            self._armed_at = self._sim.now
-            self._event = self._sim.schedule(self._period, self._tick)
+            self._armed_at = now = self._sim.now
+            self._event.rearm_at(now + self._period)
 
     def stop(self) -> None:
         """Stop firing (cancels the pending tick)."""
         self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
+        self._event.cancel()

@@ -35,7 +35,8 @@ serializer finish into a dead link (counted lost); a post-``restore``
 train lays a fresh entry if the pre-fail one is still pending, and a
 FIFO side queue (``_ser_extra``) pairs the stale completion with the
 right frame.  Those corners, and a link with an ``on_transmit`` hook,
-take the scalar :meth:`Link._start_next` instead of the train step.
+take the scalar :meth:`Link._start_next` instead of the train step —
+which is why a host hooks its NIC link only while a sender waits.
 
 Deliveries share one constant delay, so they fire in append order and a
 pure FIFO (``_in_flight``) matches payloads exactly — a plain list, as
@@ -141,9 +142,14 @@ class Link:
         #: Consumers model detection/rehash lag relative to this.
         self.failed_at_ns = 0
 
-        # Hooks: on_transmit(payload) fires when serialization starts
-        # (Fabric Elements stamp FCI there); on_idle() fires when the
-        # transmit queue fully drains.
+        # Hooks: on_transmit(payload) fires when serialization starts;
+        # on_idle() fires when the transmit queue fully drains.  Two
+        # owners install on_transmit: a Fabric Adapter on each of its
+        # host-facing links, for its whole life (a paused egress
+        # scheduler resumes as the link drains), and a Host on its NIC
+        # link only while a sender waits on it (``block_on_nic`` until
+        # the last waiter is woken).  Fabric Elements mark FCI in
+        # ``receive``, not here.
         self.on_transmit: Optional[Callable[[Any], None]] = None
         self.on_idle: Optional[Callable[[], None]] = None
 

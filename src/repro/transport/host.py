@@ -64,14 +64,6 @@ class Host(Entity):
     # ------------------------------------------------------------------
     # NIC
     # ------------------------------------------------------------------
-    def attach_port(self, link: Link) -> int:
-        """Register a NIC link; hooks sender wake-ups on port 0."""
-        index = super().attach_port(link)
-        if index == 0:
-            # Wake deferred senders as the NIC transmit queue drains.
-            link.on_transmit = self._on_nic_transmit
-        return index
-
     def nic_ready(self) -> bool:
         """Whether a windowed sender should emit more data now."""
         ports = self.ports
@@ -80,13 +72,23 @@ class Host(Entity):
         return ports[0]._queued_bytes < self.tx_backpressure_bytes
 
     def block_on_nic(self, sender) -> None:
-        """Register ``sender`` to be woken when the NIC drains."""
+        """Register ``sender`` to be woken when the NIC drains.
+
+        The NIC link carries the wake hook only while a sender waits, so
+        an unblocked NIC serializes on the link's train path.
+        """
         if sender not in self._blocked_senders:
             self._blocked_senders.append(sender)
+            ports = self.ports
+            if ports:
+                ports[0].on_transmit = self._on_nic_transmit
 
     def _on_nic_transmit(self, _payload) -> None:
         if self._blocked_senders and self.nic_ready():
             ready, self._blocked_senders = self._blocked_senders, []
+            # Unhooked before the wake-ups: a sender that blocks again
+            # puts the hook back.
+            self.ports[0].on_transmit = None
             for sender in ready:
                 sender.nic_unblocked()
 

@@ -30,7 +30,7 @@ class TcpSender:
         "host", "sim", "flow", "mss", "on_complete",
         "snd_una", "snd_nxt", "total_bytes", "cwnd", "ssthresh",
         "dup_acks", "in_recovery", "recover_point", "srtt_ns",
-        "rttvar_ns", "_send_times", "_rto_event", "timeouts",
+        "rttvar_ns", "_send_times", "_rto", "timeouts",
         "fast_retransmits", "packets_sent", "done",
     )
 
@@ -68,8 +68,8 @@ class TcpSender:
         self.rttvar_ns = 0
         self._send_times: Dict[int, int] = {}
 
-        # RTO timer.
-        self._rto_event: Optional[Event] = None
+        # RTO timer: one handle for the sender's life, re-armed in place.
+        self._rto: Optional[Event] = None
         self.timeouts = 0
         self.fast_retransmits = 0
         self.packets_sent = 0
@@ -218,14 +218,17 @@ class TcpSender:
         return max(MIN_RTO_NS, self.srtt_ns + 4 * self.rttvar_ns)
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-        if self.flight_size > 0 and not self.done:
-            self._rto_event = self.sim.schedule(self.rto_ns, self._on_rto)
+        rto = self._rto
+        if self.snd_nxt > self.snd_una and not self.done:
+            deadline = self.sim._now + self.rto_ns
+            if rto is None:
+                self._rto = self.sim.at(deadline, self._on_rto)
+            else:
+                rto.rearm_at(deadline)
+        elif rto is not None:
+            rto.cancel()
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         if self.done or self.flight_size == 0:
             return
         self.timeouts += 1
@@ -244,8 +247,8 @@ class TcpSender:
             and not self.done
         ):
             self.done = True
-            if self._rto_event is not None:
-                self._rto_event.cancel()
+            if self._rto is not None:
+                self._rto.cancel()
             if self.on_complete is not None:
                 self.on_complete()
 
@@ -266,13 +269,30 @@ class TcpReceiver:
         self.acks_sent = 0
 
     def on_data(self, packet: Packet) -> int:
-        """Process a data packet; returns newly in-order payload bytes."""
-        payload = packet.size_bytes - 40
-        start, end = packet.seq, packet.seq + payload
+        """Process a data packet; returns newly in-order payload bytes.
+
+        A segment that reaches the in-order edge advances ``rcv_nxt``
+        directly, through any buffered ranges it now touches; only one
+        wholly above the edge is merged into the buffer.
+        """
+        start = packet.seq
+        end = start + packet.size_bytes - 40
         before = self.rcv_nxt
-        if end > self.rcv_nxt:
-            self._insert(max(start, self.rcv_nxt), end)
-            self._advance()
+        if end > before:
+            if start <= before:
+                ranges = self._ranges
+                if ranges:
+                    covered = 0
+                    for s, e in ranges:
+                        if s > end:
+                            break
+                        if e > end:
+                            end = e
+                        covered += 1
+                    del ranges[:covered]
+                self.rcv_nxt = end
+            else:
+                self._insert(start, end)
         self._send_ack(packet)
         return self.rcv_nxt - before
 
@@ -285,11 +305,6 @@ class TcpReceiver:
             else:
                 merged.append((s, e))
         self._ranges = merged
-
-    def _advance(self) -> None:
-        while self._ranges and self._ranges[0][0] <= self.rcv_nxt:
-            s, e = self._ranges.pop(0)
-            self.rcv_nxt = max(self.rcv_nxt, e)
 
     def _send_ack(self, data: Packet) -> None:
         ack = Packet(

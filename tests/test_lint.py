@@ -310,7 +310,13 @@ class TestHot002:
         [
             ("repro/baselines/ethernet.py", "EthernetSwitch", "receive"),
             ("repro/transport/host.py", "Host", "output"),
+            ("repro/transport/host.py", "Host", "block_on_nic"),
+            ("repro/transport/host.py", "Host", "_on_nic_transmit"),
             ("repro/transport/tcp.py", "TcpSender", "_try_send"),
+            ("repro/transport/tcp.py", "TcpSender", "on_ack"),
+            ("repro/transport/tcp.py", "TcpSender", "_arm_rto"),
+            ("repro/transport/tcp.py", "TcpReceiver", "on_data"),
+            ("repro/sim/engine.py", "Event", "rearm_at"),
         ],
     )
     def test_push_side_hot_methods_are_covered(self, tmp_path, rel, cls, method):

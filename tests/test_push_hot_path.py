@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.baselines import ethernet
 from repro.baselines.ethernet import EthConfig, EthernetSwitch, _flow_hash
 from repro.core.fabric_element import FabricElement
+from repro.experiments import runner
 from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec_with_network
 from repro.experiments.spec import TopologySpec
@@ -388,6 +389,43 @@ def test_md5_runs_once_per_flow_and_lists_build_once_per_epoch(
     assert len(builds) == len(set(builds))
     assert len({epoch for _, epoch, _ in builds}) == 1
     assert len(builds) <= len(switches) * 4  # four ToRs
+
+
+def nic_hooks(net):
+    """Per host: (NIC link carries the wake hook, a sender waits)."""
+    return [
+        (host.ports[0].on_transmit is not None, bool(host._blocked_senders))
+        for host in net._host_sinks.values()
+    ]
+
+
+def test_nic_wake_hook_is_installed_exactly_while_a_sender_waits(monkeypatch):
+    # Host.block_on_nic hooks the NIC link's on_transmit and
+    # _on_nic_transmit unhooks it with the last waiter, so an unblocked
+    # NIC takes the link's train path.  Checked at every probe sample
+    # and at the end of a small dctcp push cell.
+    samples = []
+    build_network = runner.build_network
+
+    def build_and_probe(spec):
+        net = build_network(spec)
+        net.sim.set_probe(lambda now: samples.append(nic_hooks(net)), MICROSECOND)
+        return net
+
+    monkeypatch.setattr(runner, "build_network", build_and_probe)
+    spec = build_scenario(
+        "mixed", kind="dctcp", topology=_TWO_TIER, seed=3, load=1.0,
+        web_fraction=1.0, warmup_ns=100 * MICROSECOND,
+        measure_ns=1_000 * MICROSECOND,
+    )
+    _, net = runner.run_spec_with_network(spec)
+    samples.append(nic_hooks(net))
+    assert len(samples) > 500
+    for sample in samples:
+        assert all(hooked == waiting for hooked, waiting in sample)
+    # The cell does block senders, and does let them go again.
+    waiting = [w for sample in samples for _, w in sample]
+    assert any(waiting) and not all(waiting)
 
 
 def push_one_tier(rehash_ns):

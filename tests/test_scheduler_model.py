@@ -8,12 +8,17 @@ spill heap, no corpses, no batched drain — nothing to get wrong.
 :class:`SchedulerMachine` drives it and the real
 :class:`~repro.sim.engine.Simulator` through the same generated program
 — every scheduling surface, cancellation past the compaction threshold,
-spent-entry re-arms, ``PeriodicTask.set_period``, probes armed and
-cleared, callbacks that do all of that again from inside the run loop,
-and ``run`` stopped by horizon or budget — and after every step asserts
+spent-entry re-arms, handle re-arms (``Event.rearm_at``: later than,
+equal to or earlier than the pending entry, after a fire, after a
+cancel), ``PeriodicTask.set_period``, probes armed and cleared,
+callbacks that do all of that again from inside the run loop, and
+``run`` stopped by horizon or budget — and after every step asserts
 the two fired the same ``(time_ns, label)`` stream with the same
 ``len(sim)`` and ``events_fired`` seen from inside every callback, the
-same probe samples, and the same clock.
+same probe samples, the same handle keys, and the same clock.  The
+oracle's re-arm is a cancel plus a fresh ``at``; the engine defers the
+entry in place and re-keys it when its stale key surfaces, and that
+re-key must be invisible: no fire, no budget, no probe sample.
 
 The delay and storm distributions are shaped so that the seams the real
 engine has and the oracle does not are hit often: sub-slot delays (the
@@ -53,7 +58,7 @@ class ReferenceEvent:
     """Cancellable handle of the oracle (mirrors ``engine.Event``)."""
 
     def __init__(self, sim, entry):
-        self._sim, self._entry = sim, entry
+        self._sim, self._entry, self._fn = sim, entry, entry[2]
 
     time_ns = property(lambda self: self._entry[0])
     seq = property(lambda self: self._entry[1])
@@ -63,6 +68,13 @@ class ReferenceEvent:
         if self._entry[2] is not None:
             self._entry[2] = None
             self._sim._queue.remove(self._entry)
+
+    def rearm_at(self, time_ns):
+        """Cancel, then a fresh ``at`` — under the same handle."""
+        if time_ns < self._sim.now:
+            raise SimError(f"t={time_ns}ns is in the past")
+        self.cancel()
+        self._entry = self._sim._arm(time_ns, [0, 0, None], self._fn)
 
 
 class ReferenceSimulator:
@@ -157,6 +169,28 @@ _storms = st.tuples(
 )
 
 
+#: Where a re-arm moves a handle, relative to its live deadline: the
+#: same instant (a fresh seq behind the pending one), later (deferred in
+#: place), or earlier (a corpse plus a fresh push).  A spent handle is
+#: re-armed ``abs(shift)`` from now.
+_shifts = st.one_of(
+    st.just(0),
+    st.integers(1, 3 * SLOT),
+    st.integers(-3 * SLOT, -1),
+    st.sampled_from([SLOT, -SLOT, HORIZON, -HORIZON, 3 * HORIZON]),
+)
+#: Re-arm storms: defer ``count`` live handles, then pull every
+#: ``every``-th of them (0: none) in close — past the compaction
+#: threshold with deferred entries sitting in the heap.
+_rearm_storms = st.tuples(
+    st.just("rearm_storm"),
+    _storm_sizes,
+    st.integers(0, 3 * HORIZON),
+    st.sampled_from([0, 1, 2]),
+    st.integers(0, 6),
+)
+
+
 #: Long enough that a run to the far horizon stays a few thousand ticks.
 _periods = st.integers(SLOT // 2, 4 * SLOT)
 
@@ -165,7 +199,9 @@ def _ops(scripts):
     return st.one_of(
         st.tuples(st.just("arm"), _surfaces, _delays, scripts),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("rearm"), st.integers(0, 200), _shifts),
         _storms,
+        _rearm_storms,
     )
 
 
@@ -189,6 +225,10 @@ class Driver:
         self.entries = []  # every entry handed to rearm_at
         self.tasks = []
         self.labels = 0
+        #: A callback may re-arm its own (spent) handle, so re-arms are
+        #: rationed: past this many the op does nothing, and every run
+        #: still ends.
+        self.rearms_left = 60
         for i in range(COMPACT + 6):  # a storm always has handles to cancel
             self.handles.append(sim.at(FAR + i, self._callback(())))
 
@@ -229,6 +269,28 @@ class Driver:
         if self.handles:
             self.handles[index % len(self.handles)].cancel()
 
+    def _rearm(self, index, shift):
+        if not self.handles or not self.rearms_left:
+            return
+        self.rearms_left -= 1
+        handle = self.handles[index % len(self.handles)]
+        now = self.sim.now
+        if handle.cancelled:
+            handle.rearm_at(now + abs(shift))
+        else:
+            handle.rearm_at(max(now, handle.time_ns + shift))
+
+    def _rearm_storm(self, count, later, every, near):
+        if not self.rearms_left:
+            return
+        self.rearms_left -= 1
+        sim = self.sim
+        live = [h for h in self.handles if not h.cancelled][-count:]
+        for handle in live:
+            handle.rearm_at(handle.time_ns + later)
+        for handle in live[::every] if every else ():
+            handle.rearm_at(sim.now + near)
+
     def _storm(self, cancels, pushes, near):
         sim = self.sim
         live = [h for h in self.handles if not h.cancelled]
@@ -264,16 +326,16 @@ class Driver:
         self.sim.run(until=until, max_events=max_events)
 
     def mark(self):
-        return len(self.fired), len(self.samples), len(self.handles)
+        return len(self.fired), len(self.samples)
 
     def observed(self, since):
         """State now, plus what the (append-only) logs gained ``since``."""
         sim = self.sim
-        fired, samples, handles = since
+        fired, samples = since
         return (
             sim.now, len(sim), sim.events_fired,
             self.fired[fired:], self.samples[samples:],
-            [(h.time_ns, h.seq) for h in self.handles[handles:]],
+            [(h.time_ns, h.seq, h.cancelled) for h in self.handles],
         )
 
 
@@ -283,7 +345,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.drivers = [Driver(Simulator()), Driver(ReferenceSimulator())]
-        self.checked = (0, 0, 0)
+        self.checked = (0, 0)
 
     def both(self, *op):
         for driver in self.drivers:
@@ -321,6 +383,38 @@ class SchedulerMachine(RuleBasedStateMachine):
     @rule(storm=_storms)
     def storm(self, storm):
         self.both(*storm)
+
+    @rule(index=st.integers(0, 200), shift=_shifts)
+    def rearm(self, index, shift):
+        self.both("rearm", index, shift)
+
+    @rule(storm=_rearm_storms)
+    def rearm_storm(self, storm):
+        self.both(*storm)
+
+    @rule(
+        delay=_delays,
+        later=st.integers(0, 3 * SLOT) | st.sampled_from([HORIZON]),
+        bound=st.sampled_from(["until", "budget", "probe", "probe-1"]),
+        budget=st.integers(0, 3),
+    )
+    def deferred_head(self, delay, later, bound, budget):
+        """A handle armed, then re-armed no earlier: its stale key waits
+        in the spill heap.  A run whose horizon, budget or probe deadline
+        sits exactly at that stale key must re-key it without a fire, a
+        budget charge or a probe sample."""
+        self.both("arm", "at", delay, ())
+        self.both("rearm", -1, later)
+        now = self.drivers[0].sim.now
+        if bound == "until":
+            self.both("run", delay, None)
+        elif bound == "budget":
+            self.both("run", None, budget)
+        else:
+            interval = now + delay + (bound == "probe-1")
+            if interval > 0:
+                self.both("probe", interval)
+            self.both("run", delay + SLOT, None)
 
     @rule(period=_periods, phase=st.none() | _delays)
     def periodic(self, period, phase):

@@ -260,6 +260,94 @@ class TestLazyDeletionAccounting:
         assert fired == list(range(10))
 
 
+class TestEventRearm:
+    """``Event.rearm_at``: the key of cancel + ``at``, without the churn."""
+
+    def test_later_rearms_add_no_spill_entry_and_fire_once_at_the_last(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.at(100, lambda: fired.append(sim.now))
+        for step in range(1000):
+            handle.rearm_at(101 + step)
+            assert sim.spill_occupancy == 1
+        assert (handle.time_ns, sim.pending_events) == (1100, 1)
+        sim.run()
+        assert fired == [1100]
+        assert sim.events_fired == 1
+        assert sim.spill_occupancy == 0
+
+    def test_rearm_draws_the_seq_a_fresh_at_would(self):
+        sim = Simulator()
+        handle = sim.at(50, lambda: None)
+        sim.at(60, lambda: None)
+        handle.rearm_at(60)  # equal time, fresh seq: behind the other
+        assert (handle.time_ns, handle.seq) == (60, 2)
+        assert sim.at(70, lambda: None).seq == 3
+
+    def test_rearm_at_the_stale_key_time_defers(self):
+        sim = Simulator()
+        order = []
+        first = sim.at(40, lambda: order.append("first"))
+        first.rearm_at(80)
+        sim.at(40, lambda: order.append("other"))
+        first.rearm_at(40)  # earlier than live, equal to the heap key
+        assert sim.spill_occupancy == 2 and sim.corpse_count == 0
+        sim.run()
+        assert order == ["other", "first"]
+
+    def test_earlier_rearm_leaves_a_corpse(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.at(500, lambda: fired.append(sim.now))
+        handle.rearm_at(200)
+        assert sim.corpse_count == 1 and sim.pending_events == 1
+        sim.run()
+        assert fired == [200]
+
+    def test_rearm_after_fire_and_after_cancel(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.at(10, lambda: fired.append(sim.now))
+        sim.run()
+        handle.rearm_at(30)
+        assert not handle.cancelled
+        handle.cancel()
+        handle.rearm_at(40)
+        sim.run()
+        assert fired == [10, 40]
+        with pytest.raises(SimError):
+            handle.rearm_at(39)
+
+    def test_rekey_is_not_a_fire(self):
+        # The stale key sits at the horizon, the budget boundary and a
+        # probe deadline: none of them may see it.
+        sim = Simulator()
+        samples = []
+        handle = sim.at(100, lambda: None)
+        handle.rearm_at(300)
+        sim.set_probe(samples.append, 100)
+        sim.run(until=100)
+        sim.run(max_events=0)
+        assert (sim.events_fired, samples) == (0, [])
+        assert sim.spill_occupancy == 1 and handle.time_ns == 300
+        sim.run()
+        assert (sim.events_fired, samples, sim.now) == (1, [300], 300)
+
+    def test_compaction_keeps_deferred_entries(self):
+        sim = Simulator()
+        fired = []
+        deferred = sim.at(10, lambda: fired.append(sim.now))
+        deferred.rearm_at(5000)
+        doomed = [sim.at(20 + i, lambda: None) for i in range(200)]
+        for handle in doomed:
+            handle.cancel()
+        assert sim.spill_occupancy < len(doomed)  # compaction ran
+        assert sim.pending_events == 1  # and kept the deferred entry
+        assert deferred.time_ns == 5000
+        sim.run()
+        assert fired == [5000] and sim.events_fired == 1
+
+
 class TestPeriodicTask:
     def test_fires_every_period(self):
         sim = Simulator()

@@ -1,17 +1,23 @@
 """Tests for TCP NewReno, DCTCP, DCQCN and MPTCP host models."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.ethernet import EthConfig
 from repro.core.config import StardustConfig
 from repro.fabrics import OneTierSpec, PushFabricNetwork, StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow
+from repro.net.packet import Packet
 from repro.sim.units import KB, MILLISECOND, gbps
 from repro.transport.dcqcn import DcqcnNotificationPoint, DcqcnSender
 from repro.transport.dctcp import DctcpSender
 from repro.transport.host import make_hosts
 from repro.transport.mptcp import MptcpConnection
+from repro.transport.tcp import TcpReceiver
 from repro.transport.table import TRANSPORT_TABLE, start_flow
 
 SPEC = OneTierSpec(num_fas=4, uplinks_per_fa=4, hosts_per_fa=2)
@@ -308,3 +314,78 @@ class TestTransportTable:
         spec = build_scenario("incast", kind="mptcp", n_backends=2)
         with pytest.raises(ValueError, match="mptcp is not supported"):
             run_spec(spec)
+
+
+# ----------------------------------------------------------------------
+# The receiver against its sort-and-merge reference
+# ----------------------------------------------------------------------
+
+MSS = 100
+
+
+class ReferenceReceiver:
+    """``TcpReceiver.on_data`` as it was before the one-pass edge
+    advance: every fresh segment is sorted and merged into the buffer,
+    then the buffer's head is popped while it touches ``rcv_nxt``."""
+
+    def __init__(self):
+        self.rcv_nxt = 0
+        self._ranges = []
+
+    def on_data(self, start, end):
+        before = self.rcv_nxt
+        if end > self.rcv_nxt:
+            self._insert(max(start, self.rcv_nxt), end)
+            self._advance()
+        return self.rcv_nxt - before
+
+    def _insert(self, start, end):
+        merged = []
+        ranges = sorted([*self._ranges, (start, end)])
+        for s, e in ranges:
+            if merged and s <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+            else:
+                merged.append((s, e))
+        self._ranges = merged
+
+    def _advance(self):
+        while self._ranges and self._ranges[0][0] <= self.rcv_nxt:
+            s, e = self._ranges.pop(0)
+            self.rcv_nxt = max(self.rcv_nxt, e)
+
+
+#: One segment of an MSS grid (reordered and duplicated when drawn in
+#: any order), an arbitrary overlapping range, or a go-back-N resend of
+#: the grid from one segment on.
+_segment_ops = st.one_of(
+    st.tuples(st.just("seg"), st.integers(0, 11)),
+    st.tuples(st.just("raw"), st.integers(0, 12 * MSS), st.integers(1, 3 * MSS)),
+    st.tuples(st.just("gbn"), st.integers(0, 11), st.integers(1, 6)),
+)
+
+
+def _segments(op):
+    if op[0] == "seg":
+        return [(op[1] * MSS, MSS)]
+    if op[0] == "raw":
+        return [op[1:]]
+    return [(i * MSS, MSS) for i in range(op[1], op[1] + op[2])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ops=st.lists(_segment_ops, min_size=1, max_size=40))
+def test_receiver_matches_the_sort_and_merge_reference(ops):
+    acks = []
+    host = SimpleNamespace(
+        sim=SimpleNamespace(now=0), output=lambda ack: acks.append(ack.ack_seq)
+    )
+    real, reference = TcpReceiver(host, flow_id=1), ReferenceReceiver()
+    src, dst = PortAddress(0, 0), PortAddress(1, 0)
+    for op in ops:
+        for start, size in _segments(op):
+            data = Packet(size + 40, src, dst, flow_id=1, seq=start)
+            fresh = real.on_data(data)
+            assert fresh == reference.on_data(start, start + size), (op, start)
+            assert real.rcv_nxt == reference.rcv_nxt == acks[-1]
+            assert real._ranges == reference._ranges
