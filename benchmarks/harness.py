@@ -5,11 +5,10 @@ simulations are scaled-down versions of the paper's setups (documented
 per benchmark); the *shape* of each result — who wins, by what rough
 factor, where crossovers sit — is asserted, not absolute numbers.
 
-What is left here is what the figures share: one Fig 10(a) run of the
-registry's "permutation" scenario through
-:func:`repro.experiments.runner.run_spec` (so benchmarks and
-declarative sweeps share one implementation and one result), and the
-table printer.
+Every simulated figure is a scenario of :mod:`repro.experiments.registry`
+run through :mod:`repro.experiments.runner`, so a figure's cells are
+the cells a sweep stores and queries.  What is left here is the Fig
+10(a) run of the "permutation" scenario and the table printer.
 """
 
 from __future__ import annotations

@@ -8,11 +8,8 @@ Fig 8's silicon argument visible at the network level.
 
 from harness import print_series
 
-from repro.fabrics import OneTierSpec, StardustNetwork
-from repro.net.addressing import PortAddress
-from repro.sim.units import MILLISECOND, gbps
-from repro.workloads.distributions import packet_size_distribution
-from repro.workloads.generator import UniformRandomTraffic
+from repro.experiments.registry import build_scenario
+from repro.experiments.runner import run_spec_with_network
 
 import pytest
 
@@ -20,30 +17,17 @@ import pytest
 # CI runs the slow marks on main.
 pytestmark = pytest.mark.slow
 
-SPEC = OneTierSpec(num_fas=6, uplinks_per_fa=4, hosts_per_fa=2)
-RATE = gbps(10)
-ADDRS = [
-    PortAddress(fa, p)
-    for fa in range(SPEC.num_fas)
-    for p in range(SPEC.hosts_per_fa)
-]
-
 
 def run_packing(packing: bool, workload: str):
-    net = StardustNetwork.for_experiment(
-        SPEC, RATE, cell_size_bytes=256, packet_packing=packing
+    """One ``ablation_packing`` cell: 2 ms at 50% load, 0.5 ms drain."""
+    spec = build_scenario(
+        "ablation_packing", packet_mix=workload, packet_packing=packing
     )
-    traffic = UniformRandomTraffic(
-        net, ADDRS, utilization=0.5,
-        size_dist=packet_size_distribution(workload), seed=41,
-    )
-    traffic.start()
-    net.run(2 * MILLISECOND)
-    traffic.stop()
-    net.run(MILLISECOND // 2)
-
+    result, net = run_spec_with_network(spec)
     cells = sum(fa.cells_sent for fa in net.fas)
-    payload = sum(i.bytes_sent for i in traffic.injectors)
+    payload = sum(
+        net.host_at(a).bytes_sent for a in spec.topology.addresses()
+    )
     fabric_bytes = cells and sum(
         up.tx_bytes for fa in net.fas for up in fa.uplinks
     )
@@ -52,8 +36,8 @@ def run_packing(packing: bool, workload: str):
         "payload_bytes": payload,
         "fabric_bytes": fabric_bytes,
         "overhead": fabric_bytes / payload if payload else 0.0,
-        "delivered": traffic.total_received(),
-        "sent": traffic.total_sent(),
+        "delivered": result.metrics["packets_received"],
+        "sent": result.metrics["packets_sent"],
     }
 
 

@@ -8,10 +8,9 @@ tunes around 2%.
 
 from harness import print_series
 
-from repro.fabrics import OneTierSpec, StardustNetwork
-from repro.net.addressing import PortAddress
-from repro.sim.units import MILLISECOND, gbps
-from repro.workloads.generator import UniformRandomTraffic
+from repro.experiments.registry import build_scenario
+from repro.experiments.runner import run_spec_with_network
+from repro.sim.units import MILLISECOND
 
 import pytest
 
@@ -19,30 +18,16 @@ import pytest
 # CI runs the slow marks on main.
 pytestmark = pytest.mark.slow
 
-SPEC = OneTierSpec(num_fas=6, uplinks_per_fa=4, hosts_per_fa=4)
-RATE = gbps(10)
-ADDRS = [
-    PortAddress(fa, p)
-    for fa in range(SPEC.num_fas)
-    for p in range(SPEC.hosts_per_fa)
-]
 DURATION = 2 * MILLISECOND
 
 
 def run_speedup(speedup: float):
-    net = StardustNetwork.for_experiment(
-        SPEC, RATE, cell_size_bytes=256, credit_speedup=speedup
+    """One ``ablation_speedup`` cell: injection for ``DURATION``, then a
+    ``DURATION / 2`` drain; delivery is averaged over both."""
+    result, net = run_spec_with_network(
+        build_scenario("ablation_speedup", credit_speedup=speedup)
     )
-    traffic = UniformRandomTraffic(
-        net, ADDRS, utilization=0.92 * 240 / 256, packet_bytes=1000, seed=53
-    )
-    traffic.start()
-    net.run(DURATION)
-    traffic.stop()
-    net.run(DURATION // 2)
-    delivered_bps = sum(
-        i.bytes_received for i in traffic.injectors
-    ) * 8 / (1.5 * DURATION / 1e9)
+    delivered_bps = result.delivered_bytes * 8 / (1.5 * DURATION / 1e9)
     metrics = net.collect_metrics()
     return {
         "delivered_gbps": delivered_bps / 1e9,

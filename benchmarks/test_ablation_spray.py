@@ -10,10 +10,8 @@ behaviour and congests.
 
 from harness import print_series
 
-from repro.fabrics import StardustNetwork, TwoTierSpec
-from repro.net.addressing import PortAddress
-from repro.sim.units import MILLISECOND, gbps
-from repro.workloads.generator import UniformRandomTraffic
+from repro.experiments.registry import build_scenario
+from repro.experiments.runner import run_spec_with_network
 
 import pytest
 
@@ -21,27 +19,12 @@ import pytest
 # CI runs the slow marks on main.
 pytestmark = pytest.mark.slow
 
-SPEC = TwoTierSpec(pods=2, fas_per_pod=4, fes_per_pod=4, spines=4,
-                   hosts_per_fa=4)
-RATE = gbps(10)
-ADDRS = [
-    PortAddress(fa, p)
-    for fa in range(SPEC.num_fas)
-    for p in range(SPEC.hosts_per_fa)
-]
-
 
 def run_mode(mode: str):
-    net = StardustNetwork.for_experiment(
-        SPEC, RATE, cell_size_bytes=256, spray_mode=mode
+    """One ``ablation_spray`` cell: 2 ms at 85% load."""
+    result, net = run_spec_with_network(
+        build_scenario("ablation_spray", spray_mode=mode)
     )
-    traffic = UniformRandomTraffic(
-        net, ADDRS, utilization=0.85 * 240 / 256, packet_bytes=1000, seed=31
-    )
-    traffic.start()
-    net.run(2 * MILLISECOND)
-    traffic.stop()
-
     # Per-uplink imbalance at one loaded Fabric Adapter.
     counts = [up.tx_frames for up in net.fas[0].uplinks]
     imbalance = (max(counts) - min(counts)) / max(max(counts), 1)
@@ -52,7 +35,7 @@ def run_mode(mode: str):
         "queue_p99": queues.pct(99),
         "queue_max": queues.maximum(),
         "latency_p99_us": metrics.cell_latency_ns.pct(99) / 1000,
-        "delivered": traffic.total_received(),
+        "delivered": result.metrics["packets_received"],
     }
 
 

@@ -6,82 +6,29 @@ push fabric drops B's traffic at fabric links shared with A's excess;
 Stardust's egress schedulers admit exactly port rate per port, so B is
 untouched.  The traffic-class variant (Fig 12) loads A with a high
 class and B with a low class: the pushed fabric still destroys B, and
-Stardust still delivers both.
+Stardust still delivers both.  The cells are the registry's
+``fig7_push_vs_pull`` and ``fig12_traffic_classes`` (``blast`` kind).
 """
 
 from harness import print_series
 
-from repro.fabrics import OneTierSpec, PushFabricNetwork, StardustNetwork
-from repro.net.addressing import PortAddress
-from repro.net.packet import Packet
-from repro.sim.entity import Entity
-from repro.sim.units import MILLISECOND, gbps
+from repro.experiments.registry import build_scenario
+from repro.experiments.runner import run_spec
 
-SPEC = OneTierSpec(num_fas=3, uplinks_per_fa=2, hosts_per_fa=2)
-RATE = gbps(10)
-DURATION = 3 * MILLISECOND
+RATE_GBPS = 10
 
 
-class BlastHost(Entity):
-    """Saturates its NIC with pre-queued packets; counts deliveries."""
-
-    def __init__(self, sim, name, address):
-        super().__init__(sim, name)
-        self.address = address
-        self.received_bytes = 0
-
-    def receive(self, packet, link):
-        self.received_bytes += packet.size_bytes
-
-    def blast(self, dst, flow_ids, priority=0):
-        n = int(RATE / 8 * (DURATION / 1e9) / 1520) + 100
-        for i in range(n):
-            packet = Packet(
-                size_bytes=1500, src=self.address, dst=dst,
-                flow_id=flow_ids[i % len(flow_ids)], priority=priority,
-                created_ns=self.sim.now,
-            )
-            self.ports[0].send(packet, packet.wire_bytes)
-
-
-def scenario(kind: str, with_classes: bool):
-    if kind == "stardust":
-        net = StardustNetwork.for_experiment(
-            SPEC, RATE, cell_size_bytes=256,
-            traffic_classes=2 if with_classes else 1,
-        )
-    else:
-        net = PushFabricNetwork.for_experiment(
-            SPEC, RATE, port_buffer_bytes=30_000, ecn_threshold_bytes=None
-        )
-    hosts = {}
-    for fa in range(SPEC.num_fas):
-        for p in range(SPEC.hosts_per_fa):
-            addr = PortAddress(fa, p)
-            host = BlastHost(net.sim, f"h{fa}.{p}", addr)
-            net.attach_host(addr, host)
-            hosts[addr] = host
-
-    port_a = PortAddress(2, 0)
-    port_b = PortAddress(2, 1)
-    hi = 0  # high priority class (strict priority class 0)
-    lo = 1 if with_classes else 0
-    hosts[PortAddress(0, 0)].blast(port_a, list(range(10, 18)), priority=hi)
-    hosts[PortAddress(0, 1)].blast(port_b, [2], priority=lo)
-    hosts[PortAddress(1, 0)].blast(port_a, list(range(30, 38)), priority=hi)
-    net.run(2 * DURATION)
-
-    def gbps_of(host):
-        return host.received_bytes * 8 / (2 * DURATION / 1e9) / 1e9
-
-    return gbps_of(hosts[port_a]), gbps_of(hosts[port_b])
+def scenario(name: str, kind: str):
+    """(port A, port B) goodput in Gbps over the 6 ms run."""
+    metrics = run_spec(build_scenario(name, kind=kind)).metrics
+    return metrics["rx_gbps_2_0"], metrics["rx_gbps_2_1"]
 
 
 def test_fig7_push_vs_pull(benchmark):
     def run():
         return {
-            "stardust": scenario("stardust", with_classes=False),
-            "push": scenario("push", with_classes=False),
+            "stardust": scenario("fig7_push_vs_pull", "stardust"),
+            "push": scenario("fig7_push_vs_pull", "tcp"),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -93,8 +40,8 @@ def test_fig7_push_vs_pull(benchmark):
     star_a, star_b = results["stardust"]
     push_a, push_b = results["push"]
     # Stardust: B unharmed (full sending window's worth), A at port rate.
-    assert star_b > 0.85 * (RATE / 1e9) / 2  # half the 2x window
-    assert star_a <= (RATE / 1e9) * 1.05
+    assert star_b > 0.85 * RATE_GBPS / 2  # half the 2x window
+    assert star_a <= RATE_GBPS * 1.05
     # Push fabric: B loses a chunk of its traffic (paper: 66% delivered).
     assert push_b < 0.9 * star_b
 
@@ -102,8 +49,8 @@ def test_fig7_push_vs_pull(benchmark):
 def test_fig12_traffic_classes(benchmark):
     def run():
         return {
-            "stardust": scenario("stardust", with_classes=True),
-            "push": scenario("push", with_classes=True),
+            "stardust": scenario("fig12_traffic_classes", "stardust"),
+            "push": scenario("fig12_traffic_classes", "tcp"),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,10 +14,8 @@ import functools
 from harness import print_series
 
 from repro.analysis.mdq import md1_tail_probability
-from repro.fabrics import StardustNetwork, TwoTierSpec
-from repro.net.addressing import PortAddress
-from repro.sim.units import MILLISECOND, gbps
-from repro.workloads.generator import UniformRandomTraffic
+from repro.experiments.registry import build_scenario
+from repro.experiments.runner import run_spec_with_network
 
 import pytest
 
@@ -25,50 +23,26 @@ import pytest
 # CI runs the slow marks on main.
 pytestmark = pytest.mark.slow
 
-RATE = gbps(10)
 LOADS = [0.66, 0.8, 0.92, 0.95]
-DURATION = 2 * MILLISECOND
 
 
 @functools.cache
 def run_load(load: float, oversubscribed: bool = False):
-    """One Fig 9 run; returns (latency_hist, queue_hist, network).
+    """One ``fig9_queueing`` cell; returns (latency_hist, queue_hist,
+    network).
 
     Memoised for the module: both figures read the same five
     simulations (the latency and the queue side of one run), so each is
-    simulated once.  Nothing here draws from process-global state (no
-    ``Flow`` is created), so a second run would reproduce the first.
+    simulated once.  Every cell is hermetic, so a second run would
+    reproduce the first.
     """
-    # The paper's "fabric utilization" is raw wire utilization after
-    # cell-header overhead (§6.2).  The injector paces by host-wire
-    # bytes (1020B for a 1000B packet), and the fabric carries the
-    # payload in 256B cells with 16B headers, so the injection knob is
-    # scaled by both ratios to land the fabric at the target load.
-    payload_ratio = (256 - 16) / 256 * 1020 / 1000
     if oversubscribed:
         # 5 hosts x 10G feed 4x10G of uplinks: 1.25x oversubscription
         # at 96% wire injection = 1.2 offered fabric load.
-        spec = TwoTierSpec(
-            pods=2, fas_per_pod=4, fes_per_pod=4, spines=4, hosts_per_fa=5
-        )
-        utilization = 0.96 * payload_ratio
+        spec = build_scenario("fig9_queueing", load=0.96, hosts_per_fa=5)
     else:
-        spec = TwoTierSpec(
-            pods=2, fas_per_pod=4, fes_per_pod=4, spines=4, hosts_per_fa=4
-        )
-        utilization = load * payload_ratio
-    net = StardustNetwork.for_experiment(spec, RATE, cell_size_bytes=256)
-    addrs = [
-        PortAddress(fa, p)
-        for fa in range(spec.num_fas)
-        for p in range(spec.hosts_per_fa)
-    ]
-    traffic = UniformRandomTraffic(
-        net, addrs, utilization=utilization, packet_bytes=1000, seed=13
-    )
-    traffic.start()
-    net.run(DURATION)
-    traffic.stop()
+        spec = build_scenario("fig9_queueing", load=load)
+    _result, net = run_spec_with_network(spec)
     metrics = net.collect_metrics()
     return metrics.cell_latency_ns, metrics.queue_depth, net
 

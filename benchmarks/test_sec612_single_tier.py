@@ -10,10 +10,8 @@ scaled 8-FA / 4-FE single-tier system at 10G.
 
 from harness import print_series
 
-from repro.fabrics import OneTierSpec, StardustNetwork
-from repro.net.addressing import PortAddress
-from repro.sim.units import MILLISECOND, gbps
-from repro.workloads.generator import UniformRandomTraffic
+from repro.experiments.registry import build_scenario
+from repro.experiments.runner import run_spec_with_network
 
 import pytest
 
@@ -21,34 +19,19 @@ import pytest
 # CI runs the slow marks on main.
 pytestmark = pytest.mark.slow
 
-SPEC = OneTierSpec(num_fas=8, uplinks_per_fa=4, hosts_per_fa=4)
-RATE = gbps(10)
-ADDRS = [
-    PortAddress(fa, p)
-    for fa in range(SPEC.num_fas)
-    for p in range(SPEC.hosts_per_fa)
-]
 SIZES = [64, 256, 384, 512, 1024, 1500]
-DURATION = 1 * MILLISECOND
 
 
-def run_size(packet_bytes: int, utilization: float = 0.95):
-    """Full-load run at one packet size; returns metrics."""
-    net = StardustNetwork.for_experiment(SPEC, RATE, cell_size_bytes=256)
-    traffic = UniformRandomTraffic(
-        net, ADDRS, utilization=utilization,
-        packet_bytes=packet_bytes, seed=23,
+def run_size(packet_bytes: int):
+    """One ``sec612_single_tier`` cell: 1 ms at 95% load, then a 250 us
+    drain; returns metrics."""
+    result, net = run_spec_with_network(
+        build_scenario("sec612_single_tier", packet_bytes=packet_bytes)
     )
-    traffic.start()
-    net.run(DURATION)
-    traffic.stop()
-    net.run(DURATION // 4)  # drain
     metrics = net.collect_metrics()
     lat = metrics.packet_latency_ns
-    delivered = traffic.total_received()
-    sent = traffic.total_sent()
     return {
-        "delivered_frac": delivered / sent if sent else 0.0,
+        "delivered_frac": result.metrics["delivery_ratio"],
         "lat_min_us": lat.minimum() / 1000,
         "lat_avg_us": lat.mean() / 1000,
         "lat_max_us": lat.maximum() / 1000,

@@ -5,9 +5,9 @@
 registry's known-names error, and a third fabric registered with
 ``@fabric("name")`` is immediately buildable from specs without any
 change here.  It ends in the fabric class's own
-:meth:`~repro.fabrics.base.FabricNetwork.for_experiment`, which is
-also what the figure benchmarks call directly, so the benchmark suite
-and the experiment runner build byte-identical fabrics.
+:meth:`~repro.fabrics.base.FabricNetwork.for_experiment`; every
+simulated figure of the benchmark suite is a registered scenario, so
+this is the one place its fabrics are built too.
 """
 
 from __future__ import annotations

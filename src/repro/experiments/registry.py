@@ -432,6 +432,7 @@ def uniform_random(
     topology: TopologySpec = PERM_TOPOLOGY,
     warmup_ns: int = 1 * MILLISECOND,
     measure_ns: int = 4 * MILLISECOND,
+    drain_ns: int = 0,
     rate_bps: int = gbps(10),
     **overrides,
 ) -> ScenarioSpec:
@@ -443,6 +444,8 @@ def uniform_random(
     }
     if packet_mix:
         workload["packet_mix"] = packet_mix
+    if drain_ns:  # run after the injectors stop; counts include it
+        workload["drain_ns"] = drain_ns
     return ScenarioSpec(
         scenario="uniform_random",
         topology=topology,
@@ -490,3 +493,211 @@ def mixed(
         link_rate_bps=rate_bps,
         config_overrides=overrides,
     )
+
+
+# ----------------------------------------------------------------------
+# Paper figures: each simulated figure's cells, one factory per figure
+# ----------------------------------------------------------------------
+#
+# A figure factory returns a family's spec (or, for the two figure-only
+# shapes, a ``blast`` / ``probes`` spec) with the figure's topology,
+# windows, seed and overrides, and takes only what the figure varies.
+# ``benchmarks/`` runs these cells and asserts the paper's claims.
+
+#: The paper's cell size, which every figure but Fig 10(b) runs at.
+FIGURE_CELL_BYTES = 256
+
+
+@scenario("fig7_push_vs_pull", "Fig 7: an oversubscribed port beside an innocent one")
+def fig7_push_vs_pull(
+    kind: str = "stardust", seed: int = 1, classes: int = 1
+) -> ScenarioSpec:
+    """Two sources load port A 2:1 while one loads port B at line rate.
+
+    With ``classes=2`` (Fig 12) A's blasts are class 0 and B's class 1.
+    Every blast pre-queues 3 ms of line-rate frames; the run is 6 ms.
+    """
+    fabric, _ = resolve_kind(kind)
+    port_a, port_b = [2, 0], [2, 1]
+    if fabric == "stardust":
+        overrides = dict(
+            cell_size_bytes=FIGURE_CELL_BYTES, traffic_classes=classes
+        )
+    else:
+        overrides = dict(port_buffer_bytes=30_000, ecn_threshold_bytes=None)
+    blasts = [
+        {"src": [0, 0], "dst": port_a, "flow_ids": list(range(10, 18)),
+         "class": 0},
+        {"src": [0, 1], "dst": port_b, "flow_ids": [2], "class": classes - 1},
+        {"src": [1, 0], "dst": port_a, "flow_ids": list(range(30, 38)),
+         "class": 0},
+    ]
+    return ScenarioSpec(
+        scenario="fig7_push_vs_pull",
+        topology=TopologySpec(
+            "one_tier", dict(num_fas=3, uplinks_per_fa=2, hosts_per_fa=2)
+        ),
+        fabric=fabric,
+        transport="none",
+        workload={"kind": "blast", "burst_ns": 3 * MILLISECOND, "blasts": blasts},
+        seed=seed,
+        warmup_ns=0,
+        measure_ns=6 * MILLISECOND,
+        link_rate_bps=gbps(10),
+        config_overrides=overrides,
+    )
+
+
+@scenario("fig12_traffic_classes", "Fig 12: Fig 7 with A high class, B low")
+def fig12_traffic_classes(kind: str = "stardust", seed: int = 1) -> ScenarioSpec:
+    spec = fig7_push_vs_pull(kind=kind, seed=seed, classes=2)
+    return spec.with_updates(scenario="fig12_traffic_classes")
+
+
+@scenario("fig9_queueing", "Fig 9: latency and queues under Poisson load")
+def fig9_queueing(
+    kind: str = "stardust",
+    seed: int = 13,
+    load: float = 0.66,
+    hosts_per_fa: int = 4,
+) -> ScenarioSpec:
+    """``load`` is the fabric's target wire utilization (§6.2).  The
+    injector paces host-wire bytes (1020B per 1000B packet) and the
+    fabric carries 240B of payload per 256B cell, so the injection knob
+    is scaled by both ratios.  ``hosts_per_fa=5`` puts 5 hosts on 4
+    uplinks: 1.25x oversubscribed."""
+    topology = TopologySpec(
+        "two_tier",
+        dict(pods=2, fas_per_pod=4, fes_per_pod=4, spines=4,
+             hosts_per_fa=hosts_per_fa),
+    )
+    spec = uniform_random(
+        kind=kind, seed=seed,
+        utilization=load * ((256 - 16) / 256 * 1020 / 1000),
+        topology=topology, warmup_ns=0, measure_ns=2 * MILLISECOND,
+        cell_size_bytes=FIGURE_CELL_BYTES,
+    )
+    return spec.with_updates(scenario="fig9_queueing")
+
+
+@scenario("fig10b_fct", "Fig 10(b): Web-flow FCTs under background load")
+def fig10b_fct(kind: str = "stardust", seed: int = 3) -> ScenarioSpec:
+    """30 sequential Web-size probes between two hosts of a 4-FA fabric
+    while the other 14 run long flows; probes start 100us in."""
+    fabric, transport = resolve_kind(kind)
+    return ScenarioSpec(
+        scenario="fig10b_fct",
+        topology=TopologySpec(
+            "two_tier",
+            dict(pods=2, fas_per_pod=2, fes_per_pod=4, spines=4,
+                 hosts_per_fa=4),
+        ),
+        fabric=fabric,
+        transport=transport,
+        workload={"kind": "probes", "probes": 30},
+        seed=seed,
+        warmup_ns=100 * MICROSECOND,
+        measure_ns=200 * MILLISECOND,
+        link_rate_bps=gbps(10),
+    )
+
+
+@scenario("fig10c_incast", "Fig 10(c): incast completion vs backend count")
+def fig10c_incast(
+    kind: str = "stardust", seed: int = 1, n_backends: int = 4
+) -> ScenarioSpec:
+    fabric, transport = resolve_kind(kind)
+    if fabric == "stardust":
+        overrides = dict(ingress_buffer_bytes=32 * MB)
+    else:
+        overrides = dict(
+            port_buffer_bytes=150_000,
+            ecn_threshold_bytes=30_000 if transport == "dctcp" else None,
+        )
+    spec = incast(
+        kind=kind, seed=seed, n_backends=n_backends,
+        response_bytes=150 * KB, timeout_ns=400 * MILLISECOND, **overrides,
+    )
+    return spec.with_updates(scenario="fig10c_incast")
+
+
+@scenario("sec59_self_healing", "§5.9: the live protocol heals a link failure")
+def sec59_self_healing(kind: str = "stardust", seed: int = 7) -> ScenarioSpec:
+    """One FA uplink down 500us under a 25G permutation on a 4-FA
+    one-tier fabric, with the protocol at 10us periods and thresholds
+    of 3; the run ends 1ms after the repair."""
+    spec = permutation_link_failure(
+        kind=kind, seed=seed,
+        topology=TopologySpec(
+            "one_tier", dict(num_fas=4, uplinks_per_fa=4, hosts_per_fa=1)
+        ),
+        warmup_ns=500 * MICROSECOND, measure_ns=2 * MILLISECOND,
+        rate_bps=gbps(25),
+        cell_size_bytes=FIGURE_CELL_BYTES,
+        reachability="dynamic",
+        reachability_period_ns=10 * MICROSECOND,
+        reachability_miss_threshold=3,
+        reachability_up_threshold=3,
+    )
+    return spec.with_updates(scenario="sec59_self_healing")
+
+
+@scenario("sec612_single_tier", "§6.1.2: one-tier line rate and latency")
+def sec612_single_tier(
+    kind: str = "stardust", seed: int = 23, packet_bytes: int = 1000
+) -> ScenarioSpec:
+    spec = uniform_random(
+        kind=kind, seed=seed, utilization=0.95, packet_bytes=packet_bytes,
+        topology=TopologySpec(
+            "one_tier", dict(num_fas=8, uplinks_per_fa=4, hosts_per_fa=4)
+        ),
+        warmup_ns=0, measure_ns=1 * MILLISECOND, drain_ns=MILLISECOND // 4,
+        cell_size_bytes=FIGURE_CELL_BYTES,
+    )
+    return spec.with_updates(scenario="sec612_single_tier")
+
+
+@scenario("ablation_packing", "§3.4 ablation: packet packing on vs off")
+def ablation_packing(
+    kind: str = "stardust",
+    seed: int = 41,
+    packet_mix: str = "web",
+    packet_packing: bool = True,
+) -> ScenarioSpec:
+    spec = uniform_random(
+        kind=kind, seed=seed, utilization=0.5, packet_mix=packet_mix,
+        topology=TopologySpec(
+            "one_tier", dict(num_fas=6, uplinks_per_fa=4, hosts_per_fa=2)
+        ),
+        warmup_ns=0, measure_ns=2 * MILLISECOND, drain_ns=MILLISECOND // 2,
+        cell_size_bytes=FIGURE_CELL_BYTES, packet_packing=packet_packing,
+    )
+    return spec.with_updates(scenario="ablation_packing")
+
+
+@scenario("ablation_speedup", "§4.1 ablation: credit speedup 0 / 2 / 5 %")
+def ablation_speedup(
+    kind: str = "stardust", seed: int = 53, credit_speedup: float = 0.02
+) -> ScenarioSpec:
+    spec = uniform_random(
+        kind=kind, seed=seed, utilization=0.92 * 240 / 256,
+        topology=TopologySpec(
+            "one_tier", dict(num_fas=6, uplinks_per_fa=4, hosts_per_fa=4)
+        ),
+        warmup_ns=0, measure_ns=2 * MILLISECOND, drain_ns=MILLISECOND,
+        cell_size_bytes=FIGURE_CELL_BYTES, credit_speedup=credit_speedup,
+    )
+    return spec.with_updates(scenario="ablation_speedup")
+
+
+@scenario("ablation_spray", "§5.3 ablation: permutation vs random vs static spray")
+def ablation_spray(
+    kind: str = "stardust", seed: int = 31, spray_mode: str = "permutation"
+) -> ScenarioSpec:
+    spec = uniform_random(
+        kind=kind, seed=seed, utilization=0.85 * 240 / 256,
+        warmup_ns=0, measure_ns=2 * MILLISECOND,
+        cell_size_bytes=FIGURE_CELL_BYTES, spray_mode=spray_mode,
+    )
+    return spec.with_updates(scenario="ablation_spray")
+

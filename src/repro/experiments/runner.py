@@ -40,16 +40,18 @@ from repro.experiments.spec import (
     field_table,
     plain_fields,
 )
+from repro.net.addressing import PortAddress
 from repro.net.flow import Flow, reset_flow_ids
+from repro.net.packet import Packet, wire_size
 from repro.sim.engine import deferred_gc
+from repro.sim.units import MICROSECOND, MILLISECOND
 from repro.transport.host import make_hosts
 from repro.transport.table import start_flow
 from repro.workloads.distributions import (
     flow_size_distribution,
     packet_size_distribution,
 )
-from repro.workloads.generator import UniformRandomTraffic
-from repro.workloads.incast import run_incast
+from repro.workloads.generator import PacketSink, UniformRandomTraffic
 from repro.workloads.permutation import host_permutation, start_permutation_flows
 
 
@@ -187,7 +189,9 @@ def _run_permutation(spec: ScenarioSpec, net) -> RunResult:
 
 
 def _run_incast(spec: ScenarioSpec, net) -> RunResult:
-    """One incast round (the Fig 10(c) shape)."""
+    """One incast round (the Fig 10(c) shape): every backend starts its
+    response to the first host at t=0 (the request fan-out is tiny and
+    abstracted away), the worst case for the frontend's port."""
     if spec.transport == "mptcp":
         raise ValueError("mptcp is not supported for the incast workload")
     addrs = spec.topology.addresses()
@@ -199,22 +203,28 @@ def _run_incast(spec: ScenarioSpec, net) -> RunResult:
         )
     frontend, backends = addrs[0], addrs[1 : 1 + n_backends]
     hosts, tracker = make_hosts(net, addrs)
-    result = run_incast(
-        net, hosts, tracker, frontend, backends,
-        response_bytes=spec.workload.get("response_bytes", 200_000),
-        timeout_ns=spec.measure_ns,
-        **_flow_kwargs(spec),
-    )
+    size = spec.workload.get("response_bytes", 200_000)
+    flow_kwargs = _flow_kwargs(spec)
+    for backend in backends:
+        # A dynamic-reachability fabric has pre-run: stamp the start.
+        flow = Flow(
+            src=backend, dst=frontend, size_bytes=size,
+            start_ns=net.sim.now,
+        )
+        start_flow(hosts, flow, **flow_kwargs)
+    net.run(spec.measure_ns)
+    fcts = sorted(tracker.fcts_ns())
+    first, last = (fcts[0], fcts[-1]) if fcts else (None, None)
     metrics = {
-        "first_fct_ns": result.first_fct_ns,
-        "last_fct_ns": result.last_fct_ns,
-        "fairness_spread": result.fairness_spread,
-        "completed": result.completed,
-        "all_completed": result.all_completed,
+        "first_fct_ns": first,
+        "last_fct_ns": last,
+        "fairness_spread": last / first if first and last else None,
+        "completed": len(fcts),
+        "all_completed": len(fcts) == n_backends,
     }
     return _result(
         spec, net, net.collect_metrics(), metrics,
-        fcts_ns=sorted(tracker.fcts_ns()),
+        fcts_ns=fcts,
         delivered_bytes=sum(s.bytes_delivered for s in tracker.all()),
     )
 
@@ -272,6 +282,9 @@ def _run_uniform_random(spec: ScenarioSpec, net) -> RunResult:
     bytes0 = sum(i.bytes_received for i in traffic.injectors)
     net.run(spec.measure_ns)
     traffic.stop()
+    drain_ns = workload.get("drain_ns", 0)
+    if drain_ns:
+        net.run(drain_ns)  # what is in flight lands; counts include it
     sent = traffic.total_sent() - sent0
     received = traffic.total_received() - recv0
     delivered = sum(i.bytes_received for i in traffic.injectors) - bytes0
@@ -352,12 +365,127 @@ def _run_mixed(spec: ScenarioSpec, net) -> RunResult:
     return result
 
 
+#: Figs 7 and 12 blast full-size 1500B frames.
+_BLAST_BYTES = 1500
+
+
+def _run_blast(spec: ScenarioSpec, net) -> RunResult:
+    """Pre-queued fixed-size packets onto plain counting hosts (Figs 7
+    and 12): each blast queues ``burst_ns`` of line-rate frames on its
+    source's NIC, cycling through its flow ids, in its traffic class."""
+    addrs = spec.topology.addresses()
+    hosts = {}
+    for address in addrs:
+        host = PacketSink(net.sim, f"h{address.fa}.{address.port}", address)
+        net.attach_host(address, host)
+        hosts[address] = host
+    burst_s = spec.workload["burst_ns"] / 1e9
+    # 100 frames more than the burst holds, so no NIC runs dry early.
+    count = int(spec.link_rate_bps / 8 * burst_s / wire_size(_BLAST_BYTES)) + 100
+    for blast in spec.workload["blasts"]:
+        src, dst = PortAddress(*blast["src"]), PortAddress(*blast["dst"])
+        flow_ids, link = blast["flow_ids"], hosts[src].ports[0]
+        for i in range(count):
+            packet = Packet(
+                size_bytes=_BLAST_BYTES, src=src, dst=dst,
+                flow_id=flow_ids[i % len(flow_ids)],
+                priority=blast["class"], created_ns=net.sim.now,
+            )
+            link.send(packet, packet.wire_bytes)
+    net.run(spec.measure_ns)
+    window_s = spec.measure_ns / 1e9
+    metrics = {
+        f"rx_gbps_{a.fa}_{a.port}": h.bytes_received * 8 / window_s / 1e9
+        for a, h in hosts.items()
+    }
+    return _result(
+        spec, net, net.collect_metrics(), metrics,
+        delivered_bytes=sum(h.bytes_received for h in hosts.values()),
+    )
+
+
+#: How often a probe run checks whether its last probe has finished.
+_PROBE_POLL_NS = 2 * MILLISECOND
+#: Probe sizes draw from ``Random(seed + _PROBE_SEED_OFFSET)``, apart
+#: from the background's ``Random(seed)``.
+_PROBE_SEED_OFFSET = 14
+#: Probes are Web-workload sizes clamped to [200B, 1MB] — the paper's
+#: headline is "even flows of 1MB have a FCT of less than a
+#: millisecond" — sent at standard MTU, 20us apart.
+_PROBE_MIN_BYTES, _PROBE_MAX_BYTES = 200, 1_000_000
+_PROBE_MSS = 1460
+_PROBE_GAP_NS = 20 * MICROSECOND
+
+
+def _run_probes(spec: ScenarioSpec, net) -> RunResult:
+    """Sequential Web-size probe flows between the first and the last
+    host over a background permutation of long flows on every other
+    host (the Fig 10(b) shape).
+
+    The first probe starts ``warmup_ns`` in; each next one starts a gap
+    after the previous completes, so every FCT measures the network,
+    not queueing behind a sibling probe.  The run stops at the first
+    poll after the last probe completes, or ``warmup_ns + measure_ns``.
+    """
+    addrs = spec.topology.addresses()
+    hosts, tracker = make_hosts(net, addrs)
+    src, dst = addrs[0], addrs[-1]
+    background = [a for a in addrs if a not in (src, dst)]
+    flow_kwargs = _flow_kwargs(spec)
+    start_permutation_flows(
+        hosts, host_permutation(background, random.Random(spec.seed)),
+        **flow_kwargs,
+    )
+    sizes = flow_size_distribution("web")
+    rng = random.Random(spec.seed + _PROBE_SEED_OFFSET)
+    count = spec.workload["probes"]
+    probe_kwargs = {**flow_kwargs, "mss": _PROBE_MSS}
+    probes: List[Flow] = []
+
+    def launch_next() -> None:
+        if len(probes) == count:
+            return
+        size = min(
+            _PROBE_MAX_BYTES, max(_PROBE_MIN_BYTES, sizes.sample_int(rng))
+        )
+        flow = Flow(
+            src=src, dst=dst, size_bytes=size,
+            start_ns=net.sim.now + _PROBE_GAP_NS,
+        )
+        probes.append(flow)
+        start_flow(
+            hosts, flow, delay_ns=_PROBE_GAP_NS,
+            on_complete=lambda: net.sim.schedule(_PROBE_GAP_NS, launch_next),
+            **probe_kwargs,
+        )
+
+    def fcts() -> List[int]:
+        stats = (tracker.get(f.flow_id) for f in probes)
+        return sorted(s.fct_ns for s in stats if s.fct_ns is not None)
+
+    net.sim.schedule(spec.warmup_ns, launch_next)
+    deadline = spec.warmup_ns + spec.measure_ns
+    while net.sim.now < deadline:
+        net.run(min(_PROBE_POLL_NS, deadline - net.sim.now))
+        if len(probes) == count and len(fcts()) == count:
+            break
+    done = fcts()
+    metrics = {"probes": count, "completed": len(done)}
+    return _result(
+        spec, net, net.collect_metrics(), metrics,
+        fcts_ns=done,
+        delivered_bytes=sum(s.bytes_delivered for s in tracker.all()),
+    )
+
+
 _EXECUTORS = {
     "permutation": _run_permutation,
     "incast": _run_incast,
     "many_to_many": _run_many_to_many,
     "uniform_random": _run_uniform_random,
     "mixed": _run_mixed,
+    "blast": _run_blast,
+    "probes": _run_probes,
 }
 
 

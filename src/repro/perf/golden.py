@@ -145,6 +145,22 @@ def golden_specs() -> List[ScenarioSpec]:
         )
         for kind in ("dctcp", "mptcp", "dcqcn")
     ]
+    # The two figure-only workload kinds: Fig 10(b)'s sequential probes
+    # over a background permutation on ECMP, and Fig 12's pre-queued
+    # blasts in two traffic classes on the cell fabric.
+    probes = build_scenario("fig10b_fct", kind="dctcp")
+    blast = build_scenario("fig12_traffic_classes", kind="stardust")
+    specs += [
+        probes.with_updates(
+            topology=_TWO_TIER,
+            workload={**probes.workload, "probes": 6},
+            measure_ns=20 * MILLISECOND,
+        ),
+        blast.with_updates(
+            workload={**blast.workload, "burst_ns": 300 * MICROSECOND},
+            measure_ns=1 * MILLISECOND,
+        ),
+    ]
     return specs
 
 

@@ -42,10 +42,3 @@ def bits_to_time_ns(bits: int, rate_bps: int) -> int:
 def time_ns_for_bytes(num_bytes: int, rate_bps: int) -> int:
     """Time (ns) to serialize ``num_bytes`` on a link of ``rate_bps``."""
     return bits_to_time_ns(num_bytes * 8, rate_bps)
-
-
-def bytes_in_time(time_ns: int, rate_bps: int) -> int:
-    """How many whole bytes a ``rate_bps`` link moves in ``time_ns``."""
-    if time_ns < 0:
-        raise ValueError(f"time must be non-negative, got {time_ns}")
-    return (time_ns * rate_bps) // (8 * SECOND)

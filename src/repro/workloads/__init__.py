@@ -8,7 +8,6 @@ from repro.workloads.distributions import (
     packet_size_distribution,
 )
 from repro.workloads.generator import RateInjector, UniformRandomTraffic
-from repro.workloads.incast import IncastResult, run_incast
 from repro.workloads.permutation import (
     derangement,
     host_permutation,
@@ -26,6 +25,4 @@ __all__ = [
     "derangement",
     "host_permutation",
     "start_permutation_flows",
-    "run_incast",
-    "IncastResult",
 ]

@@ -5,6 +5,8 @@ Adapters are loaded at a controlled utilization with packets to
 uniformly random destinations.  :class:`RateInjector` produces exactly
 that — a Poisson packet stream at a fraction of a host port's rate —
 and :class:`UniformRandomTraffic` wires one injector per host.
+:class:`PacketSink`, the injector's receive side alone, is the plain
+counting host of the pre-queued blasts of Figs 7 and 12.
 """
 
 from __future__ import annotations
@@ -21,7 +23,22 @@ from repro.sim.units import SECOND
 from repro.workloads.distributions import EmpiricalDistribution
 
 
-class RateInjector(Entity):
+class PacketSink(Entity):
+    """A host that counts arriving packets and discards them."""
+
+    def __init__(self, sim: Simulator, name: str, address: PortAddress) -> None:
+        super().__init__(sim, name)
+        self.address = address
+        self.packets_received = 0
+        self.bytes_received = 0
+
+    def receive(self, packet: Packet, link: Link) -> None:
+        """Count an arriving packet (traffic sink side)."""
+        self.packets_received += 1
+        self.bytes_received += packet.size_bytes
+
+
+class RateInjector(PacketSink):
     """A host that injects packets open-loop at a target rate.
 
     ``utilization`` is relative to ``line_rate_bps``; inter-arrival
@@ -42,12 +59,11 @@ class RateInjector(Entity):
         packet_bytes: int = 1000,
         size_dist: Optional[EmpiricalDistribution] = None,
     ) -> None:
-        super().__init__(sim, name)
+        super().__init__(sim, name, address)
         if utilization < 0:
             raise ValueError("utilization must be non-negative")
         if not destinations:
             raise ValueError("need at least one destination")
-        self.address = address
         self.destinations = list(destinations)
         self.line_rate_bps = line_rate_bps
         self.utilization = utilization
@@ -56,8 +72,6 @@ class RateInjector(Entity):
         self.size_dist = size_dist
         self.packets_sent = 0
         self.bytes_sent = 0
-        self.packets_received = 0
-        self.bytes_received = 0
         self._running = False
         # Pace by on-wire bytes so "utilization" means wire utilization
         # — at 64B the Ethernet preamble/IPG is a third of the wire —
@@ -106,12 +120,6 @@ class RateInjector(Entity):
         self.bytes_sent += size
         self.ports[0].send(packet, packet.wire_bytes)
         self.sim.call_later(self._next_gap(), self._inject)
-
-    # ------------------------------------------------------------------
-    def receive(self, packet: Packet, link: Link) -> None:
-        """Count an arriving packet (traffic sink side)."""
-        self.packets_received += 1
-        self.bytes_received += packet.size_bytes
 
 
 class UniformRandomTraffic:

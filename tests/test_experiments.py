@@ -236,7 +236,7 @@ class TestPlainForms:
 
     def test_hash_neutral_fields_leave_every_golden_hash_alone(self):
         """Toggling each HASH_NEUTRAL field moves neither the content
-        hash, nor the store's spec key, nor any of the 24 recorded
+        hash, nor the store's spec key, nor any of the 26 recorded
         golden ``spec_hash`` values."""
         values = {
             "telemetry": [_TELEMETRY, TelemetryConfig().to_dict()],
@@ -248,7 +248,7 @@ class TestPlainForms:
         ]
         assert sorted(neutral) == sorted(values)
         goldens = sorted((Path(__file__).parent / "golden").glob("*.json"))
-        assert len(goldens) == 24
+        assert len(goldens) == 26
         for path in goldens:
             recorded = json.loads(path.read_text())
             spec = ScenarioSpec.from_dict(recorded["spec"])
@@ -319,6 +319,65 @@ class TestRegistry:
         assert spec.workload["n_backends"] == 4
         assert spec.workload["response_bytes"] == 12_345
         assert spec.topology.params["num_fas"] == 5
+
+
+# ----------------------------------------------------------------------
+# Figures: every simulated figure of benchmarks/ is a registered scenario
+# ----------------------------------------------------------------------
+
+#: Each figure scenario with every kind its benchmark runs.
+FIGURE_CELLS = {
+    "fig7_push_vs_pull": ("stardust", "tcp"),
+    "fig12_traffic_classes": ("stardust", "tcp"),
+    "fig9_queueing": ("stardust",),
+    "fig10b_fct": ("stardust", "tcp", "dctcp"),
+    "fig10c_incast": ("stardust", "tcp", "dctcp"),
+    "sec59_self_healing": ("stardust",),
+    "sec612_single_tier": ("stardust",),
+    "ablation_packing": ("stardust",),
+    "ablation_speedup": ("stardust",),
+    "ablation_spray": ("stardust",),
+}
+FIGURES = list(FIGURE_CELLS)
+
+
+def short_figure(name: str, kind: str) -> ScenarioSpec:
+    """A figure cell cut to a 100 us window (from t=0)."""
+    return build_scenario(name, kind=kind).with_updates(
+        warmup_ns=0, measure_ns=100 * MICROSECOND
+    )
+
+
+class TestFigures:
+    def test_every_figure_is_registered(self):
+        assert set(FIGURES) <= set(scenario_names())
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_figure_spec_round_trips_with_stable_hash(self, name):
+        for kind in FIGURE_CELLS[name]:
+            spec = build_scenario(name, kind=kind)
+            clone = ScenarioSpec.from_json(spec.to_json())
+            assert clone.to_dict() == spec.to_dict()
+            assert clone.content_hash() == spec.content_hash()
+            assert (
+                build_scenario(name, kind=kind).content_hash()
+                == spec.content_hash()
+            )
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [(name, kind) for name, kinds in FIGURE_CELLS.items() for kind in kinds],
+    )
+    def test_figure_cell_is_hermetic(self, name, kind):
+        """Same result alone, after another figure's cell, and after a
+        push/dctcp cell that creates flows (flow ids feed ECMP)."""
+        spec = short_figure(name, kind)
+        alone = run_spec(spec).to_dict()
+        other = FIGURES[(FIGURES.index(name) + 1) % len(FIGURES)]
+        run_spec(short_figure(other, FIGURE_CELLS[other][-1]))
+        assert run_spec(spec).to_dict() == alone
+        run_spec(tiny_permutation("dctcp"))
+        assert run_spec(spec).to_dict() == alone
 
 
 # ----------------------------------------------------------------------
@@ -545,37 +604,29 @@ class TestWorkloads:
     def test_incast_dcqcn_installs_notification_points(self):
         # DCQCN only reacts to CNPs, which only a notification point
         # emits; the transport table's dcqcn row must install one per
-        # flow, under the DCQCN sender, through run_incast.
-        from repro.experiments.builders import build_network
+        # flow, under the DCQCN sender, through the incast executor.
+        from repro.experiments.runner import run_spec_with_network
         from repro.transport.dcqcn import DcqcnNotificationPoint, DcqcnSender
-        from repro.transport.host import make_hosts
-        from repro.workloads.incast import run_incast
 
         spec = build_scenario(
-            "incast", kind="dcqcn", n_backends=2, response_bytes=20_000
-        )
-        net = build_network(spec)
-        addrs = spec.topology.addresses()
-        hosts, tracker = make_hosts(net, addrs)
-        run_incast(
-            net, hosts, tracker, addrs[0], addrs[1:3],
-            response_bytes=20_000,
+            "incast", kind="dcqcn", n_backends=2, response_bytes=20_000,
             timeout_ns=5_000_000,
-            transport="dcqcn",
         )
-        frontend = hosts[addrs[0]]
-        installed = [
-            frontend._receivers[f.flow_id]
-            for f in (s.flow for s in tracker.all())
-        ]
+        _result, net = run_spec_with_network(spec)
+        addrs = spec.topology.addresses()
+        installed = net.host_at(addrs[0])._receivers
         assert len(installed) == 2
         assert all(
-            isinstance(r, DcqcnNotificationPoint) for r in installed
+            isinstance(r, DcqcnNotificationPoint) for r in installed.values()
         )
-        assert all(
-            isinstance(hosts[s.flow.src].sender(s.flow.flow_id), DcqcnSender)
-            for s in tracker.all()
-        )
+        senders = [
+            net.host_at(a).sender(flow_id)
+            for a in addrs[1:3]
+            for flow_id in installed
+            if net.host_at(a).sender(flow_id) is not None
+        ]
+        assert len(senders) == 2
+        assert all(isinstance(s, DcqcnSender) for s in senders)
 
     def test_incast_dcqcn_runs_end_to_end(self):
         spec = build_scenario(

@@ -12,7 +12,6 @@ from repro.sim.stats import (
 )
 from repro.sim.units import (
     bits_to_time_ns,
-    bytes_in_time,
     gbps,
     time_ns_for_bytes,
 )
@@ -259,9 +258,6 @@ class TestUnits:
     def test_bytes_timing_on_50g(self):
         # 256B = 2048 bits at 50 Gbps = 40.96 ns -> 41.
         assert time_ns_for_bytes(256, gbps(50)) == 41
-
-    def test_bytes_in_time_inverse(self):
-        assert bytes_in_time(1000, gbps(1)) == 125
 
     def test_invalid_rate_raises(self):
         with pytest.raises(ValueError):
