@@ -34,7 +34,6 @@ from repro.experiments.summarize import (
     format_resilience,
     format_table,
 )
-from repro.sim.engine import KERNEL_GONE
 from repro.store.cells import RecordStore, default_store_dir
 from repro.store.format import StoreFormatError
 
@@ -276,7 +275,6 @@ def main(argv=None) -> int:
         help="instrument every cell (time-series probes + flow spans; "
              "see python -m repro.telemetry export)",
     )
-    run.add_argument("--kernel", help=argparse.SUPPRESS)  # gone: says so
     run.add_argument(
         "--sample-interval-ns", type=int, default=10_000,
         help="telemetry sampling cadence (with --telemetry)",
@@ -324,9 +322,6 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if getattr(args, "kernel", None) is not None:
-        print(f"error: {KERNEL_GONE.format(args.kernel)}", file=sys.stderr)
-        return 2
     handler = {
         "list": cmd_list,
         "show": cmd_show,

@@ -553,8 +553,8 @@ def _hot001(ctx: ModuleContext) -> Iterator[RuleHit]:
 
 #: (package, module) -> class (``None`` for module-level functions) ->
 #: the functions on the per-cell/per-event critical path, where
-#: allocating a closure per call is a measured regression (see repro.perf
-#: gates).
+#: allocating a closure per call is a measured regression (see the
+#: benchmark in ``bench/``).
 HOT_METHODS: Dict[Tuple[str, str], Dict[Optional[str], FrozenSet[str]]] = {
     ("sim", "engine.py"): {
         "Simulator": frozenset(

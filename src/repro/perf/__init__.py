@@ -1,34 +1,17 @@
-"""repro.perf — hot-path benchmarks, golden traces and the perf gate.
+"""repro.perf — run digests and golden traces.
 
-Three jobs:
+Two jobs, both to prove a change behavior-preserving:
 
-* **Benchmark** the event/link hot path (``python -m repro.perf``):
-  micro benches for the engine and links, meso benches running the
-  permutation workload per fabric x tier, and the headline
-  ``permutation_default`` wall-clock.  Results land in
-  ``BENCH_perf.json``; the committed baseline lives in
-  ``benchmarks/perf_baseline.json``.
-* **Prove** optimizations behavior-preserving: compact run digests
-  (:mod:`repro.perf.digest`) recorded as golden traces
-  (:mod:`repro.perf.golden`, checked by ``tests/test_golden_traces.py``).
-* **Gate** regressions: the CLI's ``--check`` fails when any bench's
-  events/sec drops more than 10% below the committed baseline.
-* **Profile** on demand: ``--profile N`` reruns each bench under
-  cProfile and reports the top-N cumulative hotspots
-  (``BENCH_profile.txt``), so the next perf hunt starts from data.
+* **Digest** a run: :mod:`repro.perf.digest` collapses what a cell
+  produced into a small, exact, JSON-safe dict.
+* **Pin** digests as golden traces: :mod:`repro.perf.golden` records a
+  quick scenario matrix under ``tests/golden/`` and re-checks it
+  (``python -m repro.perf golden --check|--regen``, and
+  ``tests/test_golden_traces.py`` on every run).
+
+Timing lives elsewhere: the benchmark is ``python3 bench/run.py``.
 """
 
-from repro.perf.bench import (
-    BenchResult,
-    bench_engine_cancel_churn,
-    bench_engine_events,
-    bench_factories,
-    bench_link_stream,
-    default_permutation_spec,
-    measure_process_stats,
-    profile_bench,
-    suite,
-)
 from repro.perf.digest import diff_digests, run_digest, values_hash
 from repro.perf.golden import (
     DEFAULT_GOLDEN_DIR,
@@ -39,30 +22,14 @@ from repro.perf.golden import (
     write_goldens,
 )
 
-#: A bench regresses when events/sec falls below (1 - this) x baseline.
-#: Tightened from 20% when the calendar-queue engine raised the floor:
-#: the committed baseline is refreshed in the same change, so the gate
-#: now guards the new level, not the pre-optimization one.
-REGRESSION_TOLERANCE = 0.10
-
 __all__ = [
-    "BenchResult",
     "DEFAULT_GOLDEN_DIR",
-    "REGRESSION_TOLERANCE",
-    "bench_engine_cancel_churn",
-    "bench_engine_events",
-    "bench_factories",
-    "bench_link_stream",
-    "profile_bench",
     "check_goldens",
     "compute_digest",
-    "default_permutation_spec",
     "diff_digests",
     "golden_name",
     "golden_specs",
-    "measure_process_stats",
     "run_digest",
-    "suite",
     "values_hash",
     "write_goldens",
 ]

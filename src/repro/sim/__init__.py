@@ -16,7 +16,6 @@ from repro.sim.stats import (
     Counter,
     Histogram,
     RateMeter,
-    TimeWeightedMean,
     percentile,
 )
 from repro.sim.trace import TraceRecord, Tracer
@@ -45,7 +44,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "RateMeter",
-    "TimeWeightedMean",
     "percentile",
     "Tracer",
     "TraceRecord",

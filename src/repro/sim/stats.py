@@ -1,8 +1,7 @@
 """Measurement primitives used by experiments.
 
 These are intentionally simple — exact sample stores for percentile
-queries at experiment scale, plus streaming counters for rates and
-time-weighted occupancies.
+queries at experiment scale, plus streaming counters and rate meters.
 """
 
 from __future__ import annotations
@@ -156,45 +155,6 @@ class Histogram:
                 points.append((v, (n - i) / n))
                 seen = v
         return points
-
-
-class TimeWeightedMean:
-    """Mean of a piecewise-constant signal, weighted by holding time.
-
-    Used for average queue occupancy: call :meth:`update` every time the
-    level changes, then :meth:`value` integrates level x duration.
-    """
-
-    __slots__ = ("_last_time", "_level", "_area", "_peak")
-
-    def __init__(self, start_time_ns: int = 0, level: float = 0.0) -> None:
-        self._last_time = start_time_ns
-        self._level = level
-        self._area = 0.0
-        self._peak = level
-
-    def update(self, time_ns: int, level: float) -> None:
-        """Record a level change at ``time_ns``."""
-        if time_ns < self._last_time:
-            raise ValueError("time moved backwards")
-        self._area += self._level * (time_ns - self._last_time)
-        self._last_time = time_ns
-        self._level = level
-        if level > self._peak:
-            self._peak = level
-
-    @property
-    def peak(self) -> float:
-        """Highest level seen so far."""
-        return self._peak
-
-    def value(self, now_ns: int) -> float:
-        """Time-weighted mean level up to ``now_ns``."""
-        total = now_ns - (self._last_time - 0)
-        area = self._area + self._level * (now_ns - self._last_time)
-        if now_ns <= 0:
-            return self._level
-        return area / now_ns
 
 
 class RateMeter:

@@ -134,8 +134,7 @@ def atomic_write_json(path: os.PathLike, payload: Any) -> Path:
     it into place, so readers never observe a half-written file; a
     writer killed in between leaves only the temp file, which
     :class:`RecordStore` sweeps on open.  Shared by the store's
-    ``store.meta.json`` and the perf harness (``BENCH_perf.json``,
-    golden traces).
+    ``store.meta.json`` and the golden traces.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

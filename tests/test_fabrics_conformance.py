@@ -377,7 +377,6 @@ _ALLOWED = {
     ("experiments/spec.py", "plain_fields", None),
     # argparse namespaces: sub-commands share one parser helper.
     ("experiments/__main__.py", "_build_matrix", "fabric"),
-    ("experiments/__main__.py", "main", "kernel"),
     # Hosts are not part of the fabric contract; open-loop injectors
     # carry no flow tracker.
     ("telemetry/collector.py", "attach_host", "tracker"),

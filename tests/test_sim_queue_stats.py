@@ -7,7 +7,6 @@ from repro.sim.stats import (
     Counter,
     Histogram,
     RateMeter,
-    TimeWeightedMean,
     percentile,
 )
 from repro.sim.units import (
@@ -193,33 +192,6 @@ class TestHistogram:
         for value in (0, 1, 2.5, 3735.5, 10**9, 0.1 + 0.2):
             h.record(value)
         assert values_hash(h.samples) == "e9f68eb1a5d07a8c"
-
-
-class TestTimeWeightedMean:
-    def test_constant_level(self):
-        twm = TimeWeightedMean()
-        twm.update(0, 5.0)
-        assert twm.value(100) == pytest.approx(5.0)
-
-    def test_step_function(self):
-        twm = TimeWeightedMean()
-        twm.update(0, 0.0)
-        twm.update(50, 10.0)
-        # Half the time at 0, half at 10.
-        assert twm.value(100) == pytest.approx(5.0)
-
-    def test_peak(self):
-        twm = TimeWeightedMean()
-        twm.update(10, 3.0)
-        twm.update(20, 7.0)
-        twm.update(30, 1.0)
-        assert twm.peak == 7.0
-
-    def test_backwards_time_raises(self):
-        twm = TimeWeightedMean()
-        twm.update(10, 1.0)
-        with pytest.raises(ValueError):
-            twm.update(5, 1.0)
 
 
 class TestRateMeter:
