@@ -405,6 +405,16 @@ class TestCli:
         assert main(["show", "permutation", "--kind", "warp-drive"]) == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    def test_run_has_no_kernel_option(self, capsys):
+        # The kernel choice went with the batch kernel; argparse rejects
+        # it before anything runs.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "permutation", "--kernel", "batch"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [[], ["--verify"], ["--list"]])
     def test_query_of_a_missing_store_is_one_error_line(
         self, tmp_path, capsys, flags

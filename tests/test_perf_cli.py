@@ -235,3 +235,33 @@ def test_golden_cli_regen_check_and_drift(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"DRIFT {name}:" in err
     assert "events_fired: recorded=" in err
+
+
+def test_golden_cli_missing_recording_is_drift(tmp_path, monkeypatch, capsys):
+    # With neither flag the CLI checks; an unrecorded cell is drift.
+    spec = tiny_golden_spec()
+    monkeypatch.setattr(golden, "golden_specs", lambda: [spec])
+    assert perf_cli.main(["golden", "--dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    name = golden.golden_name(spec)
+    assert f"DRIFT {name}:" in err
+    assert f"missing: recorded={str(tmp_path / f'{name}.json')!r}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--quick"],
+        ["golden", "--check", "--regen"],
+        ["golden", "--profile", "30"],
+    ],
+    ids=["no-command", "bench-option", "check-and-regen", "golden-profile"],
+)
+def test_golden_cli_rejects_other_usage(argv, capsys):
+    # ``golden`` is the only command; the bench options are gone.
+    with pytest.raises(SystemExit) as exited:
+        perf_cli.main(argv)
+    assert exited.value.code == 2
+    assert "usage: python -m repro.perf" in capsys.readouterr().err
