@@ -161,20 +161,12 @@ def cmd_query(args) -> int:
                 file=sys.stderr,
             )
     if args.list:
-        for record in store_records(
-            root, args.selector, processes=args.processes
-        ):
+        for record in store_records(root, args.selector):
             print(record["spec_key"])
         return 0
     if args.diff:
-        base = aggregate(
-            store_results(root, args.selector, processes=args.processes)
-        )
-        other = aggregate(
-            store_results(
-                args.diff, args.selector, processes=args.processes
-            )
-        )
+        base = aggregate(store_results(root, args.selector))
+        other = aggregate(store_results(args.diff, args.selector))
         print(
             format_trend_diff(
                 base, other, base_label="base", other_label="other"
@@ -182,7 +174,7 @@ def cmd_query(args) -> int:
         )
         print(f"\nbase:  {root}\nother: {args.diff}")
         return 0
-    results = store_results(root, args.selector, processes=args.processes)
+    results = store_results(root, args.selector)
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=1))
         return 0
@@ -247,7 +239,7 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--shards", type=int, default=1,
-        help="worker processes for the sweep",
+        help="number of parallel sweep workers",
     )
     run.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
@@ -301,10 +293,6 @@ def main(argv=None) -> int:
     query.add_argument(
         "--diff", metavar="OTHERSTORE", default=None,
         help="trend-diff aggregates against a second store",
-    )
-    query.add_argument(
-        "--processes", type=int, default=0,
-        help="decompress blocks on N processes (full-scan path)",
     )
     query.add_argument(
         "--verify", action="store_true",

@@ -696,9 +696,11 @@ def _api001(ctx: ModuleContext) -> Iterator[RuleHit]:
 # ----------------------------------------------------------------------
 
 #: Paper-model surfaces: closed forms and device models that exist *for*
-#: ``benchmarks/test_fig*`` / ``test_sec*`` / ``test_table2*``.  Those
-#: live outside the package, so "no caller under src/repro" is these
-#: modules' normal state, not debt.
+#: callers outside the package — ``analysis``, ``pipeline`` and
+#: ``topology`` for ``benchmarks/test_fig*`` / ``test_sec*`` /
+#: ``test_table2*``, ``core/nic.py`` (the §8 NIC-as-edge model) for
+#: ``tests/test_nic_edge.py`` and ``examples/nic_edge.py`` — so "no
+#: caller under src/repro" is these modules' normal state, not debt.
 _DEAD_ALLOWED = (("analysis",), ("pipeline",), ("topology",), ("core", "nic.py"))
 
 
@@ -711,26 +713,54 @@ def _is_reexport(stmt: ast.stmt) -> bool:
     return isinstance(stmt, (ast.Import, ast.ImportFrom))
 
 
+def _bound_name(alias: ast.alias) -> str:
+    """The name an import alias binds in its module."""
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _foreign_names(tree: ast.Module) -> Set[str]:
+    """The names a module binds by importing from outside ``repro``:
+    ``from collections import Counter`` uses no ``repro`` definition
+    called ``Counter``."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "repro":
+                names.update(map(_bound_name, node.names))
+        elif isinstance(node, ast.Import):
+            names.update(
+                _bound_name(a) for a in node.names
+                if a.name.split(".")[0] != "repro"
+            )
+    return names
+
+
 def _load_sites(root: Path) -> LoadSites:
     """Every place under ``root`` that loads a name: a ``Name`` read, an
     attribute, an import alias or an identifier-valued string (``getattr``
     targets, ``__all__``) — re-export statements of ``__init__`` modules
-    excepted, since republishing a name is not using it."""
+    excepted, since republishing a name is not using it, and so are the
+    names a module imports from outside ``repro``."""
     sites: LoadSites = {}
     for path in sorted(root.rglob("*.py")):
         try:
             tree = ast.parse(path.read_text(encoding="utf-8"))
         except (OSError, SyntaxError, ValueError):
             continue  # the analyzer reports the file itself (LINT002)
+        foreign = _foreign_names(tree)
         for index, stmt in enumerate(tree.body):
             if path.name == "__init__.py" and _is_reexport(stmt):
                 continue
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in foreign:
+                        continue
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
                 elif isinstance(node, ast.alias):
+                    if _bound_name(node) in foreign:
+                        continue
                     name = node.name.rpartition(".")[2]
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     name = node.value

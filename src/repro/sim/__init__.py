@@ -2,23 +2,20 @@
 
 This package is the foundation every Stardust experiment runs on.  It
 provides an integer-nanosecond event engine (:mod:`repro.sim.engine`),
-point-to-point links with serialization and propagation delay
-(:mod:`repro.sim.link`), drop-accounting FIFO queues
-(:mod:`repro.sim.queue`) and measurement helpers
-(:mod:`repro.sim.stats`).
+point-to-point links with serialization and propagation delay and their
+own FIFO transmit queues (:mod:`repro.sim.link`) and measurement
+helpers (:mod:`repro.sim.stats`).  Run timelines are
+:mod:`repro.telemetry`'s job.
 """
 
 from repro.sim.engine import Simulator, Event, SimError
 from repro.sim.entity import Entity
 from repro.sim.link import Link, LinkDown
-from repro.sim.queue import FifoQueue, QueueStats
 from repro.sim.stats import (
-    Counter,
     Histogram,
     RateMeter,
     percentile,
 )
-from repro.sim.trace import TraceRecord, Tracer
 from repro.sim.units import (
     GBPS,
     KB,
@@ -39,14 +36,9 @@ __all__ = [
     "Entity",
     "Link",
     "LinkDown",
-    "FifoQueue",
-    "QueueStats",
-    "Counter",
     "Histogram",
     "RateMeter",
     "percentile",
-    "Tracer",
-    "TraceRecord",
     "NANOSECOND",
     "MICROSECOND",
     "MILLISECOND",

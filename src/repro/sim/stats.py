@@ -1,7 +1,7 @@
 """Measurement primitives used by experiments.
 
 These are intentionally simple — exact sample stores for percentile
-queries at experiment scale, plus streaming counters and rate meters.
+queries at experiment scale, plus rate meters.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ def percentile(samples: Sequence[float], pct: float) -> float:
         return float(ordered[lo])
     frac = rank - lo
     return float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
-
-
-class Counter:
-    """A named monotonically-increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str = "counter") -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        """Increase the counter by ``amount`` (default 1)."""
-        if amount < 0:
-            raise ValueError("counters only move forward")
-        self.value += amount
 
 
 class Histogram:

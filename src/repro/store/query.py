@@ -5,13 +5,12 @@ query`` does lands here.  Reads come in two flavors:
 
 * **indexed** — prefix lookups through the per-shard indexes (the fast
   path for selectors like ``scenario=permutation/fabric=*``);
-* **integrity scans** — straight over the shard bytes, verifying every
-  CRC, optionally fanning block decompression out over a
-  ``multiprocessing`` pool (the trick of ZS's ``mpbz2``, whatever the
-  codec: compressed blocks are independent, so cores scale the scan).
-  A scan learns each record's key from the payload's first bytes and
-  parses only the records its caller reads back — verification parses
-  none.
+* **integrity scans** — straight over the shard bytes in block order,
+  verifying every CRC.  A scan learns each record's key from the
+  payload's first bytes and parses only the records its caller reads
+  back — verification parses none.  The scan is serial: zlib blocks
+  decompress faster than a ``multiprocessing`` pool ships them to
+  workers and back (a pool lost at every store size measured).
 
 Both read an existing record store only: a path that holds none raises
 :class:`~repro.store.format.StoreFormatError` and is left untouched
@@ -25,16 +24,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.store.cells import (
     open_record_store,
@@ -48,27 +38,6 @@ if TYPE_CHECKING:
     from repro.experiments.summarize import GroupSummary
 
 PathLike = Union[str, os.PathLike]
-
-
-# ----------------------------------------------------------------------
-# Parallel block decoding (the mpbz2/pbz2 pattern)
-# ----------------------------------------------------------------------
-
-
-def _decode_block(buf: bytes) -> Optional[Tuple[str, List[bytes]]]:
-    """Worker: check + decompress one block; ``(codec name, payloads)``,
-    or None for a block that fails its checks.
-
-    Module-level so it pickles into pool workers.  Bytes in, bytes out:
-    the parent reads the block and nothing is parsed here, so what
-    crosses the pool is the compressed block one way and its record
-    payloads the other.
-    """
-    try:
-        payloads, _ = read_block(buf, 0)
-    except BlockCorruptError:
-        return None
-    return block_codec(buf), payloads
 
 
 @dataclass
@@ -99,16 +68,12 @@ class ScanReport:
         return matched
 
 
-def scan_store(
-    root: PathLike, selector: str = "", processes: int = 0
-) -> ScanReport:
+def scan_store(root: PathLike, selector: str = "") -> ScanReport:
     """CRC-verify every block of a record store, collecting records.
 
     The report holds the latest record per key (``.records``: filtered
-    by ``selector``, sorted by spec key).  ``processes > 1``
-    decompresses blocks on a pool; block order (and therefore
-    latest-wins dedup) is preserved because ``Pool.map`` keeps input
-    order.
+    by ``selector``, sorted by spec key); blocks are read in order, so
+    the last put of a key wins.
     """
     shards = open_record_store(root).open_shards()
     report = ScanReport(
@@ -119,28 +84,18 @@ def scan_store(
         blocks=sum(len(s.blocks()) for s in shards),
         shard_bytes=sum(s.path.stat().st_size for s in shards),
     )
-    buffers = (buf for shard in shards for buf in shard.read_blocks())
-    decoded: Iterable[Optional[Tuple[str, List[bytes]]]]
-    if processes and processes > 1 and report.blocks > 1:
-        import multiprocessing
-
-        tasks = list(buffers)
-        try:
-            with multiprocessing.Pool(min(processes, len(tasks))) as pool:
-                decoded = pool.map(_decode_block, tasks)
-        except (ImportError, OSError):
-            decoded = map(_decode_block, tasks)
-    else:
-        decoded = map(_decode_block, buffers)
-    for block in decoded:
-        if block is None:
-            report.corrupt_blocks += 1
-            continue
-        codec, payloads = block
-        report.codec_blocks[codec] = report.codec_blocks.get(codec, 0) + 1
-        report.total_records += len(payloads)
-        for payload in payloads:
-            report.latest[record_key(payload)] = payload
+    for shard in shards:
+        for buf in shard.read_blocks():
+            try:
+                payloads, _ = read_block(buf, 0)
+            except BlockCorruptError:
+                report.corrupt_blocks += 1
+                continue
+            codec = block_codec(buf)
+            report.codec_blocks[codec] = report.codec_blocks.get(codec, 0) + 1
+            report.total_records += len(payloads)
+            for payload in payloads:
+                report.latest[record_key(payload)] = payload
     return report
 
 
@@ -150,30 +105,25 @@ def scan_store(
 
 
 def store_records(
-    root: PathLike,
-    selector: str = "",
-    processes: int = 0,
-    verify: bool = False,
+    root: PathLike, selector: str = "", verify: bool = False
 ) -> List[Dict[str, Any]]:
     """Matching records, spec-key sorted.
 
-    ``verify=True`` (or ``processes > 1``) takes the integrity-scan
-    path; otherwise the indexed prefix lookup.
+    ``verify=True`` takes the integrity-scan path; otherwise the
+    indexed prefix lookup.
     """
-    if verify or (processes and processes > 1):
-        return scan_store(root, selector, processes).records
+    if verify:
+        return scan_store(root, selector).records
     return list(open_record_store(root).iter_records(selector))
 
 
-def store_results(
-    root: PathLike, selector: str = "", processes: int = 0
-) -> "List[RunResult]":
+def store_results(root: PathLike, selector: str = "") -> "List[RunResult]":
     """Matching results as :class:`RunResult` values."""
     from repro.experiments.runner import RunResult
 
     return [
         RunResult.from_dict(record["result"])
-        for record in store_records(root, selector, processes)
+        for record in store_records(root, selector)
     ]
 
 

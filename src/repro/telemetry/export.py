@@ -5,9 +5,7 @@ The Perfetto trace-event format (``{"traceEvents": [...]}``) renders in
 
 * every telemetry series becomes a counter track (``ph: "C"``);
 * every finished flow becomes a complete span (``ph: "X"``) on its own
-  row, with the FCT breakdown in ``args``;
-* tracer records (``repro.sim.trace``) become instant events
-  (``ph: "i"``) so debug traces land on the same timeline.
+  row, with the FCT breakdown in ``args``.
 
 Timestamps are microseconds (the format's unit); sim nanoseconds divide
 by 1000 losslessly enough at fabric scale.
@@ -30,19 +28,10 @@ PathLike = Union[str, Path]
 #: Perfetto pid/tid namespaces: one fake "process" per track family.
 _PID_SERIES = 1
 _PID_FLOWS = 2
-_PID_TRACE = 3
 
 
-def perfetto_trace(
-    artifact: Dict[str, Any],
-    trace_records: Optional[Iterable] = None,
-) -> Dict[str, Any]:
-    """Convert a telemetry artifact into a Chrome-trace/Perfetto dict.
-
-    ``trace_records`` may be an iterable of
-    :class:`~repro.sim.trace.TraceRecord` (or their ``to_dict`` forms)
-    to interleave as instant events.
-    """
+def perfetto_trace(artifact: Dict[str, Any]) -> Dict[str, Any]:
+    """Convert a telemetry artifact into a Chrome-trace/Perfetto dict."""
     events: List[Dict[str, Any]] = [
         _meta(_PID_SERIES, "process_name", name="telemetry.series"),
         _meta(_PID_FLOWS, "process_name", name="telemetry.flows"),
@@ -63,25 +52,6 @@ def perfetto_trace(
         event = _flow_event(span)
         if event is not None:
             events.append(event)
-    if trace_records is not None:
-        events.append(
-            _meta(_PID_TRACE, "process_name", name="telemetry.trace")
-        )
-        for record in trace_records:
-            if not isinstance(record, dict):
-                record = record.to_dict()
-            events.append({
-                "ph": "i",
-                "s": "g",
-                "name": f"{record['category']}: {record['message']}",
-                "pid": _PID_TRACE,
-                "tid": 0,
-                "ts": record["time_ns"] / 1000.0,
-                "args": {
-                    "source": record["source"],
-                    **(record.get("data") or {}),
-                },
-            })
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",
@@ -137,13 +107,9 @@ def _flow_event(span: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     }
 
 
-def write_perfetto(
-    path: PathLike,
-    artifact: Dict[str, Any],
-    trace_records: Optional[Iterable] = None,
-) -> int:
+def write_perfetto(path: PathLike, artifact: Dict[str, Any]) -> int:
     """Write the Perfetto JSON to ``path``; returns the event count."""
-    trace = perfetto_trace(artifact, trace_records)
+    trace = perfetto_trace(artifact)
     Path(path).write_text(
         json.dumps(trace, sort_keys=True), encoding="utf-8"
     )

@@ -415,6 +415,19 @@ class TestCli:
         assert exited.value.code == 2
         assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
+    def test_query_has_no_processes_option(self, tmp_path, capsys):
+        # The pooled scan lost to the serial one at every store size and
+        # went, with its option; argparse rejects it before any read.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "--store", str(tmp_path), "--processes", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --processes" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [[], ["--verify"], ["--list"]])
     def test_query_of_a_missing_store_is_one_error_line(
         self, tmp_path, capsys, flags

@@ -442,6 +442,22 @@ class TestDead001:
             tmp_path, "repro/net/orphan.py", self.UNUSED
         )
 
+    @pytest.mark.parametrize("user", [
+        "from collections import Counter\nc = Counter()\n",
+        "from collections import Counter as C\nc = C()\n",
+        "import collections.abc as Counter\nc = Counter.Mapping\n",
+    ])
+    def test_same_name_imported_from_outside_repro_is_not_a_load(
+        self, tmp_path, user
+    ):
+        # A module that binds ``Counter`` from the standard library uses
+        # no ``repro`` definition of that name.
+        write_module(tmp_path, "repro/store/user.py", user)
+        hits = findings_for(
+            tmp_path, "repro/net/counts.py", "def Counter():\n    pass\n"
+        )
+        assert [(f.rule, f.line) for f in hits] == [("DEAD001", 1)]
+
     def test_init_reexport_alone_is_not_a_load(self, tmp_path):
         write_module(
             tmp_path, "repro/net/__init__.py",

@@ -5,7 +5,8 @@ Invariants checked:
   and cuts cells exactly where a byte-stream reference does;
 * pack -> shuffle -> reassemble is the identity on packet streams;
 * spray arbitration is balanced within one round for any link set;
-* the FIFO queue never exceeds capacity and conserves items;
+* an Ethernet output port never queues past its buffer, drops exactly
+  what does not fit, and conserves packets;
 * VOQ credit accounting conserves bytes.
 """
 
@@ -15,15 +16,18 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.ethernet import EthConfig, EthernetSwitch
 from repro.core.cell import VoqId
 from repro.core.packing import cells_for_bytes, pack_burst
 from repro.core.reassembly import ReassemblyEngine
 from repro.core.spray import SprayArbiter
 from repro.core.voq import SharedBufferPool, Voq
 from repro.net.addressing import PortAddress
-from repro.net.packet import Packet
+from repro.net.packet import Packet, wire_size
 from repro.sim.engine import Simulator
-from repro.sim.queue import FifoQueue
+from repro.sim.entity import Entity
+from repro.sim.link import Link
+from repro.sim.units import gbps
 
 DST = PortAddress(fa=5, port=0)
 SRC = PortAddress(fa=0, port=0)
@@ -209,36 +213,57 @@ class TestSprayProperties:
         assert max(counts.values()) - min(counts.values()) <= 1
 
 
+class _Sink(Entity):
+    def __init__(self, sim):
+        super().__init__(sim, "sink")
+        self.received = []
+
+    def receive(self, payload, link):
+        self.received.append(payload)
+
+
 class TestQueueProperties:
+    # A few fixed frame sizes, and buffers that are sums of their wire
+    # sizes, so arrivals often fill a port to exactly its last byte.
+    FRAMES = (64, 300, 1500, 9000)
+
     @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(st.just("push"), st.integers(1, 2000)),
-                st.tuples(st.just("pop"), st.just(0)),
+        arrivals=st.lists(
+            st.tuples(
+                st.integers(0, 3_000),  # ns since the previous arrival
+                st.sampled_from(FRAMES) | st.integers(1, 9000),
             ),
             max_size=200,
         ),
-        capacity=st.integers(min_value=100, max_value=10_000),
+        capacity=st.lists(
+            st.sampled_from(FRAMES), min_size=1, max_size=8
+        ).map(lambda frames: sum(map(wire_size, frames))),
     )
-    def test_capacity_and_conservation(self, ops, capacity):
-        class Item:
-            def __init__(self, size):
-                self.size_bytes = size
-
-        q = FifoQueue(capacity_bytes=capacity)
-        pushed = popped = dropped = 0
-        for op, size in ops:
-            if op == "push":
-                if q.push(Item(size)):
-                    pushed += 1
-                else:
-                    dropped += 1
-            elif q.frames:
-                q.pop()
-                popped += 1
-            assert q.bytes <= capacity
-        assert q.frames == pushed - popped
-        assert q.stats.dropped_frames == dropped
+    def test_capacity_and_conservation(self, arrivals, capacity):
+        # EthernetSwitch drop-tail on one output port, against the
+        # obvious oracle: a packet is dropped iff the bytes queued
+        # behind the serializer plus its own wire bytes exceed the
+        # port buffer.
+        sim = Simulator()
+        config = EthConfig(
+            port_buffer_bytes=capacity, ecn_threshold_bytes=None
+        )
+        sw = EthernetSwitch(sim, config, DST.fa, "sw")
+        sink = _Sink(sim)
+        out = Link(sim, sw, sink, gbps(10))
+        sw.add_port(out, "host", host_port_index=DST.port)
+        now = dropped = 0
+        for gap, size in arrivals:
+            now += gap
+            sim.run(until=now)
+            packet = Packet(size_bytes=size, src=SRC, dst=DST)
+            dropped += out.queued_bytes + packet.wire_bytes > capacity
+            sw.receive(packet, None)
+            assert sw.dropped == dropped
+            assert out.queued_bytes <= capacity
+        sim.run()
+        assert sw.forwarded + sw.dropped == len(arrivals)
+        assert len(sink.received) == sw.forwarded
 
 
 class TestVoqProperties:

@@ -1,10 +1,23 @@
-"""Unit tests for FIFO queues, stats primitives and units."""
+"""Unit tests for transmit queues, stats primitives and units.
+
+``TestFifoQueue`` keeps the names of the tests of a deleted
+``repro.sim.queue.FifoQueue`` (the tier-1 floor list pins them).  Its
+contracts live on in the two queues the simulator has: a
+:class:`~repro.sim.link.Link`'s transmit queue (FIFO order, byte and
+frame accounting, peak depth) and the drop-tail an
+:class:`~repro.baselines.ethernet.EthernetSwitch` applies against
+``port_buffer_bytes``.
+"""
 
 import pytest
 
-from repro.sim.queue import FifoQueue
+from repro.baselines.ethernet import EthConfig, EthernetSwitch
+from repro.net.addressing import PortAddress
+from repro.net.packet import Packet
+from repro.sim.engine import Simulator
+from repro.sim.entity import Entity
+from repro.sim.link import Link, LinkDown
 from repro.sim.stats import (
-    Counter,
     Histogram,
     RateMeter,
     percentile,
@@ -16,95 +29,155 @@ from repro.sim.units import (
 )
 
 
-class Item:
-    def __init__(self, size):
-        self.size_bytes = size
+class Sink(Entity):
+    """Records what a link delivers."""
+
+    def __init__(self, sim, name="sink"):
+        super().__init__(sim, name)
+        self.received = []
+
+    def receive(self, payload, link):
+        self.received.append(payload)
+
+
+def make_link():
+    sim = Simulator()
+    sink = Sink(sim)
+    return sim, Link(sim, Entity(sim, "src"), sink, gbps(10)), sink
+
+
+def one_port_switch(port_buffer_bytes):
+    """An Ethernet switch whose every packet leaves by one host port."""
+    sim = Simulator()
+    config = EthConfig(
+        port_buffer_bytes=port_buffer_bytes, ecn_threshold_bytes=None
+    )
+    sw = EthernetSwitch(sim, config, 0, "sw")
+    sink = Sink(sim)
+    out = Link(sim, sw, sink, gbps(10))
+    sw.add_port(out, "host", host_port_index=0)
+    return sim, sw, out, sink
+
+
+def packet(size_bytes):
+    return Packet(size_bytes, PortAddress(1, 0), PortAddress(0, 0))
 
 
 class TestFifoQueue:
     def test_fifo_order(self):
-        q = FifoQueue()
-        a, b = Item(10), Item(20)
-        q.push(a)
-        q.push(b)
-        assert q.pop() is a
-        assert q.pop() is b
+        sim, link, sink = make_link()
+        frames = ["a", "b", "c", "d"]
+        for frame in frames:
+            link.send(frame, 100)
+        sim.run()
+        assert sink.received == frames
 
     def test_byte_accounting(self):
-        q = FifoQueue()
-        q.push(Item(10))
-        q.push(Item(20))
-        assert q.bytes == 30
-        assert q.frames == 2
-        q.pop()
-        assert q.bytes == 20
+        sim, link, _ = make_link()
+        link.send("a", 10)  # straight onto the serializer
+        link.send("b", 20)
+        link.send("c", 30)
+        assert link.queued_bytes == 50
+        assert link.queued_frames == 2
+        sim.run(until=time_ns_for_bytes(10, gbps(10)))
+        assert link.queued_bytes == 30
+        assert link.queued_frames == 1
+        sim.run()
+        assert (link.queued_bytes, link.queued_frames) == (0, 0)
+        assert (link.tx_frames, link.tx_bytes) == (3, 60)
 
     def test_drop_tail_on_capacity(self):
-        q = FifoQueue(capacity_bytes=25)
-        assert q.push(Item(10))
-        assert q.push(Item(15))
-        assert not q.push(Item(1))
-        assert q.stats.dropped_frames == 1
-        assert q.bytes == 25
+        sim, sw, out, sink = one_port_switch(25_000)
+        for _ in range(40):
+            sw.receive(packet(1500), None)
+        wire = packet(1500).wire_bytes
+        # One serializing, then as many as the buffer holds.
+        assert sw.forwarded == 1 + 25_000 // wire
+        assert sw.dropped == 40 - sw.forwarded
+        assert out.queued_bytes <= 25_000
+        sim.run()
+        assert len(sink.received) == sw.forwarded
 
     def test_would_fit(self):
-        q = FifoQueue(capacity_bytes=20)
-        q.push(Item(15))
-        assert q.would_fit(Item(5))
-        assert not q.would_fit(Item(6))
+        wire = packet(1000).wire_bytes
+        sim, sw, out, _ = one_port_switch(2 * wire)
+        for _ in range(3):
+            sw.receive(packet(1000), None)
+        assert out.queued_bytes == 2 * wire  # exactly full still fits
+        assert sw.dropped == 0
+        sw.receive(packet(64), None)
+        assert sw.dropped == 1
 
     def test_unbounded_never_drops(self):
-        q = FifoQueue()
-        for _ in range(1000):
-            assert q.push(Item(1000))
-        assert q.stats.dropped_frames == 0
+        sim, link, sink = make_link()
+        for i in range(1000):
+            link.send(i, 1000)
+        assert link.queued_frames == 999
+        sim.run()
+        assert sink.received == list(range(1000))
+        assert link.dropped_frames == 0
 
     def test_peek_does_not_remove(self):
-        q = FifoQueue()
-        item = Item(5)
-        q.push(item)
-        assert q.peek() is item
-        assert q.frames == 1
+        sim, sw, out, _ = one_port_switch(10_000)
+        sw.receive(packet(500), None)
+        sw.receive(packet(500), None)
+        before = (out.queued_bytes, out.queued_frames, sw.forwarded)
+        assert sw.route(packet(500)).out is out
+        assert (out.queued_bytes, out.queued_frames, sw.forwarded) == before
 
     def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            FifoQueue().pop()
+        sim, link, _ = make_link()
+        link.fail()
+        with pytest.raises(LinkDown):
+            link.send("a", 10)
 
     def test_clear_counts_drops(self):
-        q = FifoQueue()
-        q.push(Item(10))
-        q.push(Item(10))
-        assert q.clear() == 2
-        assert q.stats.dropped_frames == 2
-        assert q.bytes == 0
+        sim, link, sink = make_link()
+        for frame in ("a", "b", "c"):
+            link.send(frame, 10)
+        assert link.fail() == 2  # the queued two; "a" is serializing
+        assert link.dropped_bytes == 20
+        assert link.queued_bytes == 0
+        sim.run()
+        assert link.dropped_frames == 3  # "a" finished into a dead link
+        assert sink.received == []
 
     def test_peak_tracking(self):
-        q = FifoQueue()
-        q.push(Item(10))
-        q.push(Item(30))
-        q.pop()
-        q.pop()
-        assert q.stats.peak_bytes == 40
-        assert q.stats.peak_frames == 2
+        sim, link, _ = make_link()
+        link.send("a", 10)
+        link.send("b", 30)
+        link.send("c", 20)
+        sim.run()
+        assert link.queued_bytes == 0
+        assert link.peak_queue_bytes == 50
+        assert link.peak_queue_frames == 2
 
     def test_wire_bytes_preferred_for_sizing(self):
-        class Wired:
-            wire_bytes = 84
-            size_bytes = 64
-
-        q = FifoQueue()
-        q.push(Wired())
-        assert q.bytes == 84
+        sim, sw, out, _ = one_port_switch(10_000)
+        first, second = packet(64), packet(64)
+        sw.receive(first, None)
+        sw.receive(second, None)
+        assert second.wire_bytes > second.size_bytes
+        assert out.queued_bytes == second.wire_bytes
+        sim.run()
+        assert out.tx_bytes == first.wire_bytes + second.wire_bytes
 
     def test_custom_size_of(self):
-        q = FifoQueue(size_of=len)
-        q.push("hello")
-        assert q.bytes == 5
+        # The sender states each frame's size; the payload is opaque.
+        sim, link, sink = make_link()
+        link.send("hello", 5)
+        link.send(object(), 7)
+        assert link.queued_bytes == 7
+        sim.run()
+        assert link.tx_bytes == 12
+        assert sink.received[0] == "hello"
 
     def test_unsizable_item_raises(self):
-        q = FifoQueue()
-        with pytest.raises(TypeError):
-            q.push(object())
+        sim, link, _ = make_link()
+        for size in (0, -1):
+            with pytest.raises(ValueError):
+                link.send("a", size)
+        assert link.queued_frames == 0
 
 
 class TestPercentile:
@@ -208,18 +281,6 @@ class TestRateMeter:
 
     def test_no_samples_is_zero(self):
         assert RateMeter().rate_bps() == 0.0
-
-
-class TestCounter:
-    def test_add(self):
-        c = Counter()
-        c.add()
-        c.add(5)
-        assert c.value == 6
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().add(-1)
 
 
 class TestUnits:

@@ -562,7 +562,7 @@ class TestReadPathCost:
             for r in records
         )
         assert records == store_records(tmp_path, selector)
-        assert records == store_records(tmp_path, selector, processes=2)
+        assert records == store_records(tmp_path, selector, verify=True)
 
 
 # ----------------------------------------------------------------------
@@ -933,14 +933,18 @@ class TestStoreCli:
 
 class TestQuery:
     def test_scan_matches_indexed_reads(self, tmp_path):
-        fill_store(RecordStore(tmp_path), 30)
-        indexed = store_records(tmp_path, "scenario=uniform_random")
-        scanned = scan_store(tmp_path, "scenario=uniform_random").records
-        assert indexed == scanned
-        parallel = store_records(
-            tmp_path, "scenario=uniform_random", processes=3
-        )
-        assert parallel == indexed
+        cells = list(synthetic_cells(30))
+        with RecordStore(tmp_path, flush_records=8) as store:
+            for spec, result in cells:
+                store.put(spec, result)
+            for spec, result in cells[::4]:  # superseded by these re-puts
+                store.put(spec, dataclasses.replace(result, drops=7))
+        selector = "scenario=uniform_random"
+        indexed = store_records(tmp_path, selector)
+        assert indexed
+        assert any(r["result"]["drops"] == 7 for r in indexed)
+        assert scan_store(tmp_path, selector).records == indexed
+        assert store_records(tmp_path, selector, verify=True) == indexed
 
     def test_verify_counts_corruption(self, tmp_path):
         fill_store(RecordStore(tmp_path), 40)

@@ -394,14 +394,19 @@ class TestExport:
         assert back == canonical
 
     def test_tracer_records_become_instants(self, stardust_artifact):
-        records = [
-            {"time_ns": 5, "category": "credit", "source": "fa0",
-             "message": "grant", "data": {"bytes": 4096}},
-        ]
-        trace = perfetto_trace(stardust_artifact, trace_records=records)
-        instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-        assert len(instants) == 1
-        assert instants[0]["args"]["bytes"] == 4096
+        # The name dates from a deleted tracer whose records became
+        # instant events; telemetry's own events are the flow spans:
+        # one complete event per span, on its flow's row.
+        spans = stardust_artifact["spans"]
+        assert spans
+        trace = perfetto_trace(stardust_artifact)
+        flows = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [e["tid"] for e in flows] == [s["flow_id"] for s in spans]
+        for event, span in zip(flows, spans):
+            assert event["name"] == f"flow{span['flow_id']}"
+            assert event["ts"] == span["start_ns"] / 1000.0
+            assert event["dur"] > 0
+        assert not [e for e in trace["traceEvents"] if e["ph"] == "i"]
 
     def test_faulted_scenario_exports(self, tmp_path):
         spec = build_scenario(
