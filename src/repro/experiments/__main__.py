@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--shards", type=int, default=1,
-        help="number of parallel sweep workers",
+        help="worker processes for the sweep",
     )
     run.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
