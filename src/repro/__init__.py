@@ -6,8 +6,8 @@ Subpackages:
 * :mod:`repro.net` — packets, flows, addressing.
 * :mod:`repro.core` — the Stardust architecture (Fabric Adapters,
   Fabric Elements, cells, credits, spraying, reachability).
-* :mod:`repro.fabrics` — pluggable fabric backends: the
-  :class:`FabricNetwork` contract, the ``@fabric`` registry, and the
+* :mod:`repro.fabrics` — the two fabric backends: the
+  :class:`FabricNetwork` contract, the ``FABRICS`` name table, and the
   shared topology wiring plan.
 * :mod:`repro.topology` — fat-tree construction and the Appendix A
   scaling mathematics.

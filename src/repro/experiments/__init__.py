@@ -24,7 +24,6 @@ or from the command line::
         --kinds stardust,dctcp --seeds 3 --shards 4
 """
 
-from repro.experiments.builders import build_network
 from repro.experiments.registry import (
     UnknownScenarioError,
     build_scenario,
@@ -32,7 +31,12 @@ from repro.experiments.registry import (
     scenario,
     scenario_names,
 )
-from repro.experiments.runner import RunResult, run_matrix, run_spec
+from repro.experiments.runner import (
+    RunResult,
+    build_network,
+    run_matrix,
+    run_spec,
+)
 from repro.experiments.spec import (
     KIND_PRESETS,
     ScenarioSpec,

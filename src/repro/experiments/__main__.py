@@ -9,7 +9,7 @@ Examples::
     python -m repro.experiments run incast --kinds stardust,tcp \
         --set n_backends=8 --set response_bytes=100000
     python -m repro.experiments run permutation_link_failure \
-        --fabric stardust
+        --kinds stardust
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from repro.experiments.registry import (
     get_scenario,
     scenario_names,
 )
-from repro.fabrics.registry import UnknownFabricError, fabric_names, get_fabric
 from repro.experiments.runner import run_matrix
-from repro.experiments.spec import ScenarioSpec, kind_for_fabric
+from repro.experiments.spec import ScenarioSpec
 from repro.experiments.summarize import (
     aggregate,
     format_resilience,
     format_table,
 )
+from repro.fabrics import FABRICS
 from repro.store.cells import RecordStore, default_store_dir
 from repro.store.format import StoreFormatError
 
@@ -58,16 +58,7 @@ def _parse_params(pairs: List[str]) -> Dict[str, Any]:
 
 def _build_matrix(args) -> List[ScenarioSpec]:
     params = _parse_params(args.set or [])
-    if getattr(args, "fabric", None):
-        # --fabric picks registered fabrics directly (plain TCP);
-        # aliases resolve through the fabric registry.
-        kinds = [
-            kind_for_fabric(f.strip())
-            for f in args.fabric.split(",")
-            if f.strip()
-        ]
-    else:
-        kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     base_params = dict(params)
     base_seed = base_params.pop("seed", None)
     specs = []
@@ -85,10 +76,8 @@ def cmd_list(_args) -> int:
         entry = get_scenario(name)
         print(f"  {name:<24} {entry.description}")
     print("\nfabrics:")
-    for name in fabric_names():
-        entry = get_fabric(name)
-        aliases = f" (alias: {', '.join(entry.aliases)})" if entry.aliases else ""
-        print(f"  {name:<24} {entry.description}{aliases}")
+    for name, cls in sorted(FABRICS.items()):
+        print(f"  {name:<24} {cls.__doc__.strip().splitlines()[0]}")
     return 0
 
 
@@ -146,26 +135,32 @@ def cmd_run(args) -> int:
 def cmd_query(args) -> int:
     from repro.store.query import (
         format_trend_diff,
+        record_results,
+        scan_store,
         store_records,
         store_results,
-        verify_store,
     )
 
     root = args.store or default_store_dir()
     if args.verify:
-        stats = verify_store(root)
-        if stats["corrupt_blocks"]:
+        # One scan both CRC-checks every block and yields the records.
+        report = scan_store(root, args.selector)
+        if report.corrupt_blocks:
             print(
-                f"warning: {stats['corrupt_blocks']} corrupt blocks "
+                f"warning: {report.corrupt_blocks} corrupt blocks "
                 f"skipped in {root}",
                 file=sys.stderr,
             )
+        records = report.records
+    else:
+        records = store_records(root, args.selector)
     if args.list:
-        for record in store_records(root, args.selector):
+        for record in records:
             print(record["spec_key"])
         return 0
+    results = record_results(records)
     if args.diff:
-        base = aggregate(store_results(root, args.selector))
+        base = aggregate(results)
         other = aggregate(store_results(args.diff, args.selector))
         print(
             format_trend_diff(
@@ -174,7 +169,6 @@ def cmd_query(args) -> int:
         )
         print(f"\nbase:  {root}\nother: {args.diff}")
         return 0
-    results = store_results(root, args.selector)
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=1))
         return 0
@@ -227,11 +221,6 @@ def main(argv=None) -> int:
     run.add_argument(
         "--kinds", default="stardust",
         help="comma-separated kinds (stardust,tcp,dctcp,mptcp,dcqcn)",
-    )
-    run.add_argument(
-        "--fabric", default=None,
-        help="comma-separated fabric names (stardust,push,...); "
-             "runs each under plain TCP and overrides --kinds",
     )
     run.add_argument(
         "--seeds", type=int, default=1,
@@ -320,7 +309,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (
-        UnknownScenarioError, UnknownFabricError, ValueError, TypeError,
+        UnknownScenarioError, ValueError, TypeError,
         FileNotFoundError, StoreFormatError,
     ) as exc:
         # Bad scenario names, fabrics, kinds, parameters, config

@@ -156,7 +156,7 @@ THREE_TIER_TOPOLOGY = TopologySpec(
 
 @scenario(
     "permutation_three_tier",
-    "permutation throughput on a three-tier fabric (any registered fabric)",
+    "permutation throughput on a three-tier fabric (either fabric)",
 )
 def permutation_three_tier(
     kind: str = "stardust",

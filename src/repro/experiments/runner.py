@@ -15,8 +15,8 @@ which is what makes the content-hash cache sound.
 Each decision lives once.  How a flow starts under a transport is
 :func:`repro.transport.table.start_flow`'s; the executors only say
 *which* transport (:func:`_flow_kwargs`).  How a fabric is built is
-:func:`~repro.experiments.builders.build_network`'s (the registered
-class's ``for_experiment``).  Every executor ends in :func:`_result`,
+:func:`build_network`'s (the :data:`~repro.fabrics.FABRICS` class's
+``for_experiment``).  Every executor ends in :func:`_result`,
 which takes fabric accounting from the
 :meth:`~repro.fabrics.base.FabricNetwork.collect_metrics` snapshot — no
 executor sniffs which fabric it was handed.  Inline and sharded sweeps
@@ -33,13 +33,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.builders import build_network
 from repro.experiments.spec import (
     OMIT_NONE,
     ScenarioSpec,
     field_table,
     plain_fields,
 )
+from repro.fabrics import FABRICS
 from repro.net.addressing import PortAddress
 from repro.net.flow import Flow, reset_flow_ids
 from repro.net.packet import Packet, wire_size
@@ -492,6 +492,15 @@ _EXECUTORS = {
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
+
+
+def build_network(spec: ScenarioSpec):
+    """Build the network a :class:`ScenarioSpec` declares: its fabric
+    class's ``for_experiment`` on the spec's topology, link rate and
+    config overrides."""
+    return FABRICS[spec.fabric].for_experiment(
+        spec.topology.build(), rate=spec.link_rate_bps, **spec.config_overrides
+    )
 
 
 def run_spec_with_network(spec: ScenarioSpec):

@@ -17,7 +17,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.fabrics.registry import get_fabric
+from repro.fabrics import FABRICS, UnknownFabricError
 from repro.fabrics.wiring import OneTierSpec, ThreeTierSpec, TwoTierSpec
 from repro.sim.units import MILLISECOND, gbps
 from repro.transport.table import TRANSPORT_TABLE
@@ -36,7 +36,6 @@ TOPOLOGY_KINDS = {
 KIND_PRESETS: Dict[str, Tuple[str, str]] = {
     "stardust": ("stardust", "tcp"),
     "tcp": ("push", "tcp"),
-    "ethernet": ("push", "tcp"),
     "dctcp": ("push", "dctcp"),
     "mptcp": ("push", "mptcp"),
     "dcqcn": ("push", "dcqcn"),
@@ -55,24 +54,6 @@ def resolve_kind(kind: str) -> Tuple[str, str]:
         raise ValueError(
             f"unknown kind {kind!r}; choose from {sorted(KIND_PRESETS)}"
         ) from None
-
-
-def kind_for_fabric(fabric_name: str) -> str:
-    """The ``kind`` preset that runs ``fabric_name`` under plain TCP.
-
-    Lets callers (the CLI's ``--fabric`` flag) pick a fabric directly;
-    aliases resolve through the fabric registry.  Scenario factories
-    take a ``kind``, and translating *before* the factory runs keeps
-    fabric-conditional config overrides correct.
-    """
-    canonical = get_fabric(fabric_name).name
-    for kind, (fabric, transport) in KIND_PRESETS.items():
-        if fabric == canonical and transport == "tcp":
-            return kind
-    raise ValueError(
-        f"no kind preset runs fabric {canonical!r}; "
-        f"presets: {sorted(KIND_PRESETS)}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +214,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if isinstance(self.topology, dict):
             self.topology = TopologySpec(**self.topology)
-        get_fabric(self.fabric)  # UnknownFabricError lists known names
+        if self.fabric not in FABRICS:
+            raise UnknownFabricError(self.fabric)
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r}; "

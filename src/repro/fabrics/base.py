@@ -1,8 +1,7 @@
 """The fabric contract: :class:`FabricNetwork` + :class:`FabricMetrics`.
 
-Every fabric backend — the Stardust cell fabric, the push/ECMP
-baseline, or a third one dropped in through the registry — satisfies
-the same contract:
+Both fabric backends — the Stardust cell fabric and the push/ECMP
+baseline — satisfy the same contract:
 
 * construction from ``(topology_spec, config, link_rate_bps)`` — a
   ``config_cls`` instance, one rate for every link — with the wiring
@@ -121,12 +120,11 @@ class FabricNetwork(ABC):
     Subclasses name their config dataclass in ``config_cls`` and
     implement :meth:`_build` (replay the wiring plan with their own
     device types), the small host-attachment hooks, and
-    :meth:`collect_metrics`.  Registering the class with
-    :func:`~repro.fabrics.registry.fabric` makes it constructible by
-    name from scenario specs.
+    :meth:`collect_metrics`.  A row of :data:`repro.fabrics.FABRICS`
+    makes it constructible by name from scenario specs.
     """
 
-    #: Registry name, filled in by the ``@fabric(...)`` decorator.
+    #: The class's key in :data:`repro.fabrics.FABRICS`.
     fabric_name: ClassVar[str] = ""
     #: The fabric's config dataclass; ``config=None`` means its defaults.
     config_cls: ClassVar[type]

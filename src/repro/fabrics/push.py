@@ -15,7 +15,6 @@ from typing import Dict, List, Set, Tuple
 
 from repro.baselines.ethernet import EthConfig, EthernetSwitch, EthPort
 from repro.fabrics.base import FabricMetrics, FabricNetwork
-from repro.fabrics.registry import fabric
 from repro.fabrics.wiring import EDGE, EdgeNode, ElementNode, WiringPlan
 from repro.net.addressing import DeviceId, PortAddress
 from repro.sim.link import Link
@@ -31,14 +30,13 @@ def _lost(switches: List[EthernetSwitch]) -> int:
     return sum(s.dropped + s.blackholed + s.dead_drops for s in switches)
 
 
-@fabric(
-    "push",
-    description="Ethernet ECMP strawman: push packets, drop on congestion",
-    aliases=("ethernet",),
-)
 class PushFabricNetwork(FabricNetwork):
-    """Ethernet-switch fabric mirroring a Stardust topology."""
+    """Ethernet ECMP strawman: push packets, drop on congestion.
 
+    Ethernet switches wired like a Stardust topology.
+    """
+
+    fabric_name = "push"
     config_cls = EthConfig
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The Stardust cell fabric as a registered fabric backend.
+"""The Stardust cell fabric: the ``"stardust"`` row of ``FABRICS``.
 
 Wires Fabric Adapters and Fabric Elements by replaying the shared
 :class:`~repro.fabrics.wiring.WiringPlan`, so one/two/three-tier
@@ -20,7 +20,6 @@ from repro.core.fabric_adapter import FabricAdapter
 from repro.core.fabric_element import FabricElement, FabricPort
 from repro.core.reachability import ReachabilityMonitor
 from repro.fabrics.base import FabricMetrics, FabricNetwork
-from repro.fabrics.registry import fabric
 from repro.fabrics.wiring import (
     EDGE,
     FABRIC_PROPAGATION_NS,
@@ -34,13 +33,13 @@ from repro.sim.stats import Histogram
 from repro.sim.units import gbps
 
 
-@fabric(
-    "stardust",
-    description="the paper's pull fabric: cells, credits, spray (lossless)",
-)
 class StardustNetwork(FabricNetwork):
-    """A fully wired Stardust fabric plus host attachment points."""
+    """The paper's pull fabric: cells, credits, spray (lossless).
 
+    A fully wired Stardust fabric plus host attachment points.
+    """
+
+    fabric_name = "stardust"
     config_cls = StardustConfig
     #: 512B cells / 4KB credits (the config default) follow the paper's
     #: own htsim shortcut ("intended to reduce simulation time",

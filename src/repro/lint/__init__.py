@@ -10,15 +10,15 @@ This package turns them into checkable rules:
 
 * :mod:`repro.lint.zones` — the deterministic-zone map (which packages
   carry which contracts);
-* :mod:`repro.lint.rules` — the ``@rule`` registry (mirroring the
-  fabric/scenario registries) and the shipped DET/HOT/API rules;
-* :mod:`repro.lint.analyzer` — the AST pass, per-line suppression
-  comments and finding fingerprints;
-* :mod:`repro.lint.baseline` — the committed grandfather file so new
-  rules can land before every old finding is fixed;
-* ``python -m repro.lint`` — the CLI that gates CI.
+* :mod:`repro.lint.rules` — the ``@rule`` registry and the shipped
+  DET/HOT/API/DEAD rules;
+* :mod:`repro.lint.analyzer` — the AST pass and the suppression
+  comments;
+* ``python -m repro.lint`` — the CLI that gates CI: any finding fails
+  it.
 
-Suppression syntax (reason string required)::
+An inline suppression comment is the one way to exempt a finding, and
+it must give a reason::
 
     x = links[hash(dst) % n]  # repro-lint: allow=DET004 -- int hashes only
     # repro-lint: allow-file=API001 -- CDF inversion, not event ordering
@@ -30,7 +30,6 @@ from repro.lint.analyzer import (
     analyze_file,
     analyze_paths,
 )
-from repro.lint.baseline import diff_against_baseline, load_baseline, write_baseline
 from repro.lint.rules import RULES, RuleInfo, rule
 from repro.lint.zones import DETERMINISTIC_PACKAGES, RELAXED_PACKAGES, zone_for_path
 
@@ -39,9 +38,6 @@ __all__ = [
     "Report",
     "analyze_file",
     "analyze_paths",
-    "diff_against_baseline",
-    "load_baseline",
-    "write_baseline",
     "RULES",
     "RuleInfo",
     "rule",

@@ -1,9 +1,10 @@
 """CLI: ``python -m repro.lint [paths...]``.
 
-Exit codes: 0 clean (or all findings baselined), 1 new findings,
-2 usage error.  ``--write-baseline`` snapshots the current findings;
-``--output`` writes the JSON report (for the CI artifact) regardless
-of the text/json console format.
+Exit codes: 0 clean, 1 findings, 2 usage error.  Every finding fails
+the run; the one exemption is an inline suppression comment with a
+reason (see :mod:`repro.lint.analyzer`).  ``--output`` writes the JSON
+report (for the CI artifact) regardless of the text/json console
+format.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.analyzer import Report, analyze_paths
-from repro.lint.baseline import (
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.rules import RULES
-
-DEFAULT_BASELINE = "lint_baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,18 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="console report format",
     )
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--output", metavar="PATH",
         help="also write the full JSON report to PATH (CI artifact)",
     )
@@ -61,26 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_text(report: Report, new: List, stale: List) -> None:
-    for finding in new:
+def _print_text(report: Report) -> None:
+    for finding in report.findings:
         print(finding.format_text())
         if finding.snippet:
             print(f"    {finding.snippet.strip()}")
-    baselined = len(report.findings) - len(new)
     summary = ", ".join(
         f"{rule}={count}" for rule, count in report.counts_by_rule().items()
     )
     print(
         f"repro.lint: {report.checked_files} files, "
-        f"{len(new)} new finding(s), {baselined} baselined"
+        f"{len(report.findings)} finding(s)"
         + (f" [{summary}]" if summary else "")
     )
-    for entry in stale:
-        print(
-            "repro.lint: stale baseline entry "
-            f"{entry['fingerprint']} ({entry['rule']} {entry['path']}); "
-            "remove it from the baseline"
-        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -99,32 +74,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"no such path: {', '.join(str(p) for p in missing)}")
     report = analyze_paths(paths, root=Path.cwd())
 
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        write_baseline(report, baseline_path)
-        print(
-            f"repro.lint: wrote {len(report.findings)} finding(s) "
-            f"to {baseline_path}"
-        )
-        return 0
-
-    baseline = {} if args.no_baseline else load_baseline(baseline_path)
-    new, stale = diff_against_baseline(report, baseline)
-
     if args.output:
         Path(args.output).write_text(
             json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
         )
 
     if args.format == "json":
-        payload = report.as_dict()
-        payload["new_findings"] = [f.as_dict() for f in new]
-        payload["stale_baseline_entries"] = stale
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.as_dict(), indent=2))
     else:
-        _print_text(report, new, stale)
+        _print_text(report)
 
-    return 1 if new else 0
+    return 1 if report.findings else 0
 
 
 if __name__ == "__main__":

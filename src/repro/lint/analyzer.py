@@ -1,4 +1,4 @@
-"""The per-file AST pass: run rules, honor suppressions, fingerprint.
+"""The per-file AST pass: run rules, honor suppressions.
 
 Suppression comments (a reason string after ``--`` is mandatory)::
 
@@ -8,18 +8,13 @@ Suppression comments (a reason string after ``--`` is mandatory)::
 ``allow`` applies to findings reported on the same line; ``allow-file``
 applies to the whole module.  A malformed suppression (missing reason)
 is itself a finding (LINT000), and a suppression that matched nothing
-is a finding too (LINT001) so stale exemptions get cleaned up.
-
-Fingerprints identify a finding across line drift: they hash the rule
-ID, the file's repo-relative path, the stripped source line and an
-occurrence index — moving code around does not invalidate the
-baseline, but changing the flagged line does.
+is a finding too (LINT001) so stale exemptions get cleaned up.  A
+suppression is the only exemption: every finding left fails the CLI.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -48,7 +43,6 @@ class Finding:
     col: int
     message: str
     snippet: str
-    fingerprint: str
 
     def format_text(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -61,7 +55,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -159,13 +152,6 @@ def _display_path(path: Path, root: Optional[Path]) -> str:
     return path.as_posix()
 
 
-def _fingerprint(rule_id: str, path: str, snippet: str, occurrence: int) -> str:
-    digest = hashlib.sha1(
-        f"{rule_id}|{path}|{snippet.strip()}|{occurrence}".encode()
-    )
-    return digest.hexdigest()[:16]
-
-
 def analyze_file(
     path: Path,
     root: Optional[Path] = None,
@@ -180,13 +166,9 @@ def analyze_file(
     :class:`~repro.lint.rules.ModuleContext`).
     """
     display = _display_path(path, root)
-    occurrence: Dict[Tuple[str, str], int] = {}
 
     def make(rule_id: str, line: int, col: int, message: str) -> Finding:
         snippet = lines[line - 1].rstrip() if 0 < line <= len(lines) else ""
-        key = (rule_id, snippet.strip())
-        idx = occurrence.get(key, 0)
-        occurrence[key] = idx + 1
         return Finding(
             rule=rule_id,
             path=display,
@@ -194,7 +176,6 @@ def analyze_file(
             col=col,
             message=message,
             snippet=snippet,
-            fingerprint=_fingerprint(rule_id, display, snippet, idx),
         )
 
     try:

@@ -1,10 +1,9 @@
 """The ``@rule`` registry and the shipped invariant rules.
 
-The registry mirrors :mod:`repro.fabrics.registry`: a decorator
-registers each rule under a stable ID, the analyzer iterates
-``RULES``, and the CLI lists them with ``--list-rules``.  A rule is a
-generator over a :class:`ModuleContext` yielding ``(node, message)``
-pairs; the analyzer owns zoning, suppression and fingerprinting so the
+A decorator registers each rule under a stable ID, the analyzer
+iterates ``RULES``, and the CLI lists them with ``--list-rules``.  A
+rule is a generator over a :class:`ModuleContext` yielding ``(node,
+message)`` pairs; the analyzer owns zoning and suppression so the
 rules stay pure AST pattern matchers.
 
 Shipped rules:
@@ -144,7 +143,7 @@ _DET_ONLY = frozenset({DETERMINISTIC})
 def rule(
     rule_id: str, summary: str, zones: Optional[FrozenSet[str]] = None
 ) -> Callable[[CheckFn], CheckFn]:
-    """Register ``fn`` as the check for ``rule_id`` (mirrors ``@fabric``)."""
+    """Register ``fn`` as the check for ``rule_id``."""
 
     def decorate(fn: CheckFn) -> CheckFn:
         if rule_id in RULES:
@@ -243,7 +242,7 @@ def _det002(ctx: ModuleContext) -> Iterator[RuleHit]:
 # ----------------------------------------------------------------------
 
 _SCHED_SINKS = frozenset(
-    {"schedule_at", "call_later", "rearm_at", "at", "schedule", "call_soon"}
+    {"schedule_at", "call_later", "rearm_at", "at", "schedule"}
 )
 _SET_METHODS = frozenset(
     {"keys", "intersection", "union", "difference", "symmetric_difference"}

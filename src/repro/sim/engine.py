@@ -365,13 +365,9 @@ class Simulator:
         Unlike :attr:`pending` this excludes cancelled corpses awaiting
         compaction, so it is exact regardless of compaction timing —
         the raw structure length overcounts until a compaction pass
-        happens to run.  Also available as ``len(sim)`` and under the
-        older name :attr:`pending_live`.
+        happens to run.  Also available as ``len(sim)``.
         """
         return self._wheel_live + len(self._spill) - self._cancelled
-
-    #: Pre-existing alias for :attr:`pending_events`.
-    pending_live = pending_events
 
     @property
     def wheel_occupancy(self) -> int:
@@ -478,11 +474,6 @@ class Simulator:
             else:
                 bucket.append(entry)
             self._wheel_live += 1
-
-    def call_soon(self, fn: Callable[[], None]) -> Event:
-        """Schedule ``fn`` at the current instant (after pending same-time
-        events already queued)."""
-        return self.at(self._now, fn)
 
     # ------------------------------------------------------------------
     # Telemetry probe

@@ -104,27 +104,22 @@ def scan_store(root: PathLike, selector: str = "") -> ScanReport:
 # ----------------------------------------------------------------------
 
 
-def store_records(
-    root: PathLike, selector: str = "", verify: bool = False
-) -> List[Dict[str, Any]]:
-    """Matching records, spec-key sorted.
-
-    ``verify=True`` takes the integrity-scan path; otherwise the
-    indexed prefix lookup.
-    """
-    if verify:
-        return scan_store(root, selector).records
+def store_records(root: PathLike, selector: str = "") -> List[Dict[str, Any]]:
+    """Matching records, spec-key sorted, by indexed prefix lookup
+    (:func:`scan_store`'s ``.records`` is the integrity-scan path)."""
     return list(open_record_store(root).iter_records(selector))
+
+
+def record_results(records: List[Dict[str, Any]]) -> "List[RunResult]":
+    """Store records as :class:`RunResult` values."""
+    from repro.experiments.runner import RunResult
+
+    return [RunResult.from_dict(record["result"]) for record in records]
 
 
 def store_results(root: PathLike, selector: str = "") -> "List[RunResult]":
     """Matching results as :class:`RunResult` values."""
-    from repro.experiments.runner import RunResult
-
-    return [
-        RunResult.from_dict(record["result"])
-        for record in store_records(root, selector)
-    ]
+    return record_results(store_records(root, selector))
 
 
 def verify_store(root: PathLike) -> Dict[str, Any]:

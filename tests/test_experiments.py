@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
+    KIND_PRESETS,
     RunResult,
     ScenarioSpec,
     TopologySpec,
     UnknownScenarioError,
+    build_network,
     build_scenario,
     get_scenario,
     resolve_kind,
@@ -28,7 +30,7 @@ from repro.experiments.summarize import Summary, aggregate
 from repro.faults.plan import FaultPlan, link_down
 from repro.store import RecordStore, spec_key_from_dict
 from repro.telemetry.probes import TelemetryConfig
-from repro.fabrics import OneTierSpec, TwoTierSpec
+from repro.fabrics import FABRICS, OneTierSpec, TwoTierSpec, UnknownFabricError
 from repro.sim.units import MICROSECOND
 
 #: A deliberately tiny topology so runner tests stay fast.
@@ -105,8 +107,26 @@ class TestScenarioSpec:
 
     def test_resolve_kind_presets(self):
         assert resolve_kind("stardust") == ("stardust", "tcp")
+        assert resolve_kind("tcp") == ("push", "tcp")
         assert resolve_kind("dctcp") == ("push", "dctcp")
-        assert resolve_kind("ethernet") == ("push", "tcp")
+        with pytest.raises(ValueError, match="unknown kind"):
+            resolve_kind("ethernet")
+
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    def test_one_fabric_name_one_network(self, fabric):
+        # The name a spec carries (and hashes) is the name of the
+        # network it builds and of the result it reports.
+        kind = next(k for k, v in KIND_PRESETS.items() if v == (fabric, "tcp"))
+        spec = tiny_permutation(kind)
+        assert spec.fabric == fabric
+        assert build_network(spec).fabric_name == fabric
+        assert run_spec(spec).fabric == fabric
+
+    def test_ethernet_is_not_a_fabric_name(self):
+        # "ethernet" once ran the push fabric under a second name, so
+        # one run had two cache keys and two aggregate rows.
+        with pytest.raises(UnknownFabricError, match="'ethernet'"):
+            ScenarioSpec(scenario="x", topology=TINY, fabric="ethernet")
 
 
 # ----------------------------------------------------------------------
@@ -392,10 +412,12 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "permutation_three_tier" in out
-        assert "fabrics:" in out
-        assert "stardust" in out
-        assert "push" in out
-        assert "ethernet" in out  # alias is surfaced too
+        fabrics = out.split("fabrics:", 1)[1].split()
+        # One row per table entry, described by its docstring's first line.
+        for name, cls in FABRICS.items():
+            assert name in fabrics
+            assert cls.__doc__.strip().splitlines()[0] in out
+        assert "ethernet" not in fabrics
 
     def test_bad_names_exit_with_one_line_error(self, capsys):
         from repro.experiments.__main__ import main
@@ -414,6 +436,18 @@ class TestCli:
             main(["run", "permutation", "--kernel", "batch"])
         assert exited.value.code == 2
         assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+    def test_run_has_no_fabric_option(self, capsys):
+        # Each fabric is one --kinds value (stardust, tcp); argparse
+        # rejects the second spelling before anything runs.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "permutation", "--fabric", "stardust"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --fabric stardust" in (
+            capsys.readouterr().err
+        )
 
     def test_query_has_no_processes_option(self, tmp_path, capsys):
         # The pooled scan lost to the serial one at every store size and

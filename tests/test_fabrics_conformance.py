@@ -1,14 +1,14 @@
 """Conformance suite for the fabric contract (repro.fabrics).
 
-Every registered fabric runs through the same topology x workload
-matrix and must satisfy the same contract: build through the registry,
+Every fabric of the ``FABRICS`` table runs through the same topology x
+workload matrix and must satisfy the same contract: build by name,
 attach hosts, run, and report a well-formed
 :class:`~repro.fabrics.base.FabricMetrics`.  Stardust additionally
 must stay lossless inside the fabric, and every fabric must be
 deterministic in-process (hermetic runs of the same spec are
 bit-identical).  The contract's own surfaces — device liveness, the
 two cheap counters, the resilience answers — are checked per
-registered fabric, and an AST walk keeps consumers from growing
+fabric, and an AST walk keeps consumers from growing
 ``hasattr`` probes back.  Every fabric is built by the one contract
 constructor and wires the same links, a spec reaches every config
 field, and a census keeps config fields that nothing sets from coming
@@ -26,18 +26,16 @@ import pytest
 
 from repro.baselines.ethernet import EthConfig
 from repro.core.config import StardustConfig
-from repro.experiments.builders import build_network
 from repro.experiments.registry import build_scenario
-from repro.experiments.runner import run_spec
+from repro.experiments.runner import build_network, run_spec
 from repro.experiments.spec import ScenarioSpec, TopologySpec
 from repro.fabrics import (
+    FABRICS,
     FabricMetrics,
     FabricNetwork,
     PushFabricNetwork,
     StardustNetwork,
     UnknownFabricError,
-    fabric_names,
-    get_fabric,
 )
 from repro.fabrics.wiring import FABRIC_PROPAGATION_NS, HOST_PROPAGATION_NS
 from repro.net.addressing import PortAddress
@@ -83,7 +81,7 @@ def _spec(fabric: str, topo_name: str, workload_name: str) -> ScenarioSpec:
 
 
 def _assert_metrics_schema(metrics: FabricMetrics, fabric: str) -> None:
-    assert metrics.fabric == get_fabric(fabric).name
+    assert metrics.fabric == fabric
     assert isinstance(metrics.cell_latency_ns, Histogram)
     assert isinstance(metrics.packet_latency_ns, Histogram)
     assert isinstance(metrics.queue_depth, Histogram)
@@ -101,41 +99,42 @@ def _assert_metrics_schema(metrics: FabricMetrics, fabric: str) -> None:
 
 
 class TestRegistry:
+    """The ``FABRICS`` name table."""
+
     def test_both_fabrics_registered(self):
-        assert fabric_names() == ["push", "stardust"]
-        assert get_fabric("stardust").cls is StardustNetwork
-        assert get_fabric("push").cls is PushFabricNetwork
+        assert FABRICS == {
+            "push": PushFabricNetwork,
+            "stardust": StardustNetwork,
+        }
 
     def test_alias_resolves_to_canonical_entry(self):
-        assert get_fabric("ethernet") is get_fabric("push")
+        # There are no aliases: each class sits under exactly one name,
+        # the one it reports as its own ``fabric_name``.
+        assert len(set(FABRICS.values())) == len(FABRICS)
+        assert all(cls.fabric_name == name for name, cls in FABRICS.items())
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(UnknownFabricError) as excinfo:
-            get_fabric("infiniband")
+            ScenarioSpec(
+                scenario="s", topology=TOPOLOGIES["two_tier"],
+                fabric="infiniband",
+            )
         message = str(excinfo.value)
         assert "infiniband" in message
         assert "stardust" in message and "push" in message
 
-    @pytest.mark.parametrize("name", ["stardust", "push", "ethernet"])
+    @pytest.mark.parametrize("name", sorted(FABRICS))
     def test_instantiates_through_registry(self, name):
-        net = get_fabric(name).cls(TOPOLOGIES["two_tier"].build())
+        net = FABRICS[name](TOPOLOGIES["two_tier"].build())
         assert isinstance(net, FabricNetwork)
         assert net.plan.tiers == 2
         _assert_metrics_schema(net.collect_metrics(), name)
 
     def test_register_without_docstring_gets_empty_description(self):
-        from repro.fabrics import registry as fabric_registry
-
-        @fabric_registry.fabric("tmp-nodoc")
-        class NoDoc:
-            pass
-
-        try:
-            entry = fabric_registry.get_fabric("tmp-nodoc")
-            assert entry.cls is NoDoc
-            assert entry.description == ""
-        finally:
-            del fabric_registry._REGISTRY["tmp-nodoc"]
+        # ``experiments list`` describes each fabric by the first line
+        # of its class docstring, so every row needs one.
+        for cls in FABRICS.values():
+            assert (cls.__doc__ or "").strip().splitlines()[0]
 
     def test_runner_has_no_fabric_sniffing(self):
         # The acceptance criterion in ISSUE 2: executors must use the
@@ -148,7 +147,7 @@ class TestRegistry:
 class TestConformanceMatrix:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("fabric", fabric_names())
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_fabric_runs_and_reports(self, fabric, topo, workload):
         spec = _spec(fabric, topo, workload)
         result = run_spec(spec)  # hermetic: resets flow ids first
@@ -156,11 +155,11 @@ class TestConformanceMatrix:
         assert result.sim_time_ns == spec.warmup_ns + spec.measure_ns
 
         # Build the same fabric directly and check the metrics schema.
-        net = get_fabric(fabric).cls(spec.topology.build())
+        net = FABRICS[fabric](spec.topology.build())
         _assert_metrics_schema(net.collect_metrics(), fabric)
 
     @pytest.mark.parametrize("topo", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("fabric", fabric_names())
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_in_process_determinism(self, fabric, topo):
         spec = _spec(fabric, topo, "permutation")
         first = run_spec(spec).to_dict()
@@ -194,7 +193,6 @@ class TestConformanceMatrix:
         # at the ingress buffers and accounted separately.
         import random
 
-        from repro.experiments.builders import build_network
         from repro.net.flow import reset_flow_ids
         from repro.transport.host import make_hosts
         from repro.workloads.permutation import (
@@ -221,7 +219,7 @@ def _net_with_hosts(fabric: str, topo: str = "two_tier"):
     from tests.conftest import RecordingHost
 
     spec = TOPOLOGIES[topo]
-    net = get_fabric(fabric).cls(spec.build())
+    net = FABRICS[fabric](spec.build())
     links = list(net.fabric_links())
     for addr in spec.addresses():
         host = RecordingHost(net.sim, f"h{addr.fa}.{addr.port}", addr)
@@ -230,7 +228,7 @@ def _net_with_hosts(fabric: str, topo: str = "two_tier"):
 
 
 class TestContractSurfaces:
-    @pytest.mark.parametrize("fabric", fabric_names())
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_fail_takes_down_exactly_out_links_and_restore_undoes_it(
         self, fabric
     ):
@@ -250,7 +248,7 @@ class TestContractSurfaces:
             assert device.alive
             assert all(link.up for link in links)
 
-    @pytest.mark.parametrize("fabric", fabric_names())
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_edge_out_links_cover_the_edge_uplinks(self, fabric):
         net, _links = _net_with_hosts(fabric)
         for index, device in enumerate(net.edge_devices()):
@@ -259,7 +257,7 @@ class TestContractSurfaces:
 
     def test_liveness_is_defined_once(self):
         classes = set()
-        for fabric in fabric_names():
+        for fabric in sorted(FABRICS):
             net, _links = _net_with_hosts(fabric)
             classes.update(
                 type(d) for d in (*net.edge_devices(), *net.fabric_devices())
@@ -277,7 +275,7 @@ class TestContractSurfaces:
                     f"{klass.__name__} redefines {liveness & defined}"
                 )
 
-    @pytest.mark.parametrize("fabric", fabric_names())
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_cheap_counters_equal_the_snapshot_fields(self, fabric):
         net, _links = _net_with_hosts(fabric)
         # Kill one element without telling its neighbors (no injector):
@@ -296,7 +294,7 @@ class TestContractSurfaces:
         assert net.delivered_bytes() == metrics.delivered_bytes
         assert net.fabric_drop_count() == metrics.fabric_drops
 
-    @pytest.mark.parametrize("fabric", fabric_names())
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
     def test_no_mechanism_answers_zero_or_none(self, fabric):
         # Static Stardust runs no protocol; push has none to run.
         net, _links = _net_with_hosts(fabric)
@@ -309,7 +307,7 @@ class TestContractSurfaces:
         assert net.analytical_recovery_ns() is None
 
     def test_host_link_is_what_hosts_attach_at(self):
-        for fabric in fabric_names():
+        for fabric in sorted(FABRICS):
             net, links = _net_with_hosts(fabric)
             rate, propagation = net.host_link()
             to_fabric, to_host = links[-2:]
@@ -329,8 +327,8 @@ class TestWireParity:
 
         spec = TOPOLOGIES[topo]
         hints = {}
-        for fabric in fabric_names():
-            net = get_fabric(fabric).cls.for_experiment(spec.build(), self.RATE)
+        for fabric in sorted(FABRICS):
+            net = FABRICS[fabric].for_experiment(spec.build(), self.RATE)
             wires = {(link.rate_bps, link.propagation_ns)
                      for link in net.fabric_links()}
             assert wires == {(self.RATE, FABRIC_PROPAGATION_NS)}, fabric
@@ -342,7 +340,7 @@ class TestWireParity:
                      for link in host_links}
             assert wires == {(self.RATE, HOST_PROPAGATION_NS)}, fabric
             hints[fabric] = net.telemetry_hints()
-        first = hints[fabric_names()[0]]
+        first = hints[sorted(FABRICS)[0]]
         assert first and all(h == first for h in hints.values()), hints
 
     def test_a_spec_reaches_every_fabric_knob(self):
@@ -375,8 +373,6 @@ _ALLOWED = {
     ("faults/plan.py", "to_dict", None),
     # field_table walks the spec dataclasses' own fields.
     ("experiments/spec.py", "plain_fields", None),
-    # argparse namespaces: sub-commands share one parser helper.
-    ("experiments/__main__.py", "_build_matrix", "fabric"),
     # Hosts are not part of the fabric contract; open-loop injectors
     # carry no flow tracker.
     ("telemetry/collector.py", "attach_host", "tracker"),
@@ -426,12 +422,12 @@ def test_consumers_do_not_sniff_fabrics_or_devices():
     assert seen == _ALLOWED, f"stale allow-list entries: {_ALLOWED - seen}"
 
 
-@pytest.mark.parametrize("fabric", fabric_names())
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
 def test_fabrics_construct_through_the_contract(fabric):
     """One constructor: a fabric names its ``config_cls`` and writes
     ``_build``; construction, host links and ``for_experiment`` are the
     contract's."""
-    cls = get_fabric(fabric).cls
+    cls = FABRICS[fabric]
     assert cls.__init__ is FabricNetwork.__init__
     assert cls.host_link is FabricNetwork.host_link
     net = cls(TOPOLOGIES["one_tier"].build())

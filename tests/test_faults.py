@@ -13,7 +13,7 @@ import pytest
 from repro.fabrics import OneTierSpec
 from repro.experiments.registry import build_scenario
 from repro.experiments.runner import run_spec, run_spec_with_network
-from repro.experiments.spec import ScenarioSpec, TopologySpec, kind_for_fabric
+from repro.experiments.spec import ScenarioSpec, TopologySpec, resolve_kind
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -27,7 +27,7 @@ from repro.faults import (
     link_up,
 )
 from repro.fabrics.push import PushFabricNetwork
-from repro.fabrics.registry import UnknownFabricError
+from repro.fabrics import UnknownFabricError
 from repro.fabrics.stardust import StardustNetwork
 from repro.net.addressing import PortAddress
 from repro.perf.digest import run_digest
@@ -181,11 +181,15 @@ class TestSpecIntegration:
             )
 
     def test_kind_for_fabric_resolves_aliases(self):
-        assert kind_for_fabric("stardust") == "stardust"
-        assert kind_for_fabric("push") == "tcp"
-        assert kind_for_fabric("ethernet") == "tcp"
-        with pytest.raises(UnknownFabricError):
-            kind_for_fabric("warp-drive")
+        # Each fabric under plain TCP is one kind; no kind or fabric
+        # name is an alias of another.
+        assert resolve_kind("stardust") == ("stardust", "tcp")
+        assert resolve_kind("tcp") == ("push", "tcp")
+        with pytest.raises(ValueError, match="unknown kind"):
+            resolve_kind("ethernet")
+        for fabric in ("ethernet", "warp-drive"):
+            with pytest.raises(UnknownFabricError):
+                ScenarioSpec(scenario="s", topology=SMALL_TOPO, fabric=fabric)
 
 
 # ----------------------------------------------------------------------

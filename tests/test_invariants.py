@@ -65,7 +65,7 @@ class TestConservation:
 
     def test_open_loop_packet_conservation_on_push(self):
         """sent == received + dropped + in-flight; drains to equality."""
-        from repro.experiments.builders import build_network
+        from repro.experiments.runner import build_network
         from repro.net.flow import reset_flow_ids
 
         rng = random.Random(0xFAB)

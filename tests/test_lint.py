@@ -1,9 +1,9 @@
 """repro.lint: the analyzer itself, rule by rule.
 
 Each rule gets a positive fixture (flagged), a negative fixture
-(clean), and most get a suppressed variant; the baseline machinery has
-its own diff cases, and a meta-test holds the *committed* baseline to
-its contract: empty, or every entry still matching a live finding.
+(clean), and most get a suppressed variant; inline suppression — the
+one way to exempt a finding — has its own hygiene cases, and a
+meta-test holds the repo's own ``src`` to zero findings.
 
 Fixtures are written under a ``repro/<package>/`` directory structure
 inside tmp_path so zone classification sees the paths it would see in
@@ -22,10 +22,7 @@ import pytest
 from repro.lint import (
     RULES,
     analyze_paths,
-    diff_against_baseline,
-    load_baseline,
     rule,
-    write_baseline,
     zone_for_path,
 )
 from repro.lint.__main__ import main as lint_main
@@ -498,49 +495,30 @@ class TestSuppressions:
         hits = rules_hit(tmp_path, "repro/core/docs.py", src)
         assert hits == set()
 
+    def test_suppressed_finding_passes_the_gate(self, tmp_path, monkeypatch):
+        # A suppression with a reason is the one exemption: the finding
+        # is gone from the report, so the CLI exits 0.
+        write_module(
+            tmp_path, "repro/core/old.py",
+            "import heapq  # repro-lint: allow=API001 -- engine-owned heap\n",
+        )
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "report.json"
+        assert lint_main(["repro", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["findings"] == []
 
-# ----------------------------------------------------------------------
-# Baseline machinery
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_baselined_finding_not_new(self, tmp_path):
-        path = write_module(
-            tmp_path, "repro/core/old.py", "import heapq\n"
-        )
-        report = analyze_paths([path])
-        assert len(report.findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(report, baseline_path)
-        new, stale = diff_against_baseline(
-            analyze_paths([path]), load_baseline(baseline_path)
-        )
-        assert new == [] and stale == []
+    def test_suppression_covers_only_its_rule(self, tmp_path):
+        # A different finding on the suppressed line is still reported,
+        # and the suppression that matched nothing is stale (LINT001).
+        src = "import heapq  # repro-lint: allow=DET004 -- wrong rule\n"
+        findings = findings_for(tmp_path, "repro/core/old.py", src)
+        assert sorted(f.rule for f in findings) == ["API001", "LINT001"]
 
-    def test_fresh_finding_is_new_and_fixed_is_stale(self, tmp_path):
-        path = write_module(
-            tmp_path, "repro/core/old.py", "import heapq\n"
-        )
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(analyze_paths([path]), baseline_path)
-        # Fix the old finding, introduce a different one.
-        path.write_text("import bisect\n", encoding="utf-8")
-        new, stale = diff_against_baseline(
-            analyze_paths([path]), load_baseline(baseline_path)
-        )
-        assert [f.rule for f in new] == ["API001"]
-        assert len(stale) == 1
-
-    def test_committed_baseline_is_empty_or_entries_live(self):
-        """The repo baseline may only hold entries that still exist —
-        it can shrink as debt is paid, never rot."""
-        baseline_path = REPO_ROOT / "lint_baseline.json"
-        baseline = load_baseline(baseline_path)
-        if not baseline:
-            return  # empty: the intended steady state
+    def test_src_has_no_findings(self):
+        """Every finding fails the gate, so ``src`` must report none:
+        fixed, or suppressed inline with a reason."""
         report = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-        live = {f.fingerprint for f in report.findings}
-        dead = [fp for fp in baseline if fp not in live]
-        assert dead == [], f"stale baseline entries: {dead}"
+        assert [f.format_text() for f in report.findings] == []
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +547,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         for rule_id, (rel, src) in fixtures.items():
             path = write_module(tmp_path, rel, src)
-            code = lint_main([str(path), "--no-baseline"])
+            code = lint_main([str(path)])
             assert code == 1, f"{rule_id} fixture should fail the gate"
             path.unlink()
 
@@ -579,15 +557,13 @@ class TestCli:
             "class C:\n    __slots__ = ()\n\n\nINSTANCE = C()\n",
         )
         monkeypatch.chdir(tmp_path)
-        assert lint_main([str(path), "--no-baseline"]) == 0
+        assert lint_main([str(path)]) == 0
 
     def test_json_format_and_output_artifact(self, tmp_path, monkeypatch):
         write_module(tmp_path, "repro/core/f.py", "import heapq\n")
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "report.json"
-        code = lint_main(
-            ["repro", "--no-baseline", "--format=json", "--output", str(out)]
-        )
+        code = lint_main(["repro", "--format=json", "--output", str(out)])
         assert code == 1
         artifact = json.loads(out.read_text())
         assert artifact["summary"] == {"API001": 1}
@@ -604,6 +580,21 @@ class TestCli:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize(
+        "option", ["--no-baseline", "--baseline=x.json", "--write-baseline"]
+    )
+    def test_baseline_options_are_gone(
+        self, tmp_path, monkeypatch, capsys, option
+    ):
+        # Inline suppression is the only exemption; argparse rejects the
+        # baseline file's options before anything is analyzed or written.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            lint_main(["src", option])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0

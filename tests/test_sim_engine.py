@@ -104,7 +104,7 @@ def test_call_soon_runs_at_current_time():
     times = []
 
     def outer():
-        sim.call_soon(lambda: times.append(sim.now))
+        sim.at(sim.now, lambda: times.append(sim.now))
 
     sim.schedule(7, outer)
     sim.run()
@@ -188,7 +188,7 @@ class TestLazyDeletionAccounting:
             event.cancel()
         sim.run(until=100)
         # The corpses were compacted away, not retained until t=50000.
-        assert sim.pending_live == 10
+        assert sim.pending_events == 10
         assert sim.pending <= 10 + 2 * Simulator.COMPACT_MIN_CANCELLED
         assert sim.events_fired == 0
 
@@ -200,7 +200,7 @@ class TestLazyDeletionAccounting:
             event.cancel()
         # More than half the heap was cancelled -> compaction ran.
         assert sim.pending < len(events)
-        assert sim.pending_live == keep
+        assert sim.pending_events == keep
         sim.run()
         assert sim.events_fired == keep
 
@@ -230,7 +230,7 @@ class TestLazyDeletionAccounting:
         survivor = sim.schedule(20, lambda: None)
         for _ in range(5):
             event.cancel()
-        assert sim.pending_live == 1
+        assert sim.pending_events == 1
         sim.run()
         assert sim.events_fired == 1
         assert survivor.time_ns == 20
@@ -244,7 +244,7 @@ class TestLazyDeletionAccounting:
         for event in events:
             event.cancel()
         assert sim.pending == 0
-        assert sim.pending_live == 0
+        assert sim.pending_events == 0
         assert sim.events_fired == 8
 
     def test_max_events_stop_does_not_lose_the_boundary_event(self):

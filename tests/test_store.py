@@ -381,7 +381,7 @@ class TestOpenStore:
             verify_store,
             store_records,
             store_results,
-            lambda root: store_records(root, verify=True),
+            lambda root: scan_store(root).records,
             scan_store,
         ],
         ids=["verify", "records", "results", "records_verified", "scan"],
@@ -562,7 +562,27 @@ class TestReadPathCost:
             for r in records
         )
         assert records == store_records(tmp_path, selector)
-        assert records == store_records(tmp_path, selector, verify=True)
+
+    @pytest.mark.parametrize(
+        "flags", [["--list"], [], ["--json"]], ids=["list", "table", "json"]
+    )
+    def test_query_verify_decodes_each_block_once(
+        self, tmp_path, read_counts, capsys, flags
+    ):
+        # One scan both verifies and answers: --verify prints what the
+        # indexed query prints, decoding every block once and no block
+        # twice.
+        from repro.experiments.__main__ import main
+
+        fill_store(RecordStore(tmp_path, flush_records=16), 300)
+        query = ["query", "scenario=incast", "--store", str(tmp_path), *flags]
+        assert main(query) == 0
+        indexed = capsys.readouterr().out
+        blocks = verify_store(tmp_path)["blocks"]
+        read_counts.reset()
+        assert main([*query, "--verify"]) == 0
+        assert capsys.readouterr().out == indexed
+        assert read_counts.decompress == blocks > 8
 
 
 # ----------------------------------------------------------------------
@@ -944,7 +964,6 @@ class TestQuery:
         assert indexed
         assert any(r["result"]["drops"] == 7 for r in indexed)
         assert scan_store(tmp_path, selector).records == indexed
-        assert store_records(tmp_path, selector, verify=True) == indexed
 
     def test_verify_counts_corruption(self, tmp_path):
         fill_store(RecordStore(tmp_path), 40)
