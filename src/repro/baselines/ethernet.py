@@ -105,6 +105,7 @@ class EthernetSwitch(Device):
         "config", "switch_id", "tier", "_ports", "_up_ports", "_host_ports",
         "_down_map", "_cand_cache", "_cand_epoch", "_cand_volatile",
         "_hash_memo", "_spray_cursor", "_rehash_ns",
+        "_spray", "_buffer_bytes", "_ecn_bytes",
         "forwarded", "dropped", "ecn_marked", "no_route_drops",
         "delivered_host_bytes", "queue_depth", "sample_queues",
         "blackholed", "blackholed_flow_ids",
@@ -146,6 +147,10 @@ class EthernetSwitch(Device):
         self.delivered_host_bytes = 0
         self.queue_depth = Histogram(f"{name}.queue_bytes")
         self.sample_queues = False
+        # The config values the per-packet path reads (see receive).
+        self._spray = config.load_balance == "packet"
+        self._buffer_bytes = config.port_buffer_bytes
+        self._ecn_bytes = config.ecn_threshold_bytes
         # Failure modelling: packets hashed onto a failed-but-not-yet-
         # rehashed ECMP path are blackholed (dropped + flow recorded);
         # a dead switch drops everything it receives.
@@ -203,8 +208,11 @@ class EthernetSwitch(Device):
 
         This *is* the per-packet per-hop hot path, one frame: route via
         the epoch-memoized candidate list, ECMP pick via the per-flow
-        hash memo, blackhole / drop-tail / ECN checks, send.
-        :meth:`route` is the same decision without the side effects.
+        hash memo, blackhole / drop-tail / ECN checks, send.  The load
+        balance mode, port buffer and ECN threshold come from slots set
+        at construction: nothing mutates an :class:`EthConfig` after its
+        switches are built.  :meth:`route` is the same decision without
+        the side effects.
         """
         if not self.alive:
             self.dead_drops += 1
@@ -230,7 +238,7 @@ class EthernetSwitch(Device):
             elif not fan_out:
                 self.no_route_drops += 1
                 return
-            elif self.config.load_balance == "packet":
+            elif self._spray:
                 cursor = self._spray_cursor = (
                     self._spray_cursor + 1
                 ) % fan_out
@@ -248,15 +256,14 @@ class EthernetSwitch(Device):
             self.blackholed += 1
             self.blackholed_flow_ids.add(payload.flow_id)
             return
-        config = self.config
         queued = out._queued_bytes
         if self.sample_queues:
             self.queue_depth.record(queued)
         wire_bytes = payload.wire_bytes
-        if queued + wire_bytes > config.port_buffer_bytes:
+        if queued + wire_bytes > self._buffer_bytes:
             self.dropped += 1
             return
-        threshold = config.ecn_threshold_bytes
+        threshold = self._ecn_bytes
         if threshold is not None and queued >= threshold:
             payload.ecn = True
             self.ecn_marked += 1
@@ -279,7 +286,7 @@ class EthernetSwitch(Device):
         fan_out = len(candidates)
         if fan_out <= 1:
             return candidates[0] if candidates else None
-        if self.config.load_balance == "packet":
+        if self._spray:
             return candidates[(self._spray_cursor + 1) % fan_out]
         return candidates[self._ecmp_index(packet.flow_id, fan_out)]
 

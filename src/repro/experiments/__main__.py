@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Any, Dict, List
 
+from repro.cli import run_main
 from repro.experiments.registry import (
     UnknownScenarioError,
     build_scenario,
@@ -320,4 +321,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

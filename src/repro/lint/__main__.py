@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.cli import run_main
 from repro.lint.analyzer import Report, analyze_paths
 from repro.lint.rules import RULES
 
@@ -88,4 +88,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -14,6 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.cli import run_main
 from repro.perf.golden import DEFAULT_GOLDEN_DIR, check_goldens, write_goldens
 
 
@@ -64,4 +65,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -73,28 +73,39 @@ delivery, so :meth:`Simulator.run` is built around those two:
   dispatches on the tag: a completion is one ``Link._tx_done`` frame,
   a delivery is the destination's ``receive`` and nothing else.  Every
   other entry's third element is a callable and is simply called.
-* **Two fire sites, so two copies of that dispatch.**  The *exact* site
-  takes whichever of wheel head and spill head is earlier in
-  ``(time_ns, seq)`` under every check (corpse, deferred entry,
-  horizon, budget, probe),
-  pops it from the structure that held it, and after a spill fire goes
-  round again because the cursor may now sit on an unsorted bucket.
-  The *drained* site is the same dispatch with the checks folded into
-  one bound; sharing a helper would put a Python call on every event.
-  The wheel-or-spill insert likewise exists twice, once per caller
-  shape: :meth:`Simulator.call_later` (fresh entry, relative delay) and
-  :meth:`Simulator.rearm_at` (recycled entry, absolute time).
-* **Batched bucket drain.**  Once the cursor's bucket is sorted, an
-  inner loop drains it against a single precomputed bound (the minimum
-  of horizon, next probe deadline and spill-head time) and re-reads the
-  spill head only when a callback installed a different head *object*
-  — pushes, pops and compaction all swap the head, and only the outer
-  loop mutates an in-heap key (the deferred head's re-key, pushed back
-  at once), so a key the drain read stays put; a deferred entry's stale
-  key is never later than its live one, so a bound drawn from it is
-  merely conservative — and merging with the spill heap costs two int
-  compares and an identity check per event.  Every boundary
-  case goes back to the outer loop, which re-derives state exactly.
+* **One walk, then a drain; an exact step for the boundaries.**  Each
+  pass of the loop drains the cursor's bucket and, when it empties,
+  walks the cursor to the next non-empty bucket (never past the spill
+  head's slot; the only forward scan in the loop), sorts it if it holds
+  more than one entry, and drains on.  The drain fires against one
+  bound ``lim``: the minimum of the horizon, the next probe deadline
+  minus one and the spill-head time minus one.  It re-reads the spill
+  head before every pop and redraws the bound only when a callback
+  installed a different head *object* — pushes, pops and compaction
+  all swap the head, and only the exact step mutates an in-heap key
+  (the deferred head's re-key, pushed back at once), so a key the
+  drain read stays put; a deferred entry's stale key is never later
+  than its live one, so a bound drawn from it is merely conservative.
+  Merging with the spill heap thus costs two int compares and an
+  identity check per event, and even a sparse wheel (a few dozen
+  entries over the 1024 buckets, the push fabric's shape) drains
+  nearly every event.  Only an entry past the bound, the event budget
+  (the drain stops one event short of it) and an empty wheel reach the
+  *exact step*, which takes whichever of wheel head and spill head is
+  earlier in ``(time_ns, seq)`` under every check (corpse, deferred
+  entry, horizon, budget, probe), pops it from the structure that held
+  it and fires it; a spill fire moves the cursor to its slot.  So a
+  single-event run (``max_events=1``) goes through the exact step
+  alone, which is how the tests drive it.
+* **Two fire sites, so two copies of that dispatch.**  The drain and
+  the exact step each write the tag dispatch out; sharing a helper
+  would put a Python call on every event.  The wheel-or-spill insert
+  likewise exists twice, once per caller shape:
+  :meth:`Simulator.call_later` (fresh entry, relative delay) and
+  :meth:`Simulator.rearm_at` (recycled entry, absolute time).  Writing
+  the insert out a third time in ``Link._tx_done`` (its two arms per
+  frame) saved no measurable time on ``push_mixed``, so links call
+  :meth:`Simulator.rearm_at`.
 * **GC deferral.**  The loop disables the cyclic garbage collector
   while it owns the process and restores it on exit.  A run allocates
   heavily but acyclically (cells, frames, list entries), so reference
@@ -115,7 +126,7 @@ The probe schedules nothing, so ``events_fired``, event ordering and
 the simulation outcome are bit-identical with or without it (golden
 traces stay byte-identical either way).  The deadline is a sentinel no
 run reaches while no probe is installed: one int compare per event on
-the outer loop, nothing in the drain (it is part of the drain's bound).
+the exact step, nothing in the drain (it is part of the drain's bound).
 The probe fires
 at most once per ``interval_ns``, at the first event on or past each
 deadline — sampling rides the event stream, so an idle simulation is
@@ -563,13 +574,11 @@ class Simulator:
         at ``until`` are executed; later ones stay queued so the run can
         be resumed — as is the first event past a ``max_events`` stop.
 
-        The outer loop selects and fires the next entry exactly (wheel
-        head against spill head, horizon, budget, probe deadline); after
-        each wheel event it fires, the inner loop keeps draining the
-        now-sorted bucket while one precomputed bound proves the next
-        entry is safe, and falls back to the outer loop for every
-        boundary case (spill head due or tied, probe deadline, horizon,
-        budget).
+        Each pass walks to the next non-empty bucket and drains it while
+        one precomputed bound proves the next entry is safe; the exact
+        step takes every boundary case (spill head due or tied, probe
+        deadline, horizon, budget, empty wheel), comparing wheel head
+        against spill head under every check.
         """
         if self._running:
             raise SimError("simulator is not re-entrant")
@@ -589,9 +598,10 @@ class Simulator:
         nslots = _WHEEL_SLOTS
         horizon = _NEVER if until is None else until
         limit = _NEVER if max_events is None else max_events
+        drain_limit = limit - 1
         fired = 0
         # Probe deadline mirror: _NEVER when no probe is installed, so
-        # the telemetry hook costs the outer loop one int compare and
+        # the telemetry hook costs the exact step one int compare and
         # the drain nothing (it is folded into the drain bound).
         probe_due = self._probe_due
         cursor = self._cursor
@@ -599,43 +609,111 @@ class Simulator:
         # for the insort decision), so a local mirror is safe.
         sorted_slot = self._sorted_slot
         due = buckets[cursor & mask]
+        # The spill head the drain bound ``lim`` was drawn from; the
+        # spill list itself is never its own head, so it stands for "draw
+        # the bound afresh" (set again by every exact step, which may
+        # move the probe deadline).
+        head = spill
+        lim = 0
         # Defer cyclic GC while the loop owns the process (restored on
         # exit, even via exceptions); see the module docstring.
         with deferred_gc():
             try:
                 while True:
-                    # ---- wheel candidate: head of the cursor's bucket ----
-                    if due:
-                        if sorted_slot != cursor:
-                            # First look at this bucket (or appends landed
-                            # while it was not the drain target): establish
-                            # descending order once, then trust the tail —
-                            # pops and insorts both preserve it.
-                            due.sort(reverse=True)
-                            sorted_slot = self._sorted_slot = cursor
-                        wheel_entry = due[-1]
-                    elif self._wheel_live:
-                        # Scan forward for the next non-empty bucket, but
-                        # never past the spill head's slot (firing it must
-                        # not strand the cursor ahead of insert targets).
-                        bound = spill[0][0] >> shift if spill else cursor + nslots
-                        if bound > cursor + nslots:
-                            bound = cursor + nslots
-                        scan = cursor + 1
-                        while scan < bound and not buckets[scan & mask]:
-                            scan += 1
-                        cursor = self._cursor = scan
-                        due = buckets[scan & mask]
-                        if due:
-                            due.sort(reverse=True)
-                            sorted_slot = self._sorted_slot = scan
-                            wheel_entry = due[-1]
-                        else:
-                            wheel_entry = None
-                    else:
-                        wheel_entry = None
+                    if due and sorted_slot != cursor:
+                        # First look at this bucket (or appends landed
+                        # while it was not the drain target): establish
+                        # descending order once, then trust the tail —
+                        # pops and insorts both preserve it.
+                        due.sort(reverse=True)
+                        sorted_slot = self._sorted_slot = cursor
 
-                    # ---- merge with the spill heap, skipping corpses ----
+                    # ---- batched drain: this bucket, then the next ones ----
+                    # Bound: the drain may fire any entry strictly before
+                    # the next probe deadline, at or before the horizon, and
+                    # strictly before the spill head (ties go to the exact
+                    # step's (time, seq) compare).  The spill head *entry*
+                    # is cached and the bound redrawn whenever a callback
+                    # installed a different head object — watching ``len``
+                    # is not enough, because a compaction (removing N
+                    # corpses) plus N pushes leaves the length unchanged
+                    # while the new head may be earlier.  Identity is exact:
+                    # pushes, pops and compaction all swap the head object,
+                    # and no callback mutates an in-heap entry's (time, seq)
+                    # key (``Simulator.rearm_at`` takes a popped, spent
+                    # entry; ``Event.rearm_at`` defers, and only the exact
+                    # step re-keys).  A cancellation nulls head[2] in place
+                    # but keeps its key, and a deferral keeps a key earlier
+                    # than the live one, so the stale bound is merely
+                    # conservative and the exact step handles the head.
+                    # ``<=``, not ``<``: a spill head *at* the horizon/probe
+                    # bound is still a tie the drain must not jump.  The
+                    # drain stops one event short of the budget, so the
+                    # exact step fires the last one (and a single-event run
+                    # goes through the exact step alone).
+                    while True:
+                        while due:
+                            h = spill[0] if spill else None
+                            if h is not head:
+                                head = h
+                                lim = probe_due - 1
+                                if horizon < lim:
+                                    lim = horizon
+                                if h is not None and h[0] <= lim:
+                                    lim = h[0] - 1
+                            e = due.pop()
+                            time_ns = e[0]
+                            if time_ns > lim or fired >= drain_limit:
+                                due.append(e)
+                                break
+                            self._wheel_live -= 1
+                            fn = e[2]
+                            e[2] = None
+                            self._now = time_ns
+                            if fn.__class__ is int:
+                                link = e[3]
+                                if fn == TAG_TX:
+                                    link._tx_done()
+                                elif link.up:
+                                    link._dst_receive(
+                                        link._in_flight.pop(0), link
+                                    )
+                                else:
+                                    link._in_flight.pop(0)
+                                    link.dropped_frames += 1
+                            else:
+                                fn()
+                            self._events_fired += 1
+                            fired += 1
+                        else:
+                            # The bucket is empty: walk to the next
+                            # non-empty one, never past the spill head's
+                            # slot (firing it must not strand the cursor
+                            # ahead of insert targets).  The buckets passed
+                            # are empty; an entry landed on past ``lim``
+                            # goes to the exact step.
+                            if self._wheel_live:
+                                bound = (
+                                    spill[0][0] >> shift if spill
+                                    else cursor + nslots
+                                )
+                                if bound > cursor + nslots:
+                                    bound = cursor + nslots
+                                scan = cursor + 1
+                                while scan < bound and not buckets[scan & mask]:
+                                    scan += 1
+                                cursor = self._cursor = scan
+                                due = buckets[scan & mask]
+                                if due:
+                                    if len(due) > 1:
+                                        due.sort(reverse=True)
+                                    sorted_slot = self._sorted_slot = scan
+                                    continue
+                        break
+
+                    # ---- exact step: wheel head against spill head ----
+                    head = spill
+                    wheel_entry = due[-1] if due else None
                     if spill:
                         entry = spill[0]
                         if wheel_entry is None or entry < wheel_entry:
@@ -668,7 +746,6 @@ class Simulator:
                     else:
                         entry = wheel_entry
 
-                    # ---- fire the earlier candidate (full edge checks) ----
                     time_ns = entry[0]
                     if time_ns > horizon and until is not None:
                         # (`horizon` may be the _NEVER sentinel; an event
@@ -687,6 +764,9 @@ class Simulator:
                         heappop(spill)
                         slot = time_ns >> shift
                         if slot != cursor:
+                            # The cursor follows the spill fire, possibly
+                            # onto a bucket nobody sorted yet; the next pass
+                            # of the loop sorts it.
                             cursor = self._cursor = slot
                             due = buckets[slot & mask]
                     fn = entry[2]
@@ -711,68 +791,6 @@ class Simulator:
                         fn()
                     self._events_fired += 1
                     fired += 1
-                    if entry is not wheel_entry:
-                        # A spill fire may have moved the cursor to a bucket
-                        # nobody sorted yet; the top of the loop re-derives.
-                        continue
-
-                    # ---- batched drain of the rest of this bucket ----
-                    # Bound: the drain may fire any entry strictly before
-                    # the next probe deadline, at or before the horizon, and
-                    # strictly before the spill head (ties go to the outer
-                    # loop's exact (time, seq) compare).  The spill head
-                    # *entry* is cached and the bound recomputed whenever a
-                    # callback installed a different head object — watching
-                    # ``len`` is not enough, because a compaction (removing
-                    # N corpses) plus N pushes leaves the length unchanged
-                    # while the new head may be earlier.  Identity is exact:
-                    # pushes, pops and compaction all swap the head object,
-                    # and no callback mutates an in-heap entry's (time, seq)
-                    # key (``Simulator.rearm_at`` takes a popped, spent
-                    # entry; ``Event.rearm_at`` defers, and only the outer
-                    # loop re-keys).  A cancellation nulls head[2] in place
-                    # but keeps its key, and a deferral keeps a key earlier
-                    # than the live one, so the stale bound is merely
-                    # conservative and the outer loop handles the head.
-                    # ``<=``, not ``<``: a spill head *at* the horizon/probe
-                    # bound is still a tie the drain must not jump.
-                    lim = probe_due - 1
-                    if horizon < lim:
-                        lim = horizon
-                    head = spill[0] if spill else None
-                    if head is not None and head[0] <= lim:
-                        lim = head[0] - 1
-                    while due:
-                        e = due[-1]
-                        time_ns = e[0]
-                        if time_ns > lim or fired >= limit:
-                            break
-                        due.pop()
-                        self._wheel_live -= 1
-                        fn = e[2]
-                        e[2] = None
-                        self._now = time_ns
-                        if fn.__class__ is int:
-                            link = e[3]
-                            if fn == TAG_TX:
-                                link._tx_done()
-                            elif link.up:
-                                link._dst_receive(link._in_flight.pop(0), link)
-                            else:
-                                link._in_flight.pop(0)
-                                link.dropped_frames += 1
-                        else:
-                            fn()
-                        self._events_fired += 1
-                        fired += 1
-                        h = spill[0] if spill else None
-                        if h is not head:
-                            head = h
-                            lim = probe_due - 1
-                            if horizon < lim:
-                                lim = horizon
-                            if h is not None and h[0] <= lim:
-                                lim = h[0] - 1
             finally:
                 self._cursor = cursor
                 self._running = False

@@ -28,6 +28,7 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional
 
+from repro.cli import run_main
 from repro.store.cells import RecordStore, open_record_store
 from repro.store.format import StoreFormatError, block_codec
 from repro.store.query import verify_store
@@ -128,4 +129,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli import run_main
 from repro.store.format import StoreFormatError
 from repro.telemetry.export import load_artifact, write_jsonl, write_perfetto
 
@@ -114,4 +115,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

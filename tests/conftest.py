@@ -20,9 +20,10 @@ class SteppedSimulator(Simulator):
     """The engine with its run loop stopped and resumed at every event.
 
     ``run`` makes one ``Simulator.run(max_events=1)`` call per event, so
-    the batched bucket drain never fires anything: every event goes
-    through the outer loop's exact selection, and cursor, sorted-slot
-    and probe state cross a ``run`` boundary each time.  The engine
+    the batched bucket drain never fires anything (it stops one event
+    short of a budget): every event goes through the exact step's
+    selection, and cursor, sorted-slot and probe state cross a ``run``
+    boundary each time.  The engine
     promises the same events in the same order however a run is cut up,
     so no test may be able to tell this from the plain engine.
     """

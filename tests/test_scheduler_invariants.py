@@ -219,7 +219,7 @@ def test_spill_head_tied_with_the_drain_bound_keeps_seq_order(
     """Regression (drain bound): a spill-heap entry due exactly at the
     horizon (or at ``probe_due - 1``) ties with wheel entries at that
     instant; the bound must stop one short of it so the tie is settled
-    by the outer loop's (time, seq) compare.  With ``<`` for ``<=`` the
+    by the exact step's (time, seq) compare.  With ``<`` for ``<=`` the
     drain fired a, c, b."""
     sim = sim_cls()
     order = []

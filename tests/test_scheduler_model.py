@@ -22,9 +22,11 @@ re-key must be invisible: no fire, no budget, no probe sample.
 
 The delay and storm distributions are shaped so that the seams the real
 engine has and the oracle does not are hit often: sub-slot delays (the
-bucket being drained), slot and horizon edges, and cancel storms that
+bucket being drained), slot and horizon edges, cancel storms that
 compact the spill heap and push it back to the same length from inside
-a drained bucket.
+a drained bucket, and entries a few slots apart that the drain walks
+across, with a spill entry, a probe deadline, a horizon or a budget
+between two of them.
 """
 
 from __future__ import annotations
@@ -446,7 +448,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     def run_until(self, until_delta, tie, max_events):
         """Half the time the horizon is exactly a pending handle's time:
         a spill-heap entry due *at* ``until`` is a tie the drain's bound
-        must hand back to the outer loop."""
+        must hand back to the exact step."""
         sim = self.drivers[0].sim
         near = [
             h for h in self.drivers[0].handles
@@ -473,6 +475,55 @@ class SchedulerMachine(RuleBasedStateMachine):
         else:
             self.both("probe", self.drivers[0].sim.now + delay + 1)
             self.both("run", delay + SLOT, None)
+
+    @rule(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(["call_later", "schedule_at"]),
+                st.integers(1, 40),  # slots after the previous entry
+                st.integers(0, SLOT - 1),  # where in its slot
+                # On firing, push a spill entry this far before the next
+                # entry: in its slot or in the gap before it.
+                st.none() | st.integers(1, SLOT),
+            ),
+            min_size=3, max_size=8,
+        ),
+        between=st.integers(0, 6),
+        bound=st.sampled_from(["at", "probe", "until", "budget"]),
+        offset=st.integers(0, 40 * SLOT),
+    )
+    def sparse_wheel(self, entries, between, bound, offset):
+        """A few no-handle entries, slots apart: the drain walks from
+        bucket to bucket.  Between two of them sits what must stop the
+        walk — a spill entry, a probe deadline, a horizon tied to the
+        later entry, or a budget — and an entry's callback may push a
+        new spill head just before the next entry, which the drain must
+        see before it fires that entry."""
+        delays = []
+        delay = 0
+        for _, slots, within, _ in entries:
+            delay = (delay // SLOT + slots) * SLOT + within
+            delays.append(delay)
+        end = delays[-1] + SLOT
+        for (surface, _, _, back), delay, after in zip(
+            entries, delays, delays[1:] + [end]
+        ):
+            script = () if back is None else (
+                ("arm", "at", max(0, after - back - delay), ()),
+            )
+            self.both("arm", surface, delay, script)
+        k = between % (len(delays) - 1)
+        early, late = delays[k], delays[k + 1]
+        inside = early + 1 + offset % (late - early)  # (early, late]
+        if bound == "at":
+            self.both("arm", "at", inside, ())
+        elif bound == "probe":
+            self.both("probe", self.drivers[0].sim.now + inside)
+        elif bound == "until":
+            self.both("run", late, None)
+        else:
+            self.both("run", None, k + 1)
+        self.both("run", end, None)
 
     @rule(max_events=st.integers(0, 40))
     def run_budget(self, max_events):
